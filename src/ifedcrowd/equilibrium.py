@@ -1,14 +1,16 @@
 """Leader-side optimization: analytic derivatives, rate solvers, NE verification.
 
 The publisher's rate-substituted utility separates into an r1 part (driven by
-accuracy responses) and an r2 part (driven by freshness responses), so the
-two rates are solved as independent one-dimensional problems.  The analytic
-derivatives below use the unclamped closed-form responses; the final chosen
-rates are additionally certified against the realized objective, i.e. the
-server utility evaluated at the clamped best responses the clients actually
-play.  Without that certification a rate picked purely by the first-order
-condition can be beaten by other in-box rates once clamping binds, which
-would break mechanism dominance for heterogeneous populations.
+accuracy responses) and an r2 part (driven by freshness responses), so each
+rate is a one-dimensional problem.  Each axis has one value and one slope
+helper serving two objectives: the smooth surrogate on the unclamped
+closed-form responses (`du_dr*`, `solve_r*`), and the realized objective on
+the clamped responses clients actually play (`compute_equilibrium`, the
+server verifier).  Neither is concave in r1, so one search maximizes both:
+it scans the slope on a grid, bisects every sign change, and keeps the best
+of those roots, the box edges and the clamp kinks.  Maximizing the realized
+objective is what keeps the equilibrium rates undominated by any in-box rate
+pair once clamping binds, including for heterogeneous populations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericError
 from .game_core import (
@@ -35,10 +36,9 @@ from .game_core import (
 )
 
 FOC_FTOL = 1e-8      # |derivative| below this counts as a stationary point
-FOC_XTOL = 1e-10     # bracket width stopping criterion
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
-_FOC_SCAN = 512      # sign-change scan resolution for the derivative
-_CERT_SCAN = 4097    # realized-objective scan resolution per axis
+_SCAN = 4097         # slope scan resolution per axis
+_XTOL = 1e-12        # bracket width at which bisection stops
 
 
 def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -48,6 +48,77 @@ def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, np.nd
     return gamma, delta, t_min
 
 
+def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
+    """r1-dependent slice of the server utility: sum_k (alpha/n - r1/t_k) A_k(r1).
+
+    A_k is the accuracy response exp(r1/(gamma_k t_k) - 1) - 1, clamped into
+    [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
+    1-D array of rates and returns the same shape.
+    """
+    r = np.atleast_1d(np.asarray(r1, dtype=float))
+    with np.errstate(over="ignore"):  # overflowed responses clip to the cap
+        a = np.exp(r[:, None] / (gamma * t) - 1.0) - 1.0
+    if clamp:
+        np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+    out = (params.alpha / params.n) * a.sum(axis=1) - r * (a @ (1.0 / t))
+    return out if np.ndim(r1) else float(out[0])
+
+
+def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
+    """Right derivative of `_r1_value` in r1, with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1)/(gamma_k t_k).
+
+    A clamped response has zero slope.  A client counts as unclamped on
+    [ACCURACY_MIN, ACCURACY_MAX), where its response rises just right of r1.
+    """
+    r = np.atleast_1d(np.asarray(r1, dtype=float))
+    gt = gamma * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(r[:, None] / gt - 1.0)
+        a = x - 1.0
+        if clamp:
+            x[~((a >= ACCURACY_MIN) & (a < ACCURACY_MAX))] = 0.0
+            np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+        out = (
+            x @ ((params.alpha / params.n) / gt)
+            - r * (x @ (1.0 / (t * gt)))
+            - a @ (1.0 / t)
+        )
+    return out if np.ndim(r1) else float(out[0])
+
+
+def _r2_value(r2, delta: np.ndarray, params: SystemParams, clamp: bool):
+    """r2-dependent slice of the server utility: (beta/n - r2) sum_k F_k(r2).
+
+    F_k is the freshness response ln(r2/delta_k)/delta_k, clamped into
+    [0, FRESHNESS_MAX] when ``clamp`` is set.
+    """
+    r = np.atleast_1d(np.asarray(r2, dtype=float))
+    f = np.log(r[:, None] / delta) / delta
+    if clamp:
+        np.clip(f, 0.0, FRESHNESS_MAX, out=f)
+    out = (params.beta / params.n - r) * f.sum(axis=1)
+    return out if np.ndim(r2) else float(out[0])
+
+
+def _r2_slope(r2, delta: np.ndarray, params: SystemParams, clamp: bool):
+    """Right derivative of `_r2_value` in r2, with dF_k/dr2 = 1/(delta_k r2).
+
+    A client counts as unclamped on [0, FRESHNESS_MAX), where its response
+    rises just right of r2.  At the box floor r2_lo = max delta_k the client
+    with the largest delta has freshness exactly 0; dropping its term there
+    can hide an interior maximum inside the first scan cell.
+    """
+    r = np.atleast_1d(np.asarray(r2, dtype=float))
+    f = np.log(r[:, None] / delta) / delta
+    if clamp:
+        live = ((f >= 0.0) & (f < FRESHNESS_MAX)) @ (1.0 / delta)
+        np.clip(f, 0.0, FRESHNESS_MAX, out=f)
+    else:
+        live = np.sum(1.0 / delta)
+    out = (params.beta / params.n - r) / r * live - f.sum(axis=1)
+    return out if np.ndim(r2) else float(out[0])
+
+
 def du_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> float:
     """First derivative in r1 of the rate-substituted server utility.
 
@@ -55,33 +126,27 @@ def du_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> fl
     with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1) / (gamma_k t_k).
     """
     gamma, _, t = _population_arrays(profiles)
-    gt = gamma * t
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(r1 / gt - 1.0)
-        da = x / gt
-        a = x - 1.0
-        return float(np.sum(params.alpha * da) / params.n - np.sum((r1 * da + a) / t))
+    return _r1_slope(r1, gamma, t, params, clamp=False)
 
 
 def du_dr2(profiles: list[ClientProfile], params: SystemParams, r2: float) -> float:
     """First derivative in r2: sum_k [beta/(n delta_k r2) - 1/delta_k - ln(r2/delta_k)/delta_k]."""
     _, delta, _ = _population_arrays(profiles)
-    return float(
-        np.sum(
-            params.beta / (params.n * delta * r2)
-            - 1.0 / delta
-            - np.log(r2 / delta) / delta
-        )
-    )
+    return _r2_slope(r2, delta, params, clamp=False)
 
 
 def d2u_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> float:
-    """Second derivative in r1; strictly negative for all positive rates."""
+    """Second derivative in r1: sum_k x_k (alpha t_k - n r1 - 2 gamma_k n t_k) / (n gamma_k^2 t_k^3).
+
+    Here x_k = exp(r1/(gamma_k t_k) - 1).  A client's term is positive
+    wherever alpha t_k > n (r1 + 2 gamma_k t_k), so the r1 objective is not
+    concave and may have several stationary points in the box.
+    """
     gamma, _, t = _population_arrays(profiles)
     n = params.n
-    num = n * r1 + params.alpha * t + 2.0 * gamma * n * t
+    num = params.alpha * t - n * r1 - 2.0 * gamma * n * t
     den = n * gamma**2 * t**3
-    return float(-np.sum(num / den * np.exp(r1 / (gamma * t) - 1.0)))
+    return float(np.sum(num / den * np.exp(r1 / (gamma * t) - 1.0)))
 
 
 def d2u_dr2(profiles: list[ClientProfile], params: SystemParams, r2: float) -> float:
@@ -101,203 +166,107 @@ def leader_objective(
     accuracy terms may leave [0, 1) outside the per-client feasible ranges.
     """
     gamma, delta, t = _population_arrays(profiles)
-    a = np.exp(r1 / (gamma * t) - 1.0) - 1.0
-    f = np.log(r2 / delta) / delta
-    benefit = float(np.sum(params.alpha * a + params.beta * f)) / params.n
-    payments = float(np.sum(r1 * a / t + r2 * f))
-    return benefit - float(np.max(t)) - payments
+    return (
+        _r1_value(r1, gamma, t, params, clamp=False)
+        + _r2_value(r2, delta, params, clamp=False)
+        - float(np.max(t))
+    )
 
 
-def _realized_r1_part(
-    r1: np.ndarray | float, gamma: np.ndarray, t: np.ndarray, params: SystemParams
-) -> np.ndarray | float:
-    """r1-dependent slice of the realized server utility (clamped responses)."""
-    r = np.atleast_1d(np.asarray(r1, dtype=float))[:, None]
-    with np.errstate(over="ignore"):  # overflowed responses clip to the cap
-        a = np.clip(np.exp(r / (gamma * t) - 1.0) - 1.0, ACCURACY_MIN, ACCURACY_MAX)
-    out = np.sum((params.alpha / params.n) * a - r * a / t, axis=1)
-    return out if np.ndim(r1) else float(out[0])
-
-
-def _realized_r2_part(
-    r2: np.ndarray | float, delta: np.ndarray, params: SystemParams
-) -> np.ndarray | float:
-    """r2-dependent slice of the realized server utility (clamped responses)."""
-    r = np.atleast_1d(np.asarray(r2, dtype=float))[:, None]
-    f = np.clip(np.log(r / delta) / delta, 0.0, FRESHNESS_MAX)
-    out = np.sum((params.beta / params.n) * f - r * f, axis=1)
-    return out if np.ndim(r2) else float(out[0])
-
-
-def _safeguarded_newton(f, fprime, lo: float, hi: float) -> float:
-    """Root of f on a sign-change bracket [lo, hi]: Newton steps, bisection fallback.
-
-    The Newton slope is only a hint; any step leaving the bracket or failing
-    to shrink |f| falls back to bisection, so convergence is guaranteed.
-    """
-    flo, fhi = f(lo), f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
-        raise NumericError(f"derivative not finite at bracket ({lo}, {hi})")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    for _ in range(200):
-        if abs(fx) < FOC_FTOL or (hi - lo) < FOC_XTOL:
-            break
-        if not np.isfinite(fx):
-            raise NumericError(f"derivative not finite at rate {x}")
-        # shrink the bracket around the sign change
-        if flo * fx < 0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        slope = fprime(x)
-        step_ok = np.isfinite(slope) and slope != 0.0
-        if step_ok:
-            x_new = x - fx / slope
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        f_new = f(x_new)
-        if np.isfinite(f_new) and abs(f_new) > 0.5 * abs(fx) and lo < 0.5 * (lo + hi) < hi:
-            # insufficient progress: prefer the bisection point
-            x_new = 0.5 * (lo + hi)
-            f_new = f(x_new)
-        x, fx = x_new, f_new
-    # polish the bracket so the located root is also tight in x, not only in
-    # f: steep derivatives would otherwise leave an x offset visible in the
-    # reported residuals
-    if flo * fx < 0:
-        hi = x
-    elif fx * fhi < 0:
-        lo = x
-    while hi - lo > 1e-12:
+def _bisect(slope, lo: float, hi: float, sign_lo: float) -> float:
+    """Bisect a slope sign change on [lo, hi] to _XTOL or to adjacent floats."""
+    while True:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
+        # far from 0 one ulp exceeds _XTOL, so the width test alone never ends
+        if hi - lo <= _XTOL or not lo < mid < hi:
             return mid
-        if flo * fm < 0:
-            hi = mid
+        if np.sign(slope(mid)) == sign_lo:
+            lo = mid
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            hi = mid
 
 
-def _foc_roots(f, fprime, lo: float, hi: float) -> list[float]:
-    """All sign-change roots of f on [lo, hi], located via a scan plus refinement."""
-    if hi <= lo:
-        return []
-    xs = np.linspace(lo, hi, _FOC_SCAN)
-    vals = np.array([f(x) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        bad = xs[~np.isfinite(vals)][0]
-        raise NumericError(f"derivative not finite at rate {bad}")
-    roots = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(_safeguarded_newton(f, fprime, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
+def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
+    """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
-
-def _solve_axis(f, fprime, objective, lo: float, hi: float) -> tuple[float, bool]:
-    """Shared solve logic: FOC root if one exists, else the better box edge.
-
-    With several roots (the substituted utility is not always globally
-    concave for heterogeneous populations) the root with the largest
-    objective value wins; edges are always considered as fallback.
+    Scans the slope on a _SCAN-point grid, bisects every sign change, and
+    returns the best by value of those roots, the edges and the in-box kinks,
+    plus whether a root won.  Candidates within 1e-10 relative of the best
+    tie toward the earliest, so a root is preferred over an edge or kink that
+    beats it only by floating-point dust.
     """
-    roots = _foc_roots(f, fprime, lo, hi)
-    candidates = roots + [lo, hi]
-    values = [objective(x) for x in candidates]
-    best = int(np.argmax(values))
-    return candidates[best], best >= len(roots)
+    if hi <= lo:
+        return lo, False
+    xs = np.linspace(lo, hi, _SCAN)
+    s = slope(xs)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
+    signs = np.sign(s)
+    roots = [
+        _bisect(slope, float(xs[i]), float(xs[i + 1]), signs[i])
+        for i in np.nonzero(signs[:-1] != signs[1:])[0]
+    ]
+    candidates = roots + [lo, hi] + [float(k) for k in kinks if lo < k < hi]
+    values = value(np.array(candidates))
+    best = float(np.max(values))
+    snap = 1e-10 * max(1.0, abs(best))
+    idx = int(np.nonzero(values >= best - snap)[0][0])
+    return candidates[idx], idx < len(roots)
+
+
+def _argmax_r1(
+    profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
+) -> tuple[float, bool]:
+    gamma, _, t = _population_arrays(profiles)
+    kinks = ()
+    if clamp:  # where an accuracy response enters or leaves the clamp rectangle
+        gt = gamma * t
+        kinks = np.concatenate(
+            [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
+        )
+    return _search(
+        lambda r: _r1_slope(r, gamma, t, params, clamp),
+        lambda r: _r1_value(r, gamma, t, params, clamp),
+        box.r1_lo,
+        box.r1_hi,
+        kinks,
+    )
+
+
+def _argmax_r2(
+    profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
+) -> tuple[float, bool]:
+    _, delta, _ = _population_arrays(profiles)
+    # freshness reaches FRESHNESS_MAX there; it leaves 0 at r2 = delta <= r2_lo
+    kinks = delta * np.exp(FRESHNESS_MAX * delta) if clamp else ()
+    return _search(
+        lambda r: _r2_slope(r, delta, params, clamp),
+        lambda r: _r2_value(r, delta, params, clamp),
+        box.r2_lo,
+        box.r2_hi,
+        kinks,
+    )
 
 
 def solve_r1(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
-    """Stationary point of the substituted utility in r1 within the box.
+    """Maximizer in r1 of the substituted (unclamped) utility within the box.
 
-    Returns (rate, boundary): boundary is True when no interior root beats
+    Returns (rate, boundary): boundary is True when no stationary point beats
     the box edges and the better edge is returned instead.
     """
-    gamma, _, t = _population_arrays(profiles)
-    return _solve_axis(
-        lambda x: du_dr1(profiles, params, x),
-        lambda x: d2u_dr1(profiles, params, x),
-        lambda x: float(
-            np.sum(
-                (params.alpha / params.n) * (np.exp(x / (gamma * t) - 1.0) - 1.0)
-                - x * (np.exp(x / (gamma * t) - 1.0) - 1.0) / t
-            )
-        ),
-        box.r1_lo,
-        box.r1_hi,
-    )
+    r1, root = _argmax_r1(profiles, params, box, clamp=False)
+    return r1, not root
 
 
 def solve_r2(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
-    """Stationary point of the substituted utility in r2 within the box."""
-    _, delta, _ = _population_arrays(profiles)
-    return _solve_axis(
-        lambda x: du_dr2(profiles, params, x),
-        lambda x: d2u_dr2(profiles, params, x),
-        lambda x: float(
-            np.sum(
-                (params.beta / params.n) * (np.log(x / delta) / delta)
-                - x * (np.log(x / delta) / delta)
-            )
-        ),
-        box.r2_lo,
-        box.r2_hi,
-    )
-
-
-def _certified_argmax(part, lo: float, hi: float, seeds: list[float]) -> float:
-    """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
-
-    Scans densely, refines every local maximum bracket, and also evaluates
-    the seed candidates (FOC solutions, clamp kinks, edges).  Seeds are listed
-    first so exact value ties resolve toward the analytic solution.
-    """
-    if hi <= lo:
-        return lo
-    xs = np.linspace(lo, hi, _CERT_SCAN)
-    vals = part(xs)
-    candidates = [min(max(s, lo), hi) for s in seeds]
-    interior = np.nonzero(
-        (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    )[0] + 1
-    for i in list(interior) + [0, len(xs) - 1]:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        if b > a:
-            res = minimize_scalar(
-                lambda x: -part(float(x)),
-                bounds=(a, b),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            candidates.append(float(res.x))
-        else:
-            candidates.append(float(xs[i]))
-    cand_vals = np.asarray(part(np.array(candidates)))
-    best = float(np.max(cand_vals))
-    # earliest candidate within snapping distance of the best wins, so the
-    # analytic FOC solution (listed first) is preferred over a refinement
-    # that beats it only by floating-point dust
-    snap = 1e-10 * max(1.0, abs(best))
-    idx = int(np.nonzero(cand_vals >= best - snap)[0][0])
-    return float(candidates[idx])
+    """Maximizer in r2 of the substituted (unclamped) utility within the box."""
+    r2, root = _argmax_r2(profiles, params, box, clamp=False)
+    return r2, not root
 
 
 @dataclass(frozen=True)
@@ -318,33 +287,13 @@ def compute_equilibrium(
 ) -> EquilibriumResult:
     """Solve both rate dimensions, instantiate best responses, evaluate utility.
 
-    The FOC solution seeds a certification pass that maximizes the realized
-    objective (clamped responses) over the box, including the clamp kink
-    locations; the reported rates therefore dominate every in-box rate pair
-    under actual client behaviour, not just under the smooth surrogate.
+    Each rate maximizes the realized objective (clamped responses) over its
+    box interval, so the reported rates dominate every in-box rate pair under
+    actual client behaviour, not just under the smooth surrogate.  The FOC
+    residuals are the surrogate derivatives at those rates.
     """
-    gamma, delta, t = _population_arrays(profiles)
-    r1_foc, _ = solve_r1(profiles, params, box)
-    r2_foc, _ = solve_r2(profiles, params, box)
-
-    gt = gamma * t
-    r1_kinks = np.concatenate(
-        [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
-    )
-    r1_seeds = [r1_foc, box.r1_lo, box.r1_hi] + [
-        float(k) for k in r1_kinks if box.r1_lo < k < box.r1_hi
-    ]
-    r2_kinks = delta * np.exp(FRESHNESS_MAX * delta)
-    r2_seeds = [r2_foc, box.r2_lo, box.r2_hi] + [
-        float(k) for k in r2_kinks if box.r2_lo < k < box.r2_hi
-    ]
-
-    r1_star = _certified_argmax(
-        lambda x: _realized_r1_part(x, gamma, t, params), box.r1_lo, box.r1_hi, r1_seeds
-    )
-    r2_star = _certified_argmax(
-        lambda x: _realized_r2_part(x, delta, params), box.r2_lo, box.r2_hi, r2_seeds
-    )
+    r1_star, _ = _argmax_r1(profiles, params, box, clamp=True)
+    r2_star, _ = _argmax_r2(profiles, params, box, clamp=True)
 
     rates = RewardRates(r1=r1_star, r2=r2_star)
     responses = [best_response(p, rates) for p in profiles]
@@ -477,8 +426,8 @@ def verify_server_equilibrium(
     joint grid plus denser single-axis sweeps through the solved point.
     """
     gamma, delta, t = _population_arrays(profiles)
-    part1 = lambda r: _realized_r1_part(r, gamma, t, params)  # noqa: E731
-    part2 = lambda r: _realized_r2_part(r, delta, params)  # noqa: E731
+    part1 = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731
+    part2 = lambda r: _r2_value(r, delta, params, clamp=True)  # noqa: E731
 
     u1_star = part1(rates_star.r1)
     u2_star = part2(rates_star.r2)

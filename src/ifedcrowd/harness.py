@@ -26,7 +26,7 @@ from .equilibrium import (
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
-from .errors import ConfigError
+from .errors import ConfigError, IFedCrowdError
 from .fedsim import RoundConfig, init_state, run_round
 from .game_core import (
     ClientProfile,
@@ -279,7 +279,7 @@ def evaluate_cell(
                         server_utility=server_utility(params, rates, strategies),
                     )
                 )
-        except Exception as exc:  # record and continue with the next run
+        except IFedCrowdError as exc:  # record and continue with the next run
             failures.append(f"run {run}: {exc}")
     return outcomes, failures
 

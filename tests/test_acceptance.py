@@ -101,7 +101,7 @@ def test_criterion_1_best_response_oracle_equivalence():
 # ---------------------------------------------------------------- criterion 2
 
 def test_criterion_2_derivative_fidelity():
-    """Analytic first derivatives match central differences; curvature negative.
+    """Analytic derivatives match central differences; r2 curvature negative.
 
     The comparison allows the provable finite-difference noise floor
     eps * |U| / (2h): the objective mixes both rate dimensions, so the
@@ -142,8 +142,10 @@ def test_criterion_2_derivative_fidelity():
         rel2 = check(
             du_dr2(pop, params, r2), r2, lambda x: leader_objective(pop, params, r1, x)
         )
-        worst_rel = max(worst_rel, rel1, rel2)
-        assert d2u_dr1(pop, params, r1) < 0
+        # d2u_dr1 changes sign inside the box, so it is pinned to a central
+        # difference of du_dr1 rather than to a sign
+        rel_curv = check(d2u_dr1(pop, params, r1), r1, lambda x: du_dr1(pop, params, x))
+        worst_rel = max(worst_rel, rel1, rel2, rel_curv)
         assert d2u_dr2(pop, params, r2) < 0
     assert report(
         True,

@@ -8,7 +8,9 @@ from ifedcrowd import (
     NumericError,
     RateBox,
     RewardRates,
+    ScenarioConfig,
     Strategy,
+    SweepSpec,
     SystemParams,
     compute_equilibrium,
     d2u_dr1,
@@ -17,12 +19,13 @@ from ifedcrowd import (
     du_dr2,
     feasible_rate_box,
     leader_objective,
+    sample_population,
     solve_r1,
     solve_r2,
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
-from ifedcrowd.game_core import ACCURACY_MAX
+from ifedcrowd.game_core import ACCURACY_MAX, ACCURACY_MIN, FRESHNESS_MAX
 
 SINGLE = [ClientProfile(id=0, gamma=2.0, delta=1.0, t_min=1.0)]
 PARAMS_1 = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=1)
@@ -97,8 +100,10 @@ def test_du_dr2_at_r2_equal_delta():
 # ------------------------------------------------------------ second derivative
 
 def test_d2u_dr1_single_client_value():
+    # x (alpha t - n r - 2 gamma n t) / (n gamma^2 t^3) with x = exp(0.5):
+    # (80 - 3 - 4) / 4 = 18.25; positive, so u is not concave in r1
     assert d2u_dr1(SINGLE, PARAMS_1, 3.0) == pytest.approx(
-        -21.75 * math.exp(0.5), rel=1e-12
+        18.25 * math.exp(0.5), rel=1e-12
     )
 
 
@@ -106,7 +111,16 @@ def test_d2u_dr2_single_client_value():
     assert d2u_dr2(SINGLE, PARAMS_1, 10.0) == pytest.approx(-0.6, rel=1e-12)
 
 
+def central_difference(f, x):
+    """(f(x + h) - f(x - h)) / 2h and the rounding floor of that quotient."""
+    h = 1e-5 * max(1.0, abs(x))
+    up, down = f(x + h), f(x - h)
+    return (up - down) / (2 * h), 1e-15 * (abs(up) + abs(down)) / h
+
+
 def test_second_derivatives_negative_everywhere_sampled():
+    # d2u_dr2 is negative everywhere; d2u_dr1 changes sign, so it is pinned
+    # to a central difference of du_dr1 instead
     rng = np.random.default_rng(11)
     for _ in range(1000):
         pop = random_population(rng, int(rng.integers(1, 8)))
@@ -114,7 +128,9 @@ def test_second_derivatives_negative_everywhere_sampled():
         box = feasible_rate_box(pop, 100.0)
         r1 = float(rng.uniform(box.r1_lo, box.r1_hi))
         r2 = float(rng.uniform(box.r2_lo, box.r2_hi))
-        assert d2u_dr1(pop, params, r1) < 0
+        analytic = d2u_dr1(pop, params, r1)
+        fd, floor = central_difference(lambda x: du_dr1(pop, params, x), r1)
+        assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), abs(fd)) + floor
         assert d2u_dr2(pop, params, r2) < 0
 
 
@@ -277,6 +293,66 @@ def test_equilibrium_rates_dominate_realized_grid():
         eq = compute_equilibrium(pop, params, box)
         report = verify_server_equilibrium(pop, params, eq.rates, box, grid_n=60)
         assert report.passed, f"violation {report.worst_violation} at {report.worst_rates}"
+
+
+def realized_axis_values(pop, params, r1, r2):
+    """Independent oracle: the r1 and r2 parts of the realized server utility."""
+    gamma = np.array([p.gamma for p in pop])
+    delta = np.array([p.delta for p in pop])
+    t = np.array([p.t_min for p in pop])
+    r1 = np.asarray(r1, dtype=float)[..., None]
+    r2 = np.asarray(r2, dtype=float)[..., None]
+    a = np.clip(np.exp(r1 / (gamma * t) - 1.0) - 1.0, ACCURACY_MIN, ACCURACY_MAX)
+    f = np.clip(np.log(r2 / delta) / delta, 0.0, FRESHNESS_MAX)
+    u1 = np.sum(params.alpha / params.n * a - r1 * a / t, axis=-1)
+    u2 = np.sum(params.beta / params.n * f - r2 * f, axis=-1)
+    return u1, u2
+
+
+def test_interior_r2_in_first_scan_cell_above_box_floor():
+    # the client with the largest delta sets r2_lo and has freshness exactly
+    # 0 there; its slope term must count, or this interior maximum, which
+    # lies inside the first scan cell, is lost to the box edge
+    spec = SweepSpec.for_axis("workers", ScenarioConfig())
+    config = spec.cell_config(10)
+    pop = sample_population(config, 6)
+    box = feasible_rate_box(pop, config.r2_cap)
+    eq = compute_equilibrium(pop, config.system_params, box)
+    assert eq.rates.r2 > box.r2_lo
+    assert eq.rates.r2 == pytest.approx(3.6728760520921, abs=1e-9)
+
+
+def test_certified_rates_beat_dense_grid_on_default_cells():
+    for axis in ("gamma", "delta", "workers"):
+        spec = SweepSpec.for_axis(axis, ScenarioConfig())
+        for value in spec.values:
+            config = spec.cell_config(value)
+            params = config.system_params
+            for run in range(config.runs):
+                pop = sample_population(config, run)
+                box = feasible_rate_box(pop, config.r2_cap)
+                eq = compute_equilibrium(pop, params, box)
+                u1, u2 = realized_axis_values(pop, params, eq.rates.r1, eq.rates.r2)
+                g1, g2 = realized_axis_values(
+                    pop,
+                    params,
+                    np.linspace(box.r1_lo, box.r1_hi, 20001),
+                    np.linspace(box.r2_lo, box.r2_hi, 20001),
+                )
+                assert u1 >= np.max(g1) - 1e-9, (axis, value, run)
+                assert u2 >= np.max(g2) - 1e-9, (axis, value, run)
+
+
+def test_large_r2_optimum_completes_and_verifies():
+    # bisecting to 1e-12 near r2 ~ 1e4 runs into float spacing (one ulp is
+    # about 1.8e-12 there); the search must stop there rather than loop
+    config = ScenarioConfig(beta=1e6, r2_cap=1e5)
+    pop = sample_population(config, 0)
+    params = config.system_params
+    box = feasible_rate_box(pop, config.r2_cap)
+    eq = compute_equilibrium(pop, params, box)
+    assert eq.rates.r2 == pytest.approx(10083.93, abs=0.01)
+    assert verify_server_equilibrium(pop, params, eq.rates, box).passed
 
 
 # ---------------------------------------------------------------- verification

@@ -21,6 +21,7 @@ from ifedcrowd import (
     run_sweep,
     sample_population,
 )
+from ifedcrowd import harness
 from ifedcrowd.harness import table_to_csv, table_to_json
 
 CONFIG_TEXT = """
@@ -343,3 +344,14 @@ def test_sweep_records_cell_failures_and_continues():
     assert all(f.startswith("delta=6") for f in table.failures)
     cells = {row.axis_value for row in table.rows}
     assert cells == {1.0}
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only package errors count as cell failures; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("broken policy")
+
+    monkeypatch.setattr(harness, "select_rates", broken)
+    spec = SweepSpec("delta", (1,), ScenarioConfig(runs=1))
+    with pytest.raises(TypeError, match="broken policy"):
+        run_sweep(spec, [MechanismKind.MAX])
