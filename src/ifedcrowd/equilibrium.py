@@ -7,8 +7,9 @@ helper serving two objectives: the smooth surrogate on the unclamped
 closed-form responses (`du_dr*`, `solve_r*`), and the realized objective on
 the clamped responses clients actually play (`compute_equilibrium`, the
 server verifier).  Neither is concave in r1, so one search maximizes both:
-it scans the slope on a grid, bisects every sign change, and keeps the best
-of those roots, the box edges and the clamp kinks.  Maximizing the realized
+it scans the slope on a grid, narrows all sign changes together by
+multisection (one vectorized slope call per step), and keeps the best of
+those roots, the box edges and the clamp kinks.  Maximizing the realized
 objective is what keeps the equilibrium rates undominated by any in-box rate
 pair once clamping binds, including for heterogeneous populations.
 """
@@ -38,7 +39,8 @@ from .game_core import (
 FOC_FTOL = 1e-8      # |derivative| below this counts as a stationary point
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 _SCAN = 4097         # slope scan resolution per axis
-_XTOL = 1e-12        # bracket width at which bisection stops
+_SECTIONS = 64       # sections per bracket in each refine step
+_XTOL = 1e-12        # bracket width at which refinement stops
 
 
 def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,27 +175,42 @@ def leader_objective(
     )
 
 
-def _bisect(slope, lo: float, hi: float, sign_lo: float) -> float:
-    """Bisect a slope sign change on [lo, hi] to _XTOL or to adjacent floats."""
+def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
+    """Narrow every slope sign change [lo_i, hi_i] at once; return the final brackets.
+
+    Each step evaluates the slope once, at the _SECTIONS - 1 interior points
+    of every open bracket, and keeps the first section whose right end has a
+    sign other than sign_lo (a zero counts as the other side).  A bracket
+    closes at _XTOL width or when no float lies strictly inside it.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
     while True:
         mid = 0.5 * (lo + hi)
         # far from 0 one ulp exceeds _XTOL, so the width test alone never ends
-        if hi - lo <= _XTOL or not lo < mid < hi:
-            return mid
-        if np.sign(slope(mid)) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
+        open_ = (hi - lo > _XTOL) & (lo < mid) & (mid < hi)
+        if not open_.any():
+            return lo, hi
+        a, b = lo[open_], hi[open_]
+        pts = a[:, None] + (b - a)[:, None] * frac
+        flip = np.sign(slope(pts.ravel())).reshape(pts.shape) != sign_lo[open_, None]
+        k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
+        ends = np.column_stack([a, pts, b])
+        rows = np.arange(len(a))
+        lo[open_], hi[open_] = ends[rows, k], ends[rows, k + 1]
 
 
 def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
-    Scans the slope on a _SCAN-point grid, bisects every sign change, and
-    returns the best by value of those roots, the edges and the in-box kinks,
-    plus whether a root won.  Candidates within 1e-10 relative of the best
-    tie toward the earliest, so a root is preferred over an edge or kink that
-    beats it only by floating-point dust.
+    Scans the slope on a _SCAN-point grid, refines every sign change with
+    `_refine`, and returns the best by value of those roots, the edges and
+    the in-box kinks, plus whether a root won.  A root is its bracket's
+    midpoint, or the exact kink where the slope jumps if the bracket holds
+    one (to within the bracket's width, since the clamp tests round).
+    Candidates within 1e-10 relative of the best tie toward the earliest, so
+    a root is preferred over an edge or kink that beats it only by
+    floating-point dust.
     """
     if hi <= lo:
         return lo, False
@@ -203,11 +220,16 @@ def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
     if bad.any():
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
-    roots = [
-        _bisect(slope, float(xs[i]), float(xs[i + 1]), signs[i])
-        for i in np.nonzero(signs[:-1] != signs[1:])[0]
-    ]
-    candidates = roots + [lo, hi] + [float(k) for k in kinks if lo < k < hi]
+    i = np.nonzero(signs[:-1] != signs[1:])[0]
+    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
+    roots = 0.5 * (b_lo + b_hi)
+    kinks = np.asarray(kinks, dtype=float)
+    kinks = kinks[(lo < kinks) & (kinks < hi)]
+    if kinks.size:
+        w = (b_hi - b_lo)[:, None]
+        held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
+        roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
+    candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
     values = value(np.array(candidates))
     best = float(np.max(values))
     snap = 1e-10 * max(1.0, abs(best))

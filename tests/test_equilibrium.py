@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifedcrowd import (
     ClientProfile,
@@ -25,6 +27,7 @@ from ifedcrowd import (
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
+from ifedcrowd import equilibrium
 from ifedcrowd.game_core import ACCURACY_MAX, ACCURACY_MIN, FRESHNESS_MAX
 
 SINGLE = [ClientProfile(id=0, gamma=2.0, delta=1.0, t_min=1.0)]
@@ -344,7 +347,7 @@ def test_certified_rates_beat_dense_grid_on_default_cells():
 
 
 def test_large_r2_optimum_completes_and_verifies():
-    # bisecting to 1e-12 near r2 ~ 1e4 runs into float spacing (one ulp is
+    # refining to 1e-12 near r2 ~ 1e4 runs into float spacing (one ulp is
     # about 1.8e-12 there); the search must stop there rather than loop
     config = ScenarioConfig(beta=1e6, r2_cap=1e5)
     pop = sample_population(config, 0)
@@ -353,6 +356,129 @@ def test_large_r2_optimum_completes_and_verifies():
     eq = compute_equilibrium(pop, params, box)
     assert eq.rates.r2 == pytest.approx(10083.93, abs=0.01)
     assert verify_server_equilibrium(pop, params, eq.rates, box).passed
+
+
+def test_r1_at_accuracy_cap_kink_is_the_exact_kink():
+    # the realized r1 slope jumps from positive to negative at the cap kink;
+    # the bracket around that sign change must yield the kink itself, not a
+    # midpoint a fraction of 1e-12 to its left
+    pop = [ClientProfile(id=0, gamma=1.0, delta=1.0, t_min=1.0)]
+    box = feasible_rate_box(pop, 100.0)
+    eq = compute_equilibrium(pop, PARAMS_1, box)
+    kink = 1.0 * (1.0 + math.log1p(ACCURACY_MAX))
+    assert eq.rates.r1 == kink
+    u_star, _ = realized_axis_values(pop, PARAMS_1, eq.rates.r1, eq.rates.r2)
+    u_kink, _ = realized_axis_values(pop, PARAMS_1, kink, eq.rates.r2)
+    assert u_star >= u_kink
+
+
+def scalar_search_value(slope, value, lo, hi, kinks):
+    """Oracle: best value over the scan's sign changes, each bisected on its own."""
+    xs = np.linspace(lo, hi, equilibrium._SCAN)
+    signs = np.sign(slope(xs))
+    candidates = [lo, hi, *(k for k in kinks if lo < k < hi)]
+    for i in np.nonzero(signs[:-1] != signs[1:])[0]:
+        a, b = float(xs[i]), float(xs[i + 1])
+        mid = 0.5 * (a + b)
+        while b - a > 1e-12 and a < mid < b:
+            if np.sign(slope(mid)) == signs[i]:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+        candidates.append(mid)
+    return float(np.max(value(np.array(candidates))))
+
+
+@st.composite
+def heterogeneous_scenarios(draw):
+    n = draw(st.integers(1, 40))
+    g = draw(st.floats(0.2, 6.0))
+    clients = draw(
+        st.lists(
+            st.tuples(st.floats(g, g + 4.0), st.floats(1.0, 2.0), st.floats(1.0, 3.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    pop = [
+        ClientProfile(id=k, gamma=gamma, delta=delta, t_min=t_min)
+        for k, (gamma, delta, t_min) in enumerate(clients)
+    ]
+    alpha = draw(st.floats(10.0, 200.0))
+    beta = draw(st.floats(10.0, 200.0))
+    return pop, SystemParams(alpha=alpha, beta=beta, comm_size=0.0, n=n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(heterogeneous_scenarios())
+def test_search_reaches_scalar_bisection_oracle(scenario):
+    pop, params = scenario
+    box = feasible_rate_box(pop, 100.0)
+    gamma = np.array([p.gamma for p in pop])
+    delta = np.array([p.delta for p in pop])
+    t = np.array([p.t_min for p in pop])
+    gt = gamma * t
+    r1_kinks = np.concatenate(
+        [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
+    )
+    r2_kinks = delta * np.exp(FRESHNESS_MAX * delta)
+    for clamp in (False, True):
+        axes = (
+            (
+                equilibrium._argmax_r1,
+                lambda r: equilibrium._r1_slope(r, gamma, t, params, clamp),
+                lambda r: equilibrium._r1_value(r, gamma, t, params, clamp),
+                box.r1_lo,
+                box.r1_hi,
+                r1_kinks,
+            ),
+            (
+                equilibrium._argmax_r2,
+                lambda r: equilibrium._r2_slope(r, delta, params, clamp),
+                lambda r: equilibrium._r2_value(r, delta, params, clamp),
+                box.r2_lo,
+                box.r2_hi,
+                r2_kinks,
+            ),
+        )
+        for argmax, slope, value, lo, hi, kinks in axes:
+            rate, _ = argmax(pop, params, box, clamp)
+            best = scalar_search_value(slope, value, lo, hi, kinks if clamp else ())
+            assert value(rate) >= best - 1e-12 * max(1.0, abs(best)), (clamp, lo, hi)
+
+    eq = compute_equilibrium(pop, params, box)
+    u1, u2 = realized_axis_values(pop, params, eq.rates.r1, eq.rates.r2)
+    g1, g2 = realized_axis_values(
+        pop,
+        params,
+        np.linspace(box.r1_lo, box.r1_hi, 2001),
+        np.linspace(box.r2_lo, box.r2_hi, 2001),
+    )
+    assert u1 >= np.max(g1) - 1e-9
+    assert u2 >= np.max(g2) - 1e-9
+
+
+def test_refinement_slope_call_budget(monkeypatch):
+    # the default workers=10 cell, run 2, has 14 r1 sign changes; all
+    # are refined together, so each axis costs one scan, a handful of refine
+    # steps and one du_dr* residual, not dozens of calls per sign change
+    calls = {"r1": 0, "r2": 0}
+
+    def counted(name, slope):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return slope(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "_r1_slope", counted("r1", equilibrium._r1_slope))
+    monkeypatch.setattr(equilibrium, "_r2_slope", counted("r2", equilibrium._r2_slope))
+    config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
+    pop = sample_population(config, 2)
+    compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
+    assert 0 < calls["r1"] <= 10
+    assert 0 < calls["r2"] <= 10
 
 
 # ---------------------------------------------------------------- verification
