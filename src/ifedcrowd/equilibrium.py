@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,7 +231,11 @@ def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
     candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
-    values = value(np.array(candidates))
+    # at most _SCAN candidates per call, so the values never outgrow the scan
+    cand = np.array(candidates)
+    values = np.concatenate(
+        [value(cand[i : i + _SCAN]) for i in range(0, len(cand), _SCAN)]
+    )
     best = float(np.max(values))
     snap = 1e-10 * max(1.0, abs(best))
     idx = int(np.nonzero(values >= best - snap)[0][0])
@@ -343,22 +348,36 @@ def compute_equilibrium(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Deviation grid used by the equilibrium verifiers."""
+    """Deviation grid used by the equilibrium verifiers.
+
+    The grid arrays are built on first use, once per spec, and are read-only.
+    """
 
     accuracy_step: float = 0.01
     freshness_step: float = 0.05
     freshness_max: float = 5.0
     time_factors: tuple[float, ...] = (1.0, 1.5, 2.0)
 
-    def accuracy_values(self) -> np.ndarray:
+    @cached_property
+    def _values(self) -> tuple[np.ndarray, np.ndarray]:
         # deviations are restricted to the strategy set clients may actually
         # play, i.e. the clamp rectangle
-        raw = np.arange(0.0, 1.0, self.accuracy_step)
-        return np.unique(np.clip(raw, ACCURACY_MIN, ACCURACY_MAX))
+        raw_a = np.arange(0.0, 1.0, self.accuracy_step)
+        raw_f = np.arange(0.0, self.freshness_max + 1e-12, self.freshness_step)
+        a = np.unique(np.clip(raw_a, ACCURACY_MIN, ACCURACY_MAX))
+        f = np.unique(np.clip(raw_f, 0.0, FRESHNESS_MAX))
+        a.flags.writeable = False
+        f.flags.writeable = False
+        return a, f
+
+    def accuracy_values(self) -> np.ndarray:
+        return self._values[0]
 
     def freshness_values(self) -> np.ndarray:
-        raw = np.arange(0.0, self.freshness_max + 1e-12, self.freshness_step)
-        return np.unique(np.clip(raw, 0.0, FRESHNESS_MAX))
+        return self._values[1]
+
+
+_DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -385,7 +404,7 @@ def verify_client_equilibrium(
     returns the worst utility excess and where it occurred.  Pass an explicit
     strategy to audit a candidate other than the computed best response.
     """
-    grid = grid or GridSpec()
+    grid = grid or _DEFAULT_GRID
     if strategy is None:
         strategy = best_response(profile, rates).strategy
     u_star = client_utility(profile, rates, strategy, comm_size)

@@ -9,7 +9,10 @@ that falls short of its target is paid for what it delivered.
 The synthetic task is per-client linear regression on unit-Gaussian features
 with client-specific true weights; the accuracy level of a training run is
 its relative loss reduction 1 - loss/loss_initial, which makes accuracy
-values in (0, 1) literal quantities.
+values in (0, 1) literal quantities.  The loss is quadratic, so local
+training reads a client's rows once per call to form its d x d Gram matrix
+and then runs every step in Gram space, the loss following its exact
+quadratic update; a step costs O(d^2) however large the dataset has grown.
 """
 
 from __future__ import annotations
@@ -218,6 +221,11 @@ def local_train(
     target exactly.  The iteration budget is
     ceil(iteration_scale * (1 + A) * ln(1 + A) * cap_scale); hitting it
     leaves the achieved accuracy below target, which the caller records.
+
+    The loss is quadratic, so the rows are read only to form the Gram matrix
+    G = X^T X, the initial residual r and X^T r.  Each step then works in
+    d x d Gram space: X^T r moves by -eta G g and the loss follows its exact
+    quadratic update loss - 2 eta (g . X^T r)/N + eta^2 (g . G g)/N.
     """
     if not (0.0 < target_accuracy < 1.0):
         raise DomainError(f"target accuracy must lie in (0, 1), got {target_accuracy}")
@@ -225,19 +233,17 @@ def local_train(
         raise DomainError("cannot train on an empty dataset")
 
     x = dataset.features
-    y = dataset.labels
     n = dataset.size
     w = model.weights.copy()
 
-    def loss_of(res: np.ndarray) -> float:
-        return float(res @ res) / n
-
-    residual = x @ w - y
-    loss_init = loss_of(residual)
+    residual = x @ w - dataset.labels
+    loss_init = float(residual @ residual) / n
     if loss_init <= 0.0:
         # already interpolating: nothing left to reduce
         return TrainResult(ModelParams(w), 1.0 - 1e-15, 0)
     target_loss = (1.0 - target_accuracy) * loss_init
+    gram = x.T @ x
+    xt_res = x.T @ residual  # X^T r, kept in step with w
 
     cap = max(
         1,
@@ -252,28 +258,27 @@ def local_train(
     increases = 0
     iterations = 0
     for _ in range(cap):
-        grad = (2.0 / n) * (x.T @ residual)
-        xg = x @ grad
-        denom = float(xg @ xg)
+        grad = (2.0 / n) * xt_res
+        g_grad = gram @ grad
+        denom = float(grad @ g_grad)  # |X g|^2
         if denom <= 0.0:
             break  # stationary: gradient in the null space
-        landed = False
+        lin = float(grad @ xt_res)  # (X g) . r
+        eta = step_size
         if step_size is None:
             eta = (n / 2.0) * float(grad @ grad) / denom
+        new_loss = loss - 2.0 * eta * lin / n + eta * eta * denom / n
+        landed = step_size is None and new_loss < target_loss
+        if landed:
             # shorten the final step to land exactly on the target loss
-            full_res = residual - eta * xg
-            if loss_of(full_res) < target_loss:
-                a_q = denom / n
-                b_q = -2.0 * float(xg @ residual) / n
-                c_q = loss - target_loss
-                disc = max(b_q * b_q - 4.0 * a_q * c_q, 0.0)
-                eta = (-b_q - math.sqrt(disc)) / (2.0 * a_q)
-                landed = True
-        else:
-            eta = step_size
+            a_q = denom / n
+            b_q = -2.0 * lin / n
+            c_q = loss - target_loss
+            disc = max(b_q * b_q - 4.0 * a_q * c_q, 0.0)
+            eta = (-b_q - math.sqrt(disc)) / (2.0 * a_q)
+            new_loss = target_loss  # the shortened step lands there by construction
         w = w - eta * grad
-        residual = residual - eta * xg
-        new_loss = loss_of(residual)
+        xt_res = xt_res - eta * g_grad
         iterations += 1
         if new_loss > loss:
             increases += 1
@@ -291,7 +296,6 @@ def local_train(
             increases = 0
         loss = new_loss
         if landed:
-            loss = target_loss  # shortened step lands on the target by construction
             break
         if 1.0 - loss / loss_init >= target_accuracy:
             break

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ifedcrowd import (
     ClientProfile,
+    GridSpec,
     NumericError,
     RateBox,
     RewardRates,
@@ -410,7 +411,7 @@ def heterogeneous_scenarios(draw):
     return pop, SystemParams(alpha=alpha, beta=beta, comm_size=0.0, n=n)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(heterogeneous_scenarios())
 def test_search_reaches_scalar_bisection_oracle(scenario):
     pop, params = scenario
@@ -481,7 +482,47 @@ def test_refinement_slope_call_budget(monkeypatch):
     assert 0 < calls["r2"] <= 10
 
 
+def test_realized_r1_search_memory_stays_within_one_scan():
+    # r1 has two clamp kinks per client, so at n=3000 the 2n kink candidates
+    # outnumber the scan points; valuing them must not outgrow the scan
+    import tracemalloc
+
+    config = ScenarioConfig(n=3000)
+    pop = sample_population(config, 0)
+    params = config.system_params
+    box = feasible_rate_box(pop, config.r2_cap)
+    gamma = np.array([p.gamma for p in pop])
+    t = np.array([p.t_min for p in pop])
+    scan = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
+
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slope_peak = peak_bytes(lambda: equilibrium._r1_slope(scan, gamma, t, params, True))
+    search_peak = peak_bytes(lambda: equilibrium._argmax_r1(pop, params, box, clamp=True))
+    assert search_peak <= 1.05 * slope_peak
+
+
 # ---------------------------------------------------------------- verification
+
+def test_grid_spec_arrays_are_built_once_and_read_only():
+    grid = GridSpec(accuracy_step=0.02)
+    for values in (grid.accuracy_values, grid.freshness_values):
+        first = values()
+        assert values() is first
+        np.testing.assert_array_equal(values(), first)
+        with pytest.raises(ValueError):
+            first[0] = 0.5
+    assert grid.accuracy_values()[0] == ACCURACY_MIN
+    assert grid.accuracy_values()[-1] <= ACCURACY_MAX
+    assert grid.freshness_values()[-1] <= FRESHNESS_MAX
+    assert grid == GridSpec(accuracy_step=0.02)
+
 
 def test_verify_client_interior_case():
     rates = RewardRates(r1=3.0, r2=2.0 * math.e)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifedcrowd import (
+    ACCURACY_MAX,
     ClientDataset,
     ClientProfile,
     ClientTask,
@@ -14,6 +17,7 @@ from ifedcrowd import (
     RoundConfig,
     Strategy,
     SystemParams,
+    TrainResult,
     TrainingError,
     aggregate,
     client_reward,
@@ -174,6 +178,147 @@ def test_local_train_divergence_raises_with_diagnostics():
         )
     assert err.value.diagnostics["iteration"] == 10
     assert err.value.diagnostics["loss"] > err.value.diagnostics["initial_loss"]
+
+
+def row_space_train(model, dataset, target_accuracy, iteration_scale, cap_scale, step_size=None):
+    """Oracle: the same descent run on the N-row residual, re-reading the rows every step.
+
+    Returns the TrainResult plus why the loop stopped: "landed", "target",
+    "stationary" or "cap".
+    """
+    x = dataset.features
+    y = dataset.labels
+    n = dataset.size
+    w = model.weights.copy()
+
+    def loss_of(res):
+        return float(res @ res) / n
+
+    residual = x @ w - y
+    loss_init = loss_of(residual)
+    if loss_init <= 0.0:
+        return TrainResult(ModelParams(w), 1.0 - 1e-15, 0), "target"
+    target_loss = (1.0 - target_accuracy) * loss_init
+    cap = max(
+        1,
+        math.ceil(
+            iteration_scale * (1.0 + target_accuracy) * math.log1p(target_accuracy) * cap_scale
+        ),
+    )
+    loss = loss_init
+    increases = 0
+    iterations = 0
+    stop = "cap"
+    for _ in range(cap):
+        grad = (2.0 / n) * (x.T @ residual)
+        xg = x @ grad
+        denom = float(xg @ xg)
+        if denom <= 0.0:
+            stop = "stationary"
+            break
+        landed = False
+        if step_size is None:
+            eta = (n / 2.0) * float(grad @ grad) / denom
+            if loss_of(residual - eta * xg) < target_loss:
+                a_q = denom / n
+                b_q = -2.0 * float(xg @ residual) / n
+                c_q = loss - target_loss
+                disc = max(b_q * b_q - 4.0 * a_q * c_q, 0.0)
+                eta = (-b_q - math.sqrt(disc)) / (2.0 * a_q)
+                landed = True
+        else:
+            eta = step_size
+        w = w - eta * grad
+        residual = residual - eta * xg
+        new_loss = loss_of(residual)
+        iterations += 1
+        if new_loss > loss:
+            increases += 1
+            if increases >= 10:
+                raise TrainingError(
+                    "training diverged: loss increased for 10 consecutive steps",
+                    diagnostics={"iteration": iterations},
+                )
+        else:
+            increases = 0
+        loss = new_loss
+        if landed:
+            loss = target_loss
+            stop = "landed"
+            break
+        if 1.0 - loss / loss_init >= target_accuracy:
+            stop = "target"
+            break
+    achieved = min(max(1.0 - loss / loss_init, 0.0), ACCURACY_MAX)
+    return TrainResult(ModelParams(w), achieved, iterations), stop
+
+
+@st.composite
+def training_problems(draw):
+    n = draw(st.integers(1, 500))
+    dim = draw(st.integers(1, 12))
+    noise = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # ill-conditioned: every feature near one shared column
+        x = rng.standard_normal((n, 1)) + 0.05 * rng.standard_normal((n, dim))
+    else:
+        x = rng.standard_normal((n, dim))
+    y = x @ rng.standard_normal(dim) + noise * rng.standard_normal(n)
+    start = rng.standard_normal(dim) if draw(st.booleans()) else np.zeros(dim)
+    return (
+        ModelParams(start),
+        ClientDataset(x, y, np.arange(float(n))),
+        1.0 - 10.0 ** -draw(st.floats(0.005, 3.0)),  # targets 0.011 to 0.999
+        draw(st.floats(0.5, 6.0)),
+        draw(st.floats(0.1, 100.0)),
+    )
+
+
+def diverged_at(train, *args, **kwargs):
+    try:
+        train(*args, **kwargs)
+    except TrainingError as exc:
+        return exc.diagnostics["iteration"]
+    return None
+
+
+@settings(max_examples=200)
+@given(training_problems())
+def test_gram_space_training_matches_row_space_oracle(problem):
+    model, ds, target, scale, cap_scale = problem
+    res = local_train(model, ds, target, iteration_scale=scale, cap_scale=cap_scale)
+    oracle, stop = row_space_train(model, ds, target, scale, cap_scale)
+    assert res.achieved_accuracy == pytest.approx(oracle.achieved_accuracy, abs=1e-12)
+    w_oracle = oracle.model.weights
+    assert np.all(np.abs(res.model.weights - w_oracle) <= 1e-9 * (1.0 + np.abs(w_oracle)))
+    if stop in ("landed", "target"):
+        assert res.iterations == oracle.iterations
+    # a fixed oversized step diverges on the same iteration in both spaces
+    args = (model, ds, target, scale, cap_scale)
+    assert diverged_at(local_train, *args, step_size=10.0) == diverged_at(
+        row_space_train, *args, step_size=10.0
+    )
+
+
+def test_local_train_reads_the_rows_a_constant_number_of_times():
+    # each step works on d-vectors only, so products with the N x d features
+    # come from the set-up (X w, X^T X, X^T r), not from the iterations
+    products = []
+
+    class CountingArray(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            plain = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    ds = ill_conditioned_dataset()
+    ds.features = ds.features.view(CountingArray)
+    res = local_train(
+        ModelParams(np.zeros(12)), ds, 0.99999, iteration_scale=3.0, cap_scale=1000.0
+    )
+    assert res.iterations >= 20
+    assert len(products) <= 3
 
 
 def test_local_train_rejects_bad_inputs():
