@@ -6,13 +6,16 @@ import argparse
 import json
 import sys
 
+from .equilibrium import compute_equilibrium
 from .errors import ConfigError, IFedCrowdError
+from .game_core import feasible_rate_box
 from .harness import (
     SweepSpec,
     emit,
     load_config,
     run_simulation,
     run_sweep,
+    sample_population,
     verify_scenario,
 )
 from .mechanisms import MechanismKind
@@ -39,8 +42,9 @@ def _equilibrium_payload(result) -> dict:
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    summary = verify_scenario(config)
-    payload = _equilibrium_payload(summary.equilibrium)
+    population = sample_population(config, run_index=0)
+    box = feasible_rate_box(population, config.r2_cap)
+    payload = _equilibrium_payload(compute_equilibrium(population, config.system_params, box))
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,10 +9,10 @@ that falls short of its target is paid for what it delivered.
 The synthetic task is per-client linear regression on unit-Gaussian features
 with client-specific true weights; the accuracy level of a training run is
 its relative loss reduction 1 - loss/loss_initial, which makes accuracy
-values in (0, 1) literal quantities.  The loss is quadratic, so local
-training reads a client's rows once per call to form its d x d Gram matrix
-and then runs every step in Gram space, the loss following its exact
-quadratic update; a step costs O(d^2) however large the dataset has grown.
+values in (0, 1) literal quantities.  The loss is quadratic, so a client
+keeps its samples only as the statistics X^T X, X^T y, y^T y and N: each
+round's new rows are folded in and dropped, a merge is a d x d addition, and
+every training step costs O(d^2) however many rounds the dataset spans.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .game_core import (
 from .mechanisms import MechanismKind, select_rates
 
 _MIN_AGE = 1e-9  # freshness is undefined at zero age
+_EPS = float(np.finfo(float).eps)
 
 # seed-stream tags so per-client generators never collide
 _TASK_TAG = 7001
@@ -64,39 +65,40 @@ class ModelParams:
         return len(self.weights)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientDataset:
-    """Timestamped feature/label samples held locally by one client."""
+    """Squared-loss sufficient statistics of the samples one client holds.
 
-    features: np.ndarray
-    labels: np.ndarray
-    timestamps: np.ndarray
+    The loss is quadratic, so the rows X, y enter training only through
+    gram = X^T X, xty = X^T y, yty = y^T y and the row count size; the rows
+    themselves are never kept.
+    """
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        if self.features.ndim != 2:
+    gram: np.ndarray
+    xty: np.ndarray
+    yty: float
+    size: int
+
+    @classmethod
+    def from_rows(cls, features: np.ndarray, labels: np.ndarray) -> "ClientDataset":
+        x = np.asarray(features, dtype=float)
+        y = np.asarray(labels, dtype=float)
+        if x.ndim != 2:
             raise DomainError("features must be a 2-D array")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.timestamps.shape != (n,):
-            raise DomainError("features, labels and timestamps must align")
-        if n > 1 and np.any(np.diff(self.timestamps) < 0):
-            raise DomainError("timestamps must be non-decreasing")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
+        if y.shape != (x.shape[0],):
+            raise DomainError("features and labels must align")
+        return cls(x.T @ x, x.T @ y, float(y @ y), x.shape[0])
 
     @classmethod
     def empty(cls, dim: int) -> "ClientDataset":
-        return cls(np.empty((0, dim)), np.empty(0), np.empty(0))
+        return cls(np.zeros((dim, dim)), np.zeros(dim), 0.0, 0)
 
     def merged(self, other: "ClientDataset") -> "ClientDataset":
         return ClientDataset(
-            np.vstack([self.features, other.features]),
-            np.concatenate([self.labels, other.labels]),
-            np.concatenate([self.timestamps, other.timestamps]),
+            self.gram + other.gram,
+            self.xty + other.xty,
+            self.yty + other.yty,
+            self.size + other.size,
         )
 
 
@@ -119,13 +121,10 @@ class ClientTask:
     true_weights: np.ndarray
     noise_std: float
 
-    def sample(self, rng: np.random.Generator, times: np.ndarray) -> ClientDataset:
-        k = len(times)
-        dim = len(self.true_weights)
-        x = rng.standard_normal((k, dim))
-        noise = self.noise_std * rng.standard_normal(k) if self.noise_std > 0 else 0.0
-        y = x @ self.true_weights + noise
-        return ClientDataset(x, y, np.asarray(times, dtype=float))
+    def sample(self, rng: np.random.Generator, count: int) -> ClientDataset:
+        x = rng.standard_normal((count, len(self.true_weights)))
+        noise = self.noise_std * rng.standard_normal(count) if self.noise_std > 0 else 0.0
+        return ClientDataset.from_rows(x, x @ self.true_weights + noise)
 
 
 @dataclass(frozen=True)
@@ -172,26 +171,24 @@ def collect_data(
             "collection_interval is too small for the round window "
             f"({state.collection_interval} over {final_time - cadence_start:.3g})"
         )
-    times = []
-    t = cadence_start + state.collection_interval
-    while t <= final_time + 1e-12:
-        times.append(t)
-        t += state.collection_interval
+    # routine samples at cadence_start + j * interval for j = 1..count
+    count = max(0, math.floor((final_time + 1e-12 - cadence_start) / state.collection_interval))
+    last = cadence_start + count * state.collection_interval if count else state.last_generation_time
     if (
         strategy.freshness > 0
         and final_time > state.last_generation_time
-        and (not times or times[-1] < final_time - 1e-12)
+        and (not count or last < final_time - 1e-12)
     ):
-        times.append(final_time)
+        count += 1
+        last = final_time
 
-    last = float(times[-1]) if times else state.last_generation_time
     if math.isfinite(last):
         achieved = 1.0 / max(upload_time - last, _MIN_AGE)
     else:
         achieved = 0.0  # no samples collected yet
     shortfall = strategy.freshness > 0 and achieved < strategy.freshness * (1 - 1e-12)
     return CollectionResult(
-        delta=task.sample(rng, np.array(times)),
+        delta=task.sample(rng, count),
         state=CollectionState(last, state.collection_interval),
         achieved_freshness=float(achieved),
         shortfall=shortfall,
@@ -222,28 +219,41 @@ def local_train(
     ceil(iteration_scale * (1 + A) * ln(1 + A) * cap_scale); hitting it
     leaves the achieved accuracy below target, which the caller records.
 
-    The loss is quadratic, so the rows are read only to form the Gram matrix
-    G = X^T X, the initial residual r and X^T r.  Each step then works in
-    d x d Gram space: X^T r moves by -eta G g and the loss follows its exact
-    quadratic update loss - 2 eta (g . X^T r)/N + eta^2 (g . G g)/N.
+    Training starts from the dataset's statistics G = X^T X, b = X^T y and
+    c = y^T y: X^T r = G w - b for the residual r = X w - y, and the initial
+    loss is (w . (G w - b) - w . b + c)/N.  Each step works in d x d Gram
+    space: X^T r moves by -eta G g and the loss follows its exact quadratic
+    update loss - 2 eta (g . X^T r)/N + eta^2 (g . G g)/N.
+
+    The statistics cannot resolve a loss below their own rounding level, so
+    a start whose loss lies within it counts as interpolating (0 iterations,
+    accuracy 1 - 1e-15).  Let u = eps/2 and T = (sum_i |w_i| sqrt(G_ii) +
+    sqrt(c))^2.  By Cauchy-Schwarz, sum_k |x_ki x_kj| <= sqrt(G_ii G_jj) and
+    sum_k |x_ki y_k| <= sqrt(G_ii c), so T bounds the absolute sum of the
+    quadratic form's terms, over the rows as over the statistics.  Forming
+    G, b and c from N rows, in any summation order and across any number of
+    merges, is then exact to within N u T on the form; evaluating it from
+    the statistics adds at most (2d + 3) u T (a matrix-vector product, two
+    length-d dot products and three additions).  The floor
+    (N + 2d + 3) eps T / N is twice their sum over N, which leaves room for
+    the second-order terms.
     """
     if not (0.0 < target_accuracy < 1.0):
         raise DomainError(f"target accuracy must lie in (0, 1), got {target_accuracy}")
     if dataset.size == 0:
         raise DomainError("cannot train on an empty dataset")
 
-    x = dataset.features
+    gram = dataset.gram
     n = dataset.size
     w = model.weights.copy()
 
-    residual = x @ w - dataset.labels
-    loss_init = float(residual @ residual) / n
-    if loss_init <= 0.0:
+    xt_res = gram @ w - dataset.xty  # X^T r, kept in step with w
+    loss_init = (float(w @ xt_res) - float(w @ dataset.xty) + dataset.yty) / n
+    scale = (float(np.abs(w) @ np.sqrt(np.diag(gram))) + math.sqrt(dataset.yty)) ** 2
+    if loss_init <= (n + 2 * len(w) + 3) * _EPS * scale / n:
         # already interpolating: nothing left to reduce
         return TrainResult(ModelParams(w), 1.0 - 1e-15, 0)
     target_loss = (1.0 - target_accuracy) * loss_init
-    gram = x.T @ x
-    xt_res = x.T @ residual  # X^T r, kept in step with w
 
     cap = max(
         1,

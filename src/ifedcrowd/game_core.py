@@ -120,7 +120,7 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class RateBox:
-    """Feasible reward-rate rectangle plus the per-client r1 intervals it covers.
+    """Feasible reward-rate rectangle.
 
     The population box is the union hull of the per-client r1 ranges (min of
     lower bounds, max of upper bounds) so the search region never collapses
@@ -132,7 +132,6 @@ class RateBox:
     r1_hi: float
     r2_lo: float
     r2_hi: float
-    per_client_r1: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -146,19 +145,6 @@ class BestResponse:
     @property
     def clamped(self) -> bool:
         return self.accuracy_clamped or self.freshness_clamped
-
-
-def freshness(now: float, generated_at: float) -> float:
-    """Freshness of a sample generated at ``generated_at`` observed at ``now``.
-
-    Defined as the reciprocal of the sample age; undefined at zero or
-    negative age.
-    """
-    if not now > generated_at:
-        raise DomainError(
-            f"freshness undefined: now={now} must exceed generated_at={generated_at}"
-        )
-    return 1.0 / (now - generated_at)
 
 
 def calculation_cost(gamma: float, accuracy: float) -> float:
@@ -211,24 +197,6 @@ def client_utility(
 ) -> float:
     """Client profit: reward minus total cost.  May be negative."""
     return client_reward(rates, strategy) - total_cost(profile, strategy, comm_size).total
-
-
-def client_utility_gradient(
-    profile: ClientProfile, rates: RewardRates, strategy: Strategy
-) -> tuple[float, float, float]:
-    """Partial derivatives of the client utility in (accuracy, freshness, time).
-
-    Used by stationarity checks: at an interior best response the first two
-    components vanish and the third is strictly negative for positive accuracy.
-    """
-    d_acc = (
-        -profile.gamma * math.log1p(strategy.accuracy)
-        - profile.gamma
-        + rates.r1 / strategy.completion_time
-    )
-    d_fresh = -profile.delta * math.exp(profile.delta * strategy.freshness) + rates.r2
-    d_time = -rates.r1 * strategy.accuracy / strategy.completion_time**2
-    return d_acc, d_fresh, d_time
 
 
 def server_utility(
@@ -308,18 +276,12 @@ def feasible_rate_box(
     """
     if not profiles:
         raise DomainError("feasible_rate_box needs a non-empty population")
-    per_client = tuple(client_r1_range(p) for p in profiles)
-    r1_lo = min(lo for lo, _ in per_client)
-    r1_hi = max(hi for _, hi in per_client)
+    ranges = [client_r1_range(p) for p in profiles]
+    r1_lo = min(lo for lo, _ in ranges)
+    r1_hi = max(hi for _, hi in ranges)
     r2_lo = max(p.delta for p in profiles)
     if not r2_cap > r2_lo:
         raise ConfigError(
             f"r2_cap={r2_cap} must exceed the largest delta {r2_lo}: empty r2 interval"
         )
-    return RateBox(
-        r1_lo=r1_lo,
-        r1_hi=r1_hi,
-        r2_lo=r2_lo,
-        r2_hi=r2_cap,
-        per_client_r1=per_client,
-    )
+    return RateBox(r1_lo=r1_lo, r1_hi=r1_hi, r2_lo=r2_lo, r2_hi=r2_cap)

