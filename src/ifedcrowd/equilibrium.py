@@ -6,12 +6,18 @@ rate is a one-dimensional problem.  Each axis has one value and one slope
 helper serving two objectives: the smooth surrogate on the unclamped
 closed-form responses (`du_dr*`, `solve_r*`), and the realized objective on
 the clamped responses clients actually play (`compute_equilibrium`, the
-server verifier).  Neither is concave in r1, so one search maximizes both:
-it scans the slope on a grid, narrows all sign changes together by
-multisection (one vectorized slope call per step), and keeps the best of
-those roots, the box edges and the clamp kinks.  Maximizing the realized
-objective is what keeps the equilibrium rates undominated by any in-box rate
-pair once clamping binds, including for heterogeneous populations.
+server verifier).
+
+r2 is solved exactly.  With the clients sorted by their freshness kinks,
+prefix sums give the r2 slice at any rate in O(log n), and between
+neighbouring kinks it is concave, so each segment holds at most one root,
+bracketed by the slope signs at its ends.  r1 is concave in neither
+objective, so it keeps a search: it scans the slope on a grid, narrows all
+sign changes together by multisection (one vectorized slope call per step),
+and keeps the best of those roots, the box edges and the clamp kinks where
+the slope jumps down.  Maximizing the realized objective is what keeps the
+equilibrium rates undominated by any in-box rate pair once clamping binds,
+including for heterogeneous populations.
 """
 
 from __future__ import annotations
@@ -89,37 +95,71 @@ def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp:
     return out if np.ndim(r1) else float(out[0])
 
 
+def _freshness_sums(delta: np.ndarray):
+    """The r2 clamp kinks, sorted, and prefix sums over the clients sorted by delta.
+
+    Freshness leaves 0 at r2 = delta_k and reaches FRESHNESS_MAX at
+    delta_k exp(FRESHNESS_MAX delta_k).  Both kinks rise with delta_k, so the
+    clients live at any rate are one contiguous run of the delta order, and
+    their sums of 1/delta and ln(delta)/delta are differences of prefix sums.
+    """
+    d = np.sort(delta)
+    with np.errstate(over="ignore"):  # a cap that overflows is never reached
+        cap = d * np.exp(FRESHNESS_MAX * d)
+    p1 = np.concatenate(([0.0], np.cumsum(1.0 / d)))
+    p2 = np.concatenate(([0.0], np.cumsum(np.log(d) / d)))
+    return d, cap, p1, p2
+
+
+def _live_sums(r, sums, clamp: bool):
+    """(S1, S2, m) at rates r: S1 = sum 1/delta_k and S2 = sum ln(delta_k)/delta_k
+    over the live clients, m = the number capped at FRESHNESS_MAX.
+
+    A client is live on [delta_k, cap_k), where its response rises just right
+    of r; unclamped, every client is live.  Two binary searches per rate.
+    """
+    d, cap, p1, p2 = sums
+    if not clamp:
+        return p1[-1], p2[-1], 0
+    i = np.searchsorted(d, r, side="right")
+    j = np.searchsorted(cap, r, side="right")
+    return p1[i] - p1[j], p2[i] - p2[j], j
+
+
+def _r2_parts(r, live, params: SystemParams):
+    """Value and right slope of the r2 slice at rates r, given their `_live_sums`.
+
+    sum_k F_k(r2) = S1 ln r2 - S2 + FRESHNESS_MAX m, and each live client adds
+    dF_k/dr2 = 1/(delta_k r2) to the slope.
+    """
+    s1, s2, m = live
+    total = s1 * np.log(r) - s2 + FRESHNESS_MAX * m
+    margin = params.beta / params.n - r
+    return margin * total, margin / r * s1 - total
+
+
 def _r2_value(r2, delta: np.ndarray, params: SystemParams, clamp: bool):
     """r2-dependent slice of the server utility: (beta/n - r2) sum_k F_k(r2).
 
     F_k is the freshness response ln(r2/delta_k)/delta_k, clamped into
-    [0, FRESHNESS_MAX] when ``clamp`` is set.
+    [0, FRESHNESS_MAX] when ``clamp`` is set.  Takes a rate or a 1-D array of
+    rates and returns the same shape.
     """
-    r = np.atleast_1d(np.asarray(r2, dtype=float))
-    f = np.log(r[:, None] / delta) / delta
-    if clamp:
-        np.clip(f, 0.0, FRESHNESS_MAX, out=f)
-    out = (params.beta / params.n - r) * f.sum(axis=1)
-    return out if np.ndim(r2) else float(out[0])
+    r = np.asarray(r2, dtype=float)
+    value, _ = _r2_parts(r, _live_sums(r, _freshness_sums(delta), clamp), params)
+    return value if np.ndim(r2) else float(value)
 
 
 def _r2_slope(r2, delta: np.ndarray, params: SystemParams, clamp: bool):
     """Right derivative of `_r2_value` in r2, with dF_k/dr2 = 1/(delta_k r2).
 
     A client counts as unclamped on [0, FRESHNESS_MAX), where its response
-    rises just right of r2.  At the box floor r2_lo = max delta_k the client
-    with the largest delta has freshness exactly 0; dropping its term there
-    can hide an interior maximum inside the first scan cell.
+    rises just right of r2.  So at the box floor r2_lo = max delta_k the client
+    with the largest delta, whose freshness is exactly 0 there, still counts.
     """
-    r = np.atleast_1d(np.asarray(r2, dtype=float))
-    f = np.log(r[:, None] / delta) / delta
-    if clamp:
-        live = ((f >= 0.0) & (f < FRESHNESS_MAX)) @ (1.0 / delta)
-        np.clip(f, 0.0, FRESHNESS_MAX, out=f)
-    else:
-        live = np.sum(1.0 / delta)
-    out = (params.beta / params.n - r) / r * live - f.sum(axis=1)
-    return out if np.ndim(r2) else float(out[0])
+    r = np.asarray(r2, dtype=float)
+    _, slope = _r2_parts(r, _live_sums(r, _freshness_sums(delta), clamp), params)
+    return slope if np.ndim(r2) else float(slope)
 
 
 def du_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> float:
@@ -201,17 +241,35 @@ def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
         lo[open_], hi[open_] = ends[rows, k], ends[rows, k + 1]
 
 
+def _best(
+    value, roots: np.ndarray, lo: float, hi: float, kinks: np.ndarray
+) -> tuple[float, bool]:
+    """The best by value of the roots, the edges and the kinks, plus whether a root won.
+
+    Candidates within 1e-10 relative of the best tie toward the earliest, so
+    a root is preferred over an edge or kink that beats it only by
+    floating-point dust.
+    """
+    candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
+    # at most _SCAN candidates per call, so the values never outgrow the scan
+    cand = np.array(candidates)
+    values = np.concatenate(
+        [value(cand[i : i + _SCAN]) for i in range(0, len(cand), _SCAN)]
+    )
+    best = float(np.max(values))
+    snap = 1e-10 * max(1.0, abs(best))
+    idx = int(np.nonzero(values >= best - snap)[0][0])
+    return candidates[idx], idx < len(roots)
+
+
 def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
     Scans the slope on a _SCAN-point grid, refines every sign change with
-    `_refine`, and returns the best by value of those roots, the edges and
-    the in-box kinks, plus whether a root won.  A root is its bracket's
-    midpoint, or the exact kink where the slope jumps if the bracket holds
-    one (to within the bracket's width, since the clamp tests round).
-    Candidates within 1e-10 relative of the best tie toward the earliest, so
-    a root is preferred over an edge or kink that beats it only by
-    floating-point dust.
+    `_refine`, and returns `_best` of those roots, the edges and the in-box
+    kinks.  A root is its bracket's midpoint, or the exact kink where the
+    slope jumps if the bracket holds one (to within the bracket's width,
+    since the clamp tests round).
     """
     if hi <= lo:
         return lo, False
@@ -230,16 +288,7 @@ def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
-    # at most _SCAN candidates per call, so the values never outgrow the scan
-    cand = np.array(candidates)
-    values = np.concatenate(
-        [value(cand[i : i + _SCAN]) for i in range(0, len(cand), _SCAN)]
-    )
-    best = float(np.max(values))
-    snap = 1e-10 * max(1.0, abs(best))
-    idx = int(np.nonzero(values >= best - snap)[0][0])
-    return candidates[idx], idx < len(roots)
+    return _best(value, roots, lo, hi, kinks)
 
 
 def _argmax_r1(
@@ -247,10 +296,16 @@ def _argmax_r1(
 ) -> tuple[float, bool]:
     gamma, _, t = _population_arrays(profiles)
     kinks = ()
-    if clamp:  # where an accuracy response enters or leaves the clamp rectangle
+    if clamp:
+        # An accuracy response enters the clamp rectangle at gt*c_in and leaves
+        # it at gt*c_out, where the client's slope term jumps by a positive
+        # multiple of alpha/n - c_in*gamma and of c_out*gamma - alpha/n.  Only a
+        # kink where the slope jumps down can be a maximum: at most one per client.
         gt = gamma * t
+        c_in, c_out = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
+        share = params.alpha / params.n
         kinks = np.concatenate(
-            [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
+            [gt[share < c_in * gamma] * c_in, gt[share > c_out * gamma] * c_out]
         )
     return _search(
         lambda r: _r1_slope(r, gamma, t, params, clamp),
@@ -264,16 +319,37 @@ def _argmax_r1(
 def _argmax_r2(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
 ) -> tuple[float, bool]:
+    """Exact maximizer of the r2 slice on the box, one concave segment at a time.
+
+    Between neighbouring in-box clamp kinks the live set and the capped count
+    are fixed, so V(r) = (beta/n - r)(S1 ln r - S2 + FRESHNESS_MAX m) has
+    V'' = -S1/r - beta S1/(n r^2) <= 0.  A segment holds an interior maximum
+    only when its slope is positive just right of its left end and negative
+    just left of its right end; all such roots are refined together.  The
+    unclamped surrogate is one segment with every client live.
+    """
+    lo, hi = box.r2_lo, box.r2_hi
+    if hi <= lo:
+        return lo, False
     _, delta, _ = _population_arrays(profiles)
-    # freshness reaches FRESHNESS_MAX there; it leaves 0 at r2 = delta <= r2_lo
-    kinks = delta * np.exp(FRESHNESS_MAX * delta) if clamp else ()
-    return _search(
-        lambda r: _r2_slope(r, delta, params, clamp),
-        lambda r: _r2_value(r, delta, params, clamp),
-        box.r2_lo,
-        box.r2_hi,
-        kinks,
-    )
+    sums = _freshness_sums(delta)
+    kinks = np.concatenate(sums[:2]) if clamp else np.empty(0)
+    kinks = np.sort(kinks[(lo < kinks) & (kinks < hi)])
+    ends = np.concatenate(([lo], kinks, [hi]))
+    a, b = ends[:-1], ends[1:]
+    live = _live_sums(a, sums, clamp)  # the segment's live set, read just right of a
+    _, s_a = _r2_parts(a, live, params)
+    _, s_b = _r2_parts(b, live, params)  # the left limit of the slope at b
+    bad = ~(np.isfinite(s_a) & np.isfinite(s_b))
+    if bad.any():
+        raise NumericError(f"derivative not finite at rate {a[bad][0]}")
+    inner = (s_a > 0) & (s_b < 0)
+
+    def parts(r):
+        return _r2_parts(r, _live_sums(r, sums, clamp), params)
+
+    b_lo, b_hi = _refine(lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum())))
+    return _best(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
 
 
 def solve_r1(
@@ -467,8 +543,9 @@ def verify_server_equilibrium(
     joint grid plus denser single-axis sweeps through the solved point.
     """
     gamma, delta, t = _population_arrays(profiles)
+    sums = _freshness_sums(delta)
     part1 = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731
-    part2 = lambda r: _r2_value(r, delta, params, clamp=True)  # noqa: E731
+    part2 = lambda r: _r2_parts(r, _live_sums(r, sums, True), params)[0]  # noqa: E731
 
     u1_star = part1(rates_star.r1)
     u2_star = part2(rates_star.r2)

@@ -173,21 +173,14 @@ def sample_population(config: ScenarioConfig, run_index: int) -> list[ClientProf
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, run_index, _POP_TAG))
     )
-    profiles = []
-    for k in range(config.n):
-        u = rng.random(3)
-        gamma = config.gamma[0] + (config.gamma[1] - config.gamma[0]) * float(u[0])
-        delta = config.delta[0] + (config.delta[1] - config.delta[0]) * float(u[1])
-        t_min = config.tmin[0] + (config.tmin[1] - config.tmin[0]) * float(u[2])
-        profiles.append(
-            ClientProfile(
-                id=k,
-                gamma=max(gamma, _PARAM_FLOOR),
-                delta=max(delta, _PARAM_FLOOR),
-                t_min=max(t_min, _PARAM_FLOOR),
-            )
-        )
-    return profiles
+    # one (n, 3) draw is the same stream as n successive draws of 3
+    lo = np.array([config.gamma[0], config.delta[0], config.tmin[0]])
+    hi = np.array([config.gamma[1], config.delta[1], config.tmin[1]])
+    values = np.maximum(lo + (hi - lo) * rng.random((config.n, 3)), _PARAM_FLOOR)
+    return [
+        ClientProfile(id=k, gamma=gamma, delta=delta, t_min=t_min)
+        for k, (gamma, delta, t_min) in enumerate(values.tolist())
+    ]
 
 
 def rate_seed(config: ScenarioConfig, run_index: int) -> int:

@@ -460,6 +460,155 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
     assert u2 >= np.max(g2) - 1e-9
 
 
+@st.composite
+def kinked_r2_scenarios(draw):
+    # delta near 0.05-0.8 puts freshness caps delta e^{10 delta} inside the
+    # r2 box [max delta, 100], so the realized r2 axis has in-box kinks
+    pop, params = draw(heterogeneous_scenarios())
+    g = draw(st.floats(0.05, 0.5))
+    deltas = draw(st.lists(st.floats(g, g + 0.3), min_size=len(pop), max_size=len(pop)))
+    pop = [
+        ClientProfile(id=p.id, gamma=p.gamma, delta=d, t_min=p.t_min)
+        for p, d in zip(pop, deltas)
+    ]
+    return pop, params
+
+
+@settings(max_examples=60)
+@given(kinked_r2_scenarios())
+def test_clamped_r2_with_in_box_kinks_is_exact(scenario):
+    pop, params = scenario
+    box = feasible_rate_box(pop, 100.0)
+    delta = np.array([p.delta for p in pop])
+    kinks = delta * np.exp(FRESHNESS_MAX * delta)
+    kinks = kinks[(box.r2_lo < kinks) & (kinks < box.r2_hi)]
+    rate, _ = equilibrium._argmax_r2(pop, params, box, clamp=True)
+    grid = np.concatenate([np.linspace(box.r2_lo, box.r2_hi, 20001), kinks])
+    _, u_star = realized_axis_values(pop, params, box.r1_lo, rate)
+    _, u_grid = realized_axis_values(pop, params, box.r1_lo, grid)
+    assert u_star >= np.max(u_grid) - 1e-9
+    slope = lambda r: equilibrium._r2_slope(r, delta, params, True)  # noqa: E731
+    value = lambda r: equilibrium._r2_value(r, delta, params, True)  # noqa: E731
+    best = scalar_search_value(slope, value, box.r2_lo, box.r2_hi, kinks)
+    assert value(rate) >= best - 1e-12 * max(1.0, abs(best))
+
+
+def direct_r2(r, delta, params, clamp):
+    """Oracle: the r2 slice and its right slope summed client by client."""
+    r = np.asarray(r, dtype=float)[:, None]
+    raw = np.log(r / delta) / delta
+    f = np.clip(raw, 0.0, FRESHNESS_MAX) if clamp else raw
+    if clamp:  # live on [0, FRESHNESS_MAX), stated through the kinks themselves
+        live = (r >= delta) & (r < delta * np.exp(FRESHNESS_MAX * delta))
+    else:
+        live = np.ones_like(raw, dtype=bool)
+    margin = params.beta / params.n - r[:, 0]
+    value = margin * f.sum(axis=1)
+    slope = margin / r[:, 0] * (live @ (1.0 / delta)) - f.sum(axis=1)
+    # rounding floor: n roundings of the largest summand magnitudes
+    size = np.sum((np.abs(np.log(r)) + np.abs(np.log(delta))) / delta, axis=1)
+    size += FRESHNESS_MAX * len(delta)
+    eps = 4 * len(delta) * np.finfo(float).eps
+    floors = (
+        eps * np.abs(margin) * size,
+        eps * (np.abs(margin) / r[:, 0] * np.sum(1.0 / delta) + size),
+    )
+    return value, slope, raw, live, floors
+
+
+def test_r2_prefix_sums_match_direct_formulas():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 17, 300):
+        delta = rng.uniform(0.05, 0.9, n)
+        delta[: n // 3] = delta[0]  # duplicated kinks
+        cap = delta * np.exp(FRESHNESS_MAX * delta)
+        params = SystemParams(alpha=80.0, beta=float(rng.uniform(10, 5000)), comm_size=0.0, n=n)
+        rate_sets = {
+            "spread": np.exp(rng.uniform(np.log(0.5 * delta.min()), np.log(2 * cap.max()), 400)),
+            "outside": np.array([0.25, 0.99]) * delta.min(),
+            "beyond": np.array([1.01, 3.0]) * cap.max(),
+            "kinks": np.concatenate([delta, cap]),
+        }
+        for clamp in (False, True):
+            for name, rates in rate_sets.items():
+                value, slope, raw, live, (v_floor, s_floor) = direct_r2(rates, delta, params, clamp)
+                if clamp and name != "kinks":
+                    # off the kinks the exact mask is the [0, FRESHNESS_MAX) test
+                    np.testing.assert_array_equal(live, (raw >= 0) & (raw < FRESHNESS_MAX))
+                got_v = equilibrium._r2_value(rates, delta, params, clamp)
+                got_s = equilibrium._r2_slope(rates, delta, params, clamp)
+                assert np.all(np.abs(got_v - value) <= 1e-12 * np.abs(value) + v_floor)
+                assert np.all(np.abs(got_s - slope) <= 1e-12 * np.abs(slope) + s_floor)
+                for i in (0, len(rates) - 1):  # scalar in, float out
+                    assert isinstance(equilibrium._r2_value(float(rates[i]), delta, params, clamp), float)
+                    assert equilibrium._r2_slope(float(rates[i]), delta, params, clamp) == got_s[i]
+
+
+def test_clamped_r2_search_holds_no_rates_by_clients_array():
+    # 10^4 clients, 7932 of whose freshness caps lie inside the box; one
+    # 4097 x 10^4 float array alone would take 328 MB
+    import tracemalloc
+
+    config = ScenarioConfig(n=10**4, beta=5e4, delta=(0.05, 0.35))
+    pop = sample_population(config, 0)
+    params = config.system_params
+    box = feasible_rate_box(pop, config.r2_cap)
+    tracemalloc.start()
+    try:
+        rate, root = equilibrium._argmax_r2(pop, params, box, clamp=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert root and box.r2_lo < rate < box.r2_hi
+
+
+@pytest.mark.parametrize("n", [10, 2000])
+def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
+    # an upward slope jump is a convex corner, never a maximum; each client
+    # has at most one downward kink, so at most n kinks are valued
+    if n == 10:
+        config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
+        pop = sample_population(config, 2)
+    else:
+        config = ScenarioConfig(n=n)
+        pop = sample_population(config, 0)
+    params = config.system_params
+    box = feasible_rate_box(pop, config.r2_cap)
+    counts = {"rows": 0, "roots": 0}
+    value, refine = equilibrium._r1_value, equilibrium._refine
+
+    def counted_value(r, *args):
+        counts["rows"] += np.size(r)
+        return value(r, *args)
+
+    def counted_refine(slope, lo, *args):
+        counts["roots"] += len(lo)
+        return refine(slope, lo, *args)
+
+    monkeypatch.setattr(equilibrium, "_r1_value", counted_value)
+    monkeypatch.setattr(equilibrium, "_refine", counted_refine)
+    rate, _ = equilibrium._argmax_r1(pop, params, box, clamp=True)
+    monkeypatch.undo()
+    assert counts["rows"] <= counts["roots"] + 2 + n
+
+    # every kink, upward ones included, still picks the same rate
+    gamma = np.array([p.gamma for p in pop])
+    t = np.array([p.t_min for p in pop])
+    gt = gamma * t
+    every_kink = np.concatenate(
+        [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
+    )
+    full, _ = equilibrium._search(
+        lambda r: equilibrium._r1_slope(r, gamma, t, params, True),
+        lambda r: equilibrium._r1_value(r, gamma, t, params, True),
+        box.r1_lo,
+        box.r1_hi,
+        every_kink,
+    )
+    assert rate == full
+
+
 def test_refinement_slope_call_budget(monkeypatch):
     # the default workers=10 cell, run 2, has 14 r1 sign changes; all
     # are refined together, so each axis costs one scan, a handful of refine

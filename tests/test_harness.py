@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from ifedcrowd import (
     run_sweep,
     sample_population,
 )
-from ifedcrowd import harness
+from ifedcrowd import ClientProfile, harness
 from ifedcrowd.harness import table_to_csv, table_to_json
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_default.csv"
 
 CONFIG_TEXT = """
 # sample scenario
@@ -119,6 +122,42 @@ def test_population_prefix_stability_across_worker_counts():
     small = ScenarioConfig(seed=8, n=5)
     large = ScenarioConfig(seed=8, n=30)
     assert sample_population(small, 1) == sample_population(large, 1)[:5]
+
+
+def per_row_population(config, run_index):
+    """Oracle: the population drawn one worker at a time, three uniforms each."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((config.seed, run_index, harness._POP_TAG))
+    )
+    profiles = []
+    for k in range(config.n):
+        u = rng.random(3)
+        gamma = config.gamma[0] + (config.gamma[1] - config.gamma[0]) * float(u[0])
+        delta = config.delta[0] + (config.delta[1] - config.delta[0]) * float(u[1])
+        t_min = config.tmin[0] + (config.tmin[1] - config.tmin[0]) * float(u[2])
+        profiles.append(
+            ClientProfile(
+                id=k,
+                gamma=max(gamma, harness._PARAM_FLOOR),
+                delta=max(delta, harness._PARAM_FLOOR),
+                t_min=max(t_min, harness._PARAM_FLOOR),
+            )
+        )
+    return profiles
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_sample_population_matches_per_row_draws(n):
+    # the (n, 3) draw must reproduce the per-worker stream bit for bit,
+    # floored parameters included
+    for config in (
+        ScenarioConfig(n=n, seed=5),
+        ScenarioConfig(n=n, seed=9, gamma=(0.0, 0.0), delta=(0.3, 0.6), tmin=(2, 7)),
+    ):
+        for run in (0, 3):
+            drawn = sample_population(config, run)
+            assert drawn == per_row_population(config, run)
+            assert all(type(p.delta) is float for p in drawn)
 
 
 def test_rate_seed_deterministic():
@@ -222,6 +261,19 @@ def test_sweep_reruns_byte_identical():
     second = run_sweep(spec, list(MechanismKind))
     assert table_to_csv(first) == table_to_csv(second)
     assert table_to_json(first) == table_to_json(second)
+
+
+def test_default_sweep_reproduces_golden_csv():
+    # the default 3-axis, all-mechanism sweep, one CSV with the axis prepended;
+    # a change that alters the sweep regenerates the file and logs the diff
+    lines = []
+    for axis in harness.SWEEP_AXES:
+        table = run_sweep(SweepSpec.for_axis(axis, ScenarioConfig()), list(MechanismKind))
+        assert not table.failures
+        header, *rows = table_to_csv(table).splitlines()
+        lines += [f"{axis},{row}" for row in rows]
+    text = "\n".join([f"axis,{header}", *lines]) + "\n"
+    assert text == GOLDEN_SWEEP.read_text(encoding="utf-8")
 
 
 def test_sweep_baseline_dominance_in_every_cell():
