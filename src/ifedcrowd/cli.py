@@ -10,6 +10,7 @@ from .equilibrium import compute_equilibrium
 from .errors import ConfigError, IFedCrowdError
 from .game_core import feasible_rate_box
 from .harness import (
+    SWEEP_AXES,
     SweepSpec,
     emit,
     load_config,
@@ -103,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.set_defaults(func=_cmd_equilibrium)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and write a table")
-    p_sweep.add_argument("--axis", required=True, choices=["gamma", "delta", "workers"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument(
         "--mechanism",
         default="all",
-        choices=["ifedcrowd", "random", "max", "all"],
+        choices=[kind.token for kind in MechanismKind] + ["all"],
     )
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -422,38 +421,12 @@ def compute_equilibrium(
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Deviation grid used by the equilibrium verifiers.
-
-    The grid arrays are built on first use, once per spec, and are read-only.
-    """
-
-    accuracy_step: float = 0.01
-    freshness_step: float = 0.05
-    freshness_max: float = 5.0
-    time_factors: tuple[float, ...] = (1.0, 1.5, 2.0)
-
-    @cached_property
-    def _values(self) -> tuple[np.ndarray, np.ndarray]:
-        # deviations are restricted to the strategy set clients may actually
-        # play, i.e. the clamp rectangle
-        raw_a = np.arange(0.0, 1.0, self.accuracy_step)
-        raw_f = np.arange(0.0, self.freshness_max + 1e-12, self.freshness_step)
-        a = np.unique(np.clip(raw_a, ACCURACY_MIN, ACCURACY_MAX))
-        f = np.unique(np.clip(raw_f, 0.0, FRESHNESS_MAX))
-        a.flags.writeable = False
-        f.flags.writeable = False
-        return a, f
-
-    def accuracy_values(self) -> np.ndarray:
-        return self._values[0]
-
-    def freshness_values(self) -> np.ndarray:
-        return self._values[1]
-
-
-_DEFAULT_GRID = GridSpec()
+# The client verifier's deviation grid, restricted to the clamp rectangle of
+# strategies clients may actually play; completion times are multiples of t_min.
+GRID_ACCURACY = np.maximum(np.arange(0.0, 1.0, 0.01), ACCURACY_MIN)
+GRID_FRESHNESS = np.arange(0.0, 5.0 + 1e-12, 0.05)
+GRID_ACCURACY.flags.writeable = GRID_FRESHNESS.flags.writeable = False
+GRID_TIME_FACTORS = (1.0, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -466,53 +439,77 @@ class ClientEquilibriumReport:
     passed: bool
 
 
+def verify_clients(
+    profiles: list[ClientProfile],
+    rates: RewardRates,
+    utilities: tuple[float, ...] | list[float],
+    comm_size: float = 0.0,
+) -> list[ClientEquilibriumReport]:
+    """Check that no grid strategy beats any client's utility at its audited strategy.
+
+    ``utilities[k]`` is client k's utility there, e.g. the equilibrium's
+    `client_utilities`.  Utility separates into an accuracy part, which
+    depends on the completion time, and a freshness part, so one argmax over
+    clients x freshness grid and one over clients x accuracy grid per time
+    factor search the whole accuracy x freshness x time cube.
+    """
+    gamma, delta, t_min = _population_arrays(profiles)
+    a, f = GRID_ACCURACY, GRID_FRESHNESS
+    rows = np.arange(len(profiles))
+    # each n x grid array is built in place and freed once its argmax is read
+    gain_f = delta[:, None] * f
+    with np.errstate(over="ignore"):  # an infinite collection cost never wins
+        np.exp(gain_f, out=gain_f)
+    np.subtract(rates.r2 * f, gain_f, out=gain_f)
+    best_f = gain_f.argmax(axis=1)
+    part_f = gain_f[rows, best_f]
+    del gain_f
+
+    gain_a = rates.r1 * a  # divided by T per time factor below
+    cost_a = gamma[:, None] * (1.0 + a)
+    cost_a *= np.log1p(a)
+
+    worst = np.full(len(profiles), -math.inf)
+    best_a = np.zeros(len(profiles), dtype=int)
+    best_t = np.zeros(len(profiles))
+    part_a = np.empty_like(cost_a)
+    for factor in GRID_TIME_FACTORS:
+        t = factor * t_min
+        np.divide(gain_a, t[:, None], out=part_a)
+        part_a -= cost_a
+        idx = part_a.argmax(axis=1)
+        u = part_a[rows, idx] + part_f - comm_size
+        better = u > worst
+        worst[better] = u[better]
+        best_a[better] = idx[better]
+        best_t[better] = t[better]
+
+    violation = worst - np.asarray(utilities, dtype=float)
+    checked = len(a) * len(f) * len(GRID_TIME_FACTORS)
+    return [
+        ClientEquilibriumReport(
+            worst_violation=float(v),
+            worst_strategy=Strategy(float(a[i]), float(f[j]), float(tv))
+            if w > -math.inf
+            else None,
+            checked=checked,
+            passed=bool(v <= VERIFY_TOL),
+        )
+        for v, w, i, j, tv in zip(violation, worst, best_a, best_f, best_t)
+    ]
+
+
 def verify_client_equilibrium(
     profile: ClientProfile,
     rates: RewardRates,
-    grid: GridSpec | None = None,
     comm_size: float = 0.0,
-    tol: float = VERIFY_TOL,
     strategy: Strategy | None = None,
 ) -> ClientEquilibriumReport:
-    """Check that no grid strategy beats the client's (possibly clamped) response.
-
-    Exhaustive over the grid's accuracy x freshness x completion-time cube;
-    returns the worst utility excess and where it occurred.  Pass an explicit
-    strategy to audit a candidate other than the computed best response.
-    """
-    grid = grid or _DEFAULT_GRID
+    """`verify_clients` for one client, at its best response unless ``strategy`` is given."""
     if strategy is None:
         strategy = best_response(profile, rates).strategy
     u_star = client_utility(profile, rates, strategy, comm_size)
-
-    a = grid.accuracy_values()
-    f = grid.freshness_values()
-    gain_a = rates.r1 * a  # divided by T per time grid value below
-    cost_a = profile.gamma * (1.0 + a) * np.log1p(a)
-    gain_f = rates.r2 * f - np.exp(profile.delta * f)
-    best_f_idx = int(np.argmax(gain_f))
-
-    worst = -math.inf
-    worst_strategy = None
-    for factor in grid.time_factors:
-        t_val = factor * profile.t_min
-        part_a = gain_a / t_val - cost_a
-        best_a_idx = int(np.argmax(part_a))
-        u = part_a[best_a_idx] + gain_f[best_f_idx] - comm_size
-        if u > worst:
-            worst = u
-            worst_strategy = Strategy(
-                accuracy=float(a[best_a_idx]),
-                freshness=float(f[best_f_idx]),
-                completion_time=t_val,
-            )
-    violation = worst - u_star
-    return ClientEquilibriumReport(
-        worst_violation=violation,
-        worst_strategy=worst_strategy,
-        checked=len(a) * len(f) * len(grid.time_factors),
-        passed=violation <= tol,
-    )
+    return verify_clients([profile], rates, [u_star], comm_size)[0]
 
 
 @dataclass(frozen=True)
@@ -532,7 +529,6 @@ def verify_server_equilibrium(
     rates_star: RewardRates,
     box: RateBox,
     grid_n: int = 50,
-    tol: float = VERIFY_TOL,
 ) -> ServerEquilibriumReport:
     """Certify the solved rates against rate deviations over the box.
 
@@ -578,5 +574,5 @@ def verify_server_equilibrium(
         worst_rates=worst_rates,
         grid_points=grid_n * grid_n,
         axis_points=8 * grid_n,
-        passed=worst <= tol,
+        passed=worst <= VERIFY_TOL,
     )

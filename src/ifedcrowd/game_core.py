@@ -226,9 +226,13 @@ def server_utility(
 def accuracy_response(profile: ClientProfile, r1: float) -> float:
     """Unclamped accuracy best response exp(r1 / (gamma * t_min) - 1) - 1.
 
-    May leave [0, 1) when r1 sits outside the client's feasible r1 range.
+    May leave [0, 1) when r1 sits outside the client's feasible r1 range, and
+    is math.inf when the exponential overflows, far above the accuracy cap.
     """
-    return math.exp(r1 / (profile.gamma * profile.t_min) - 1.0) - 1.0
+    try:
+        return math.exp(r1 / (profile.gamma * profile.t_min) - 1.0) - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def freshness_response(profile: ClientProfile, r2: float) -> float:

@@ -20,10 +20,9 @@ import numpy as np
 from .equilibrium import (
     ClientEquilibriumReport,
     EquilibriumResult,
-    GridSpec,
     ServerEquilibriumReport,
     compute_equilibrium,
-    verify_client_equilibrium,
+    verify_clients,
     verify_server_equilibrium,
 )
 from .errors import ConfigError, IFedCrowdError
@@ -489,21 +488,16 @@ class VerificationSummary:
     ok: bool
 
 
-def verify_scenario(
-    config: ScenarioConfig,
-    grid: GridSpec | None = None,
-    grid_n: int = 50,
-) -> VerificationSummary:
+def verify_scenario(config: ScenarioConfig) -> VerificationSummary:
     """Solve the scenario's equilibrium and certify it client- and server-side."""
     population = sample_population(config, run_index=0)
     params = config.system_params
     box = feasible_rate_box(population, config.r2_cap)
     result = compute_equilibrium(population, params, box)
     client_reports = tuple(
-        verify_client_equilibrium(p, result.rates, grid, comm_size=config.comm_size)
-        for p in population
+        verify_clients(population, result.rates, result.client_utilities, config.comm_size)
     )
-    server_report = verify_server_equilibrium(population, params, result.rates, box, grid_n)
+    server_report = verify_server_equilibrium(population, params, result.rates, box)
     ok = server_report.passed and all(r.passed for r in client_reports)
     return VerificationSummary(
         equilibrium=result,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ifedcrowd import (
     ClientProfile,
-    GridSpec,
     NumericError,
     RateBox,
     RewardRates,
@@ -15,6 +14,8 @@ from ifedcrowd import (
     Strategy,
     SweepSpec,
     SystemParams,
+    best_response,
+    client_utility,
     compute_equilibrium,
     d2u_dr1,
     d2u_dr2,
@@ -28,7 +29,7 @@ from ifedcrowd import (
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
-from ifedcrowd import equilibrium
+from ifedcrowd import equilibrium, harness
 from ifedcrowd.game_core import ACCURACY_MAX, ACCURACY_MIN, FRESHNESS_MAX
 
 SINGLE = [ClientProfile(id=0, gamma=2.0, delta=1.0, t_min=1.0)]
@@ -659,18 +660,125 @@ def test_realized_r1_search_memory_stays_within_one_scan():
 
 # ---------------------------------------------------------------- verification
 
-def test_grid_spec_arrays_are_built_once_and_read_only():
-    grid = GridSpec(accuracy_step=0.02)
-    for values in (grid.accuracy_values, grid.freshness_values):
-        first = values()
-        assert values() is first
-        np.testing.assert_array_equal(values(), first)
+def test_verify_grid_is_read_only_inside_clamp_rectangle():
+    for values in (equilibrium.GRID_ACCURACY, equilibrium.GRID_FRESHNESS):
         with pytest.raises(ValueError):
-            first[0] = 0.5
-    assert grid.accuracy_values()[0] == ACCURACY_MIN
-    assert grid.accuracy_values()[-1] <= ACCURACY_MAX
-    assert grid.freshness_values()[-1] <= FRESHNESS_MAX
-    assert grid == GridSpec(accuracy_step=0.02)
+            values[0] = 0.5
+        assert np.all(np.diff(values) > 0)
+    assert equilibrium.GRID_ACCURACY[0] == ACCURACY_MIN
+    assert equilibrium.GRID_ACCURACY[-1] <= ACCURACY_MAX
+    assert equilibrium.GRID_FRESHNESS[0] == 0.0
+    assert equilibrium.GRID_FRESHNESS[-1] <= FRESHNESS_MAX
+    assert min(equilibrium.GRID_TIME_FACTORS) == 1.0  # no time below t_min
+
+
+def per_client_verify(profile, rates, comm_size=0.0, strategy=None):
+    """The one-client-at-a-time verifier that `verify_clients` replaced, as its oracle."""
+    if strategy is None:
+        strategy = best_response(profile, rates).strategy
+    u_star = client_utility(profile, rates, strategy, comm_size)
+
+    a = np.unique(np.clip(np.arange(0.0, 1.0, 0.01), ACCURACY_MIN, ACCURACY_MAX))
+    f = np.unique(np.clip(np.arange(0.0, 5.0 + 1e-12, 0.05), 0.0, FRESHNESS_MAX))
+    time_factors = (1.0, 1.5, 2.0)
+    gain_a = rates.r1 * a
+    cost_a = profile.gamma * (1.0 + a) * np.log1p(a)
+    gain_f = rates.r2 * f - np.exp(profile.delta * f)
+    best_f_idx = int(np.argmax(gain_f))
+
+    worst = -math.inf
+    worst_strategy = None
+    for factor in time_factors:
+        t_val = factor * profile.t_min
+        part_a = gain_a / t_val - cost_a
+        best_a_idx = int(np.argmax(part_a))
+        u = part_a[best_a_idx] + gain_f[best_f_idx] - comm_size
+        if u > worst:
+            worst = u
+            worst_strategy = Strategy(
+                accuracy=float(a[best_a_idx]),
+                freshness=float(f[best_f_idx]),
+                completion_time=t_val,
+            )
+    violation = worst - u_star
+    return equilibrium.ClientEquilibriumReport(
+        worst_violation=violation,
+        worst_strategy=worst_strategy,
+        checked=len(a) * len(f) * len(time_factors),
+        passed=violation <= equilibrium.VERIFY_TOL,
+    )
+
+
+def clamped_population():
+    """Clients whose responses at CLAMPED_RATES hit all four clamp edges."""
+    rng = np.random.default_rng(11)
+    return [
+        ClientProfile(
+            id=k,
+            gamma=float(rng.uniform(0.5, 5.0)),
+            delta=float(rng.uniform(0.1, 8.0)),
+            t_min=float(rng.uniform(0.5, 3.0)),
+        )
+        for k in range(40)
+    ]
+
+
+CLAMPED_RATES = RewardRates(r1=3.0, r2=5.0)
+
+
+@pytest.mark.parametrize("comm_size", [0.0, 0.1])
+@pytest.mark.parametrize("case", ["1", "7", "2000", "clamped", "perturbed"])
+def test_verify_clients_matches_per_client_oracle(case, comm_size):
+    if case == "clamped":
+        pop, rates = clamped_population(), CLAMPED_RATES
+    else:
+        config = ScenarioConfig(n=7 if case == "perturbed" else int(case), seed=3)
+        pop = sample_population(config, 0)
+        rates = compute_equilibrium(
+            pop, config.system_params, feasible_rate_box(pop, config.r2_cap)
+        ).rates
+    strategies = [best_response(p, rates).strategy for p in pop]
+    if case == "clamped":
+        assert {ACCURACY_MIN, ACCURACY_MAX} <= {s.accuracy for s in strategies}
+        assert {0.0, FRESHNESS_MAX} <= {s.freshness for s in strategies}
+    if case == "perturbed":
+        strategies = [Strategy(0.5, s.freshness + 0.3, s.completion_time) for s in strategies]
+    utilities = [client_utility(p, rates, s, comm_size) for p, s in zip(pop, strategies)]
+
+    reports = equilibrium.verify_clients(pop, rates, utilities, comm_size)
+    expected = [
+        per_client_verify(p, rates, comm_size, strategy=s) for p, s in zip(pop, strategies)
+    ]
+    assert reports == expected
+    assert [r.worst_violation.hex() for r in reports] == [
+        float(r.worst_violation).hex() for r in expected
+    ]
+    single = [
+        verify_client_equilibrium(p, rates, comm_size, strategy=s)
+        for p, s in zip(pop, strategies)
+    ]
+    assert single == expected
+    if case == "perturbed":
+        assert not any(r.passed for r in reports)
+
+
+def test_verify_scenario_makes_no_call_per_client(monkeypatch):
+    calls = {"best_response": 0, "client_utility": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (equilibrium, harness):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    summary = harness.verify_scenario(ScenarioConfig(n=50))
+    assert summary.ok and len(summary.client_reports) == 50
+    # the solver's own responses and utilities; the verifier reuses them
+    assert calls == {"best_response": 50, "client_utility": 50}
 
 
 def test_verify_client_interior_case():

@@ -19,7 +19,13 @@ from ifedcrowd import (
     server_utility,
     total_cost,
 )
-from ifedcrowd.game_core import ACCURACY_MAX, ACCURACY_MIN, FRESHNESS_MAX, client_r1_range
+from ifedcrowd.game_core import (
+    ACCURACY_MAX,
+    ACCURACY_MIN,
+    FRESHNESS_MAX,
+    accuracy_response,
+    client_r1_range,
+)
 
 E05 = math.exp(0.5)  # exp(0.5), accuracy response at h = 0.5
 
@@ -277,6 +283,20 @@ def test_best_response_clamps_high_accuracy():
     response = best_response(profile, RewardRates(r1=10.0, r2=1.0))
     assert response.strategy.accuracy == ACCURACY_MAX
     assert response.accuracy_clamped
+
+
+def test_best_response_clamps_overflowed_accuracy_to_cap():
+    # r1/(gamma t_min) - 1 = 25399 overflows exp; the response lies far above the cap
+    profile = make_profile(gamma=1e-3, delta=1.0, t_min=1.0)
+    rates = RewardRates(r1=25.4, r2=100.0)
+    assert accuracy_response(profile, rates.r1) == math.inf
+    response = best_response(profile, rates)
+    assert response.strategy.accuracy == ACCURACY_MAX
+    assert response.accuracy_clamped
+    assert response.strategy.freshness == math.log(100.0)
+    # just below the overflow the response is the plain formula
+    near = RewardRates(r1=0.709, r2=100.0)
+    assert accuracy_response(profile, near.r1) == math.exp(709.0 - 1.0) - 1.0
 
 
 def test_best_response_clamps_high_freshness():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -336,7 +337,7 @@ def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeyp
         raise AssertionError("equilibrium must not run the verification")
 
     for module in (equilibrium, harness):
-        monkeypatch.setattr(module, "verify_client_equilibrium", forbidden)
+        monkeypatch.setattr(module, "verify_clients", forbidden)
         monkeypatch.setattr(module, "verify_server_equilibrium", forbidden)
     out = tmp_path / "eq.json"
     assert cli.main(["equilibrium", "--config", str(config_file), "--out", str(out)]) == 0
@@ -365,6 +366,28 @@ def test_cli_sweep_writes_table(config_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 6 * 3  # header + 6 cells x 3 mechanisms
+
+
+def test_cli_sweep_choices_come_from_their_sources():
+    from ifedcrowd import cli
+
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {a.dest: a for a in sub.choices["sweep"]._actions}
+    assert list(options["axis"].choices) == list(harness.SWEEP_AXES) == [
+        "gamma",
+        "delta",
+        "workers",
+    ]
+    mechanisms = [kind.token for kind in MechanismKind] + ["all"]
+    assert list(options["mechanism"].choices) == mechanisms == [
+        "ifedcrowd",
+        "random",
+        "max",
+        "all",
+    ]
+    assert options["mechanism"].default == "all"
 
 
 def test_cli_simulate_streams_round_reports(config_file, tmp_path):
@@ -419,6 +442,21 @@ def test_sweep_records_cell_failures_and_continues():
     assert all(f.startswith("delta=6") for f in table.failures)
     cells = {row.axis_value for row in table.rows}
     assert cells == {1.0}
+
+
+def test_cell_with_tiny_gamma_survives_accuracy_overflow():
+    # gamma near 0 drives r1/(gamma t_min) past exp's range inside a valid box
+    config = ScenarioConfig(gamma=(1e-4, 5.0), n=30, seed=3, runs=50)
+    outcomes, failures = evaluate_cell(config, list(MechanismKind))
+    assert failures == []
+    assert len(outcomes) == 150
+
+
+def test_verify_scenario_with_large_delta_emits_no_overflow():
+    # exp(delta f) overflows on the freshness grid once delta exceeds ~142;
+    # RuntimeWarnings fail the tests, so this also checks that none is raised
+    summary = harness.verify_scenario(ScenarioConfig(delta=(150.0, 160.0), r2_cap=1000.0))
+    assert summary.ok
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
