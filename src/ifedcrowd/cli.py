@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,31 +23,12 @@ from .harness import (
 from .mechanisms import MechanismKind
 
 
-def _equilibrium_payload(result) -> dict:
-    return {
-        "rates": {"r1": result.rates.r1, "r2": result.rates.r2},
-        "strategies": [
-            {
-                "accuracy": s.accuracy,
-                "freshness": s.freshness,
-                "completion_time": s.completion_time,
-            }
-            for s in result.strategies
-        ],
-        "server_utility": result.server_utility,
-        "client_utilities": list(result.client_utilities),
-        "r1_boundary": result.r1_boundary,
-        "r2_boundary": result.r2_boundary,
-        "foc_residuals": list(result.foc_residuals),
-    }
-
-
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     population = sample_population(config, run_index=0)
     box = feasible_rate_box(population, config.r2_cap)
-    payload = _equilibrium_payload(compute_equilibrium(population, config.system_params, box))
-    text = json.dumps(payload, indent=2) + "\n"
+    result = compute_equilibrium(population, config.system_params, box)
+    text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -83,7 +65,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     summary = verify_scenario(config)
     worst_client = max(r.worst_violation for r in summary.client_reports)
-    print(f"rates: r1={summary.equilibrium.rates.r1:.6g} r2={summary.equilibrium.rates.r2:.6g}")
+    eq = summary.equilibrium
+    print(f"rates: r1={eq.rates.r1:.6g} ({eq.r1_source}) r2={eq.rates.r2:.6g} ({eq.r2_source})")
     print(f"server check: worst violation {summary.server_report.worst_violation:.3e} "
           f"({'pass' if summary.server_report.passed else 'FAIL'})")
     print(f"client checks: worst violation {worst_client:.3e} "

@@ -42,7 +42,6 @@ from .game_core import (
     server_utility,
 )
 
-FOC_FTOL = 1e-8      # |derivative| below this counts as a stationary point
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 _SCAN = 4097         # slope scan resolution per axis
 _SECTIONS = 64       # sections per bracket in each refine step
@@ -242,12 +241,13 @@ def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
 
 def _best(
     value, roots: np.ndarray, lo: float, hi: float, kinks: np.ndarray
-) -> tuple[float, bool]:
-    """The best by value of the roots, the edges and the kinks, plus whether a root won.
+) -> tuple[float, str]:
+    """The best by value of the roots, the edges and the kinks, plus its source.
 
-    Candidates within 1e-10 relative of the best tie toward the earliest, so
-    a root is preferred over an edge or kink that beats it only by
-    floating-point dust.
+    The source is "edge" for a box edge, "kink" for one of ``kinks`` (a root
+    snapped onto a kink counts as one) and "root" otherwise.  Candidates
+    within 1e-10 relative of the best tie toward the earliest, so a root is
+    preferred over an edge or kink that beats it only by floating-point dust.
     """
     candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
     # at most _SCAN candidates per call, so the values never outgrow the scan
@@ -257,21 +257,24 @@ def _best(
     )
     best = float(np.max(values))
     snap = 1e-10 * max(1.0, abs(best))
-    idx = int(np.nonzero(values >= best - snap)[0][0])
-    return candidates[idx], idx < len(roots)
+    rate = candidates[int(np.nonzero(values >= best - snap)[0][0])]
+    if rate in (lo, hi):
+        return rate, "edge"
+    return rate, "kink" if rate in kinks else "root"
 
 
-def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
+def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, str]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
     Scans the slope on a _SCAN-point grid, refines every sign change with
     `_refine`, and returns `_best` of those roots, the edges and the in-box
-    kinks.  A root is its bracket's midpoint, or the exact kink where the
-    slope jumps if the bracket holds one (to within the bracket's width,
-    since the clamp tests round).
+    kinks, with the winner's source.  A root is its bracket's midpoint, or
+    the exact kink where the slope jumps if the bracket holds one (to within
+    the bracket's width, since the clamp tests round).  A degenerate box
+    returns its edge.
     """
     if hi <= lo:
-        return lo, False
+        return lo, "edge"
     xs = np.linspace(lo, hi, _SCAN)
     s = slope(xs)
     bad = ~np.isfinite(s)
@@ -292,7 +295,7 @@ def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, bool]:
 
 def _argmax_r1(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
-) -> tuple[float, bool]:
+) -> tuple[float, str]:
     gamma, _, t = _population_arrays(profiles)
     kinks = ()
     if clamp:
@@ -317,7 +320,7 @@ def _argmax_r1(
 
 def _argmax_r2(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
-) -> tuple[float, bool]:
+) -> tuple[float, str]:
     """Exact maximizer of the r2 slice on the box, one concave segment at a time.
 
     Between neighbouring in-box clamp kinks the live set and the capped count
@@ -329,7 +332,7 @@ def _argmax_r2(
     """
     lo, hi = box.r2_lo, box.r2_hi
     if hi <= lo:
-        return lo, False
+        return lo, "edge"
     _, delta, _ = _population_arrays(profiles)
     sums = _freshness_sums(delta)
     kinks = np.concatenate(sums[:2]) if clamp else np.empty(0)
@@ -359,29 +362,33 @@ def solve_r1(
     Returns (rate, boundary): boundary is True when no stationary point beats
     the box edges and the better edge is returned instead.
     """
-    r1, root = _argmax_r1(profiles, params, box, clamp=False)
-    return r1, not root
+    r1, source = _argmax_r1(profiles, params, box, clamp=False)
+    return r1, source != "root"
 
 
 def solve_r2(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
     """Maximizer in r2 of the substituted (unclamped) utility within the box."""
-    r2, root = _argmax_r2(profiles, params, box, clamp=False)
-    return r2, not root
+    r2, source = _argmax_r2(profiles, params, box, clamp=False)
+    return r2, source != "root"
 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Solved reward rates plus the client responses and utilities they induce."""
+    """Solved reward rates plus the client responses and utilities they induce.
+
+    ``r1_source`` and ``r2_source`` say why each rate won its axis search:
+    "root" (a stationary point of the realized objective), "kink" (a clamp
+    kink) or "edge" (a box edge).
+    """
 
     rates: RewardRates
     strategies: tuple[Strategy, ...]
     server_utility: float
     client_utilities: tuple[float, ...]
-    r1_boundary: bool
-    r2_boundary: bool
-    foc_residuals: tuple[float, float]
+    r1_source: str
+    r2_source: str
 
 
 def compute_equilibrium(
@@ -391,11 +398,10 @@ def compute_equilibrium(
 
     Each rate maximizes the realized objective (clamped responses) over its
     box interval, so the reported rates dominate every in-box rate pair under
-    actual client behaviour, not just under the smooth surrogate.  The FOC
-    residuals are the surrogate derivatives at those rates.
+    actual client behaviour, not just under the smooth surrogate.
     """
-    r1_star, _ = _argmax_r1(profiles, params, box, clamp=True)
-    r2_star, _ = _argmax_r2(profiles, params, box, clamp=True)
+    r1_star, r1_source = _argmax_r1(profiles, params, box, clamp=True)
+    r2_star, r2_source = _argmax_r2(profiles, params, box, clamp=True)
 
     rates = RewardRates(r1=r1_star, r2=r2_star)
     responses = [best_response(p, rates) for p in profiles]
@@ -404,20 +410,13 @@ def compute_equilibrium(
         client_utility(p, rates, s, params.comm_size)
         for p, s in zip(profiles, strategies)
     )
-    res1 = du_dr1(profiles, params, r1_star)
-    res2 = du_dr2(profiles, params, r2_star)
-    eps = 1e-12 * max(1.0, box.r1_hi)
-    r1_interior = box.r1_lo + eps < r1_star < box.r1_hi - eps
-    eps2 = 1e-12 * max(1.0, box.r2_hi)
-    r2_interior = box.r2_lo + eps2 < r2_star < box.r2_hi - eps2
     return EquilibriumResult(
         rates=rates,
         strategies=strategies,
         server_utility=server_utility(params, rates, list(strategies)),
         client_utilities=utilities,
-        r1_boundary=not (r1_interior and abs(res1) < FOC_FTOL),
-        r2_boundary=not (r2_interior and abs(res2) < FOC_FTOL),
-        foc_residuals=(res1, res2),
+        r1_source=r1_source,
+        r2_source=r2_source,
     )
 
 

@@ -48,11 +48,11 @@ class ClientProfile:
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise DomainError(f"delta must be positive, got {self.delta}")
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
         if not (self.t_min > 0 and math.isfinite(self.t_min)):
-            raise DomainError(f"t_min must be positive, got {self.t_min}")
+            raise DomainError(f"t_min must be positive and finite, got {self.t_min}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class RewardRates:
 
     def __post_init__(self):
         if not (self.r1 > 0 and math.isfinite(self.r1)):
-            raise DomainError(f"r1 must be positive, got {self.r1}")
+            raise DomainError(f"r1 must be positive and finite, got {self.r1}")
         if not (self.r2 > 0 and math.isfinite(self.r2)):
-            raise DomainError(f"r2 must be positive, got {self.r2}")
+            raise DomainError(f"r2 must be positive and finite, got {self.r2}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ class SystemParams:
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise DomainError(f"beta must be positive, got {self.beta}")
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
         if not (self.comm_size >= 0 and math.isfinite(self.comm_size)):
-            raise DomainError(f"comm_size must be non-negative, got {self.comm_size}")
+            raise DomainError(f"comm_size must be non-negative and finite, got {self.comm_size}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n}")
 

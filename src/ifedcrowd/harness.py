@@ -13,7 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+import math
+import operator
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,20 +46,6 @@ _PARAM_FLOOR = 1e-9  # open-interval draws: parameters must stay strictly positi
 
 SWEEP_AXES = ("gamma", "delta", "workers")
 
-_CSV_COLUMNS = (
-    "axis_value",
-    "mechanism",
-    "r1_mean",
-    "r1_std",
-    "r2_mean",
-    "r2_std",
-    "worker_utility_mean",
-    "worker_utility_std",
-    "server_utility_mean",
-    "server_utility_std",
-    "runs",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -76,20 +65,28 @@ class ScenarioConfig:
     rounds: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"n must be at least 1, got {self.n}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be at least 1, got {self.runs}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
-        if not self.alpha > 0 or not self.beta > 0:
-            raise ConfigError("alpha and beta must be positive")
+        for key, floor in (("n", 1), ("runs", 1), ("rounds", 1), ("seed", 0)):
+            value = getattr(self, key)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+            if value < floor:
+                raise ConfigError(f"{key} must be at least {floor}, got {value}")
+            object.__setattr__(self, key, value)  # numpy integers become int
+        for key in ("alpha", "beta", "comm_size", "r2_cap"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if not value > 0 and key != "comm_size":
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.comm_size < 0:
-            raise ConfigError("comm_size must be non-negative")
-        if not self.r2_cap > 0:
-            raise ConfigError("r2_cap must be positive")
+            raise ConfigError(f"comm_size must be non-negative, got {self.comm_size}")
         for name in ("gamma", "delta", "tmin"):
             lo, hi = getattr(self, name)
+            for end, value in (("lo", lo), ("hi", hi)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name}_{end} must be finite, got {value}")
             if not (lo <= hi):
                 raise ConfigError(f"{name} bounds must satisfy lo <= hi, got ({lo}, {hi})")
             if lo < 0:
@@ -363,45 +360,14 @@ def _fmt(x: float) -> str:
 def table_to_csv(table: SweepTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(f.name for f in fields(SweepRow))
     for row in table.rows:
-        writer.writerow(
-            [
-                _fmt(row.axis_value),
-                row.mechanism,
-                _fmt(row.r1_mean),
-                _fmt(row.r1_std),
-                _fmt(row.r2_mean),
-                _fmt(row.r2_std),
-                _fmt(row.worker_utility_mean),
-                _fmt(row.worker_utility_std),
-                _fmt(row.server_utility_mean),
-                _fmt(row.server_utility_std),
-                str(row.runs),
-            ]
-        )
+        writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(row))
     return buf.getvalue()
 
 
 def table_to_json(table: SweepTable) -> str:
-    rows = []
-    for row in table.rows:
-        rows.append(
-            {
-                "axis_value": row.axis_value,
-                "mechanism": row.mechanism,
-                "r1_mean": row.r1_mean,
-                "r1_std": row.r1_std,
-                "r2_mean": row.r2_mean,
-                "r2_std": row.r2_std,
-                "worker_utility_mean": row.worker_utility_mean,
-                "worker_utility_std": row.worker_utility_std,
-                "server_utility_mean": row.server_utility_mean,
-                "server_utility_std": row.server_utility_std,
-                "runs": row.runs,
-            }
-        )
-    return json.dumps({"rows": rows}, indent=2) + "\n"
+    return json.dumps({"rows": [asdict(row) for row in table.rows]}, indent=2) + "\n"
 
 
 def emit(table: SweepTable, fmt: str, path: str) -> None:
@@ -417,19 +383,7 @@ def emit(table: SweepTable, fmt: str, path: str) -> None:
 
 
 def _row_from_dict(d: dict) -> SweepRow:
-    return SweepRow(
-        axis_value=float(d["axis_value"]),
-        mechanism=str(d["mechanism"]),
-        r1_mean=float(d["r1_mean"]),
-        r1_std=float(d["r1_std"]),
-        r2_mean=float(d["r2_mean"]),
-        r2_std=float(d["r2_std"]),
-        worker_utility_mean=float(d["worker_utility_mean"]),
-        worker_utility_std=float(d["worker_utility_std"]),
-        server_utility_mean=float(d["server_utility_mean"]),
-        server_utility_std=float(d["server_utility_std"]),
-        runs=int(d["runs"]),
-    )
+    return SweepRow(**{key: kind(d[key]) for key, kind in get_type_hints(SweepRow).items()})
 
 
 def load_table(path: str, fmt: str) -> SweepTable:

@@ -248,8 +248,8 @@ def test_compute_equilibrium_single_client():
     assert eq.strategies[0].accuracy == pytest.approx(0.999, abs=1e-6)
     assert eq.strategies[0].freshness == pytest.approx(math.log(eq.rates.r2), rel=1e-12)
     assert eq.strategies[0].completion_time == 1.0
-    assert eq.r1_boundary
-    assert not eq.r2_boundary
+    assert eq.r1_source == "kink"
+    assert eq.r2_source == "root"
 
 
 def test_compute_equilibrium_identical_clients_symmetric():
@@ -260,18 +260,69 @@ def test_compute_equilibrium_identical_clients_symmetric():
     assert eq.rates.r1 == pytest.approx(2.348, abs=1e-3)
 
 
-def test_compute_equilibrium_boundary_flags_imply_residuals():
+def default_cell_runs():
+    """(population, params, box) of every run of every default sweep cell."""
+    for axis in harness.SWEEP_AXES:
+        spec = SweepSpec.for_axis(axis, ScenarioConfig())
+        for value in spec.values:
+            config = spec.cell_config(value)
+            for run in range(config.runs):
+                pop = sample_population(config, run)
+                yield pop, config.system_params, feasible_rate_box(pop, config.r2_cap)
+
+
+def test_compute_equilibrium_source_names_the_winner():
     rng = np.random.default_rng(31)
+    cases = []
     for _ in range(10):
         pop = random_population(rng, int(rng.integers(1, 12)))
         params = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=len(pop))
-        box = feasible_rate_box(pop, 100.0)
+        cases.append((pop, params, feasible_rate_box(pop, 100.0)))
+    cases += default_cell_runs()
+    assert len(cases) == 190
+    r1_sources = set()
+    for pop, params, box in cases:
         eq = compute_equilibrium(pop, params, box)
-        if not eq.r1_boundary:
-            assert abs(eq.foc_residuals[0]) < 1e-8
-        if not eq.r2_boundary:
-            assert abs(eq.foc_residuals[1]) < 1e-8
         assert len(eq.strategies) == len(pop)
+        gamma = np.array([p.gamma for p in pop])
+        delta = np.array([p.delta for p in pop])
+        t = np.array([p.t_min for p in pop])
+        gt = gamma * t
+        c_in, c_out = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
+        axes = (
+            (
+                eq.rates.r1,
+                eq.r1_source,
+                box.r1_lo,
+                box.r1_hi,
+                np.concatenate([gt * c_in, gt * c_out]),
+                lambda r: equilibrium._r1_slope(r, gamma, t, params, True),
+            ),
+            (
+                eq.rates.r2,
+                eq.r2_source,
+                box.r2_lo,
+                box.r2_hi,
+                np.concatenate([delta, delta * np.exp(FRESHNESS_MAX * delta)]),
+                lambda r: equilibrium._r2_slope(r, delta, params, True),
+            ),
+        )
+        for rate, source, lo, hi, kinks, slope in axes:
+            assert source in ("root", "kink", "edge")
+            assert (source == "edge") == (rate in (lo, hi)), (source, rate, lo, hi)
+            if source == "kink":
+                assert rate in kinks, rate
+            if source == "root":
+                assert slope(rate * (1 - 1e-7)) > 0 >= slope(rate * (1 + 1e-7)), rate
+        r1_sources.add(eq.r1_source)
+    assert r1_sources == {"root", "kink", "edge"}
+
+
+def test_compute_equilibrium_degenerate_box_reports_edges():
+    box = RateBox(r1_lo=3.0, r1_hi=3.0, r2_lo=5.0, r2_hi=5.0)
+    eq = compute_equilibrium(SINGLE, PARAMS_1, box)
+    assert (eq.rates.r1, eq.rates.r2) == (3.0, 5.0)
+    assert (eq.r1_source, eq.r2_source) == ("edge", "edge")
 
 
 def test_compute_equilibrium_time_rescale():
@@ -556,12 +607,12 @@ def test_clamped_r2_search_holds_no_rates_by_clients_array():
     box = feasible_rate_box(pop, config.r2_cap)
     tracemalloc.start()
     try:
-        rate, root = equilibrium._argmax_r2(pop, params, box, clamp=True)
+        rate, source = equilibrium._argmax_r2(pop, params, box, clamp=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert root and box.r2_lo < rate < box.r2_hi
+    assert source == "root" and box.r2_lo < rate < box.r2_hi
 
 
 @pytest.mark.parametrize("n", [10, 2000])
@@ -611,9 +662,10 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
 
 
 def test_refinement_slope_call_budget(monkeypatch):
-    # the default workers=10 cell, run 2, has 14 r1 sign changes; all
-    # are refined together, so each axis costs one scan, a handful of refine
-    # steps and one du_dr* residual, not dozens of calls per sign change
+    # the default workers=10 cell, run 2, has 14 r1 sign changes; all are
+    # refined together, so r1 costs one scan and a handful of refine steps,
+    # not dozens of calls per sign change; r2 is solved from prefix sums and
+    # never calls the slope helper
     calls = {"r1": 0, "r2": 0}
 
     def counted(name, slope):
@@ -629,7 +681,7 @@ def test_refinement_slope_call_budget(monkeypatch):
     pop = sample_population(config, 2)
     compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
     assert 0 < calls["r1"] <= 10
-    assert 0 < calls["r2"] <= 10
+    assert calls["r2"] == 0
 
 
 def test_realized_r1_search_memory_stays_within_one_scan():

@@ -470,3 +470,22 @@ def test_rates_and_params_validation():
         SystemParams(alpha=80.0, beta=50.0, comm_size=-0.1, n=1)
     with pytest.raises(DomainError):
         SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_values_are_named_as_such(value):
+    # an infinite parameter is refused for not being finite, not for its sign
+    calls = [
+        (lambda: ClientProfile(id=0, gamma=value, delta=1.0, t_min=1.0), "gamma"),
+        (lambda: ClientProfile(id=0, gamma=1.0, delta=value, t_min=1.0), "delta"),
+        (lambda: ClientProfile(id=0, gamma=1.0, delta=1.0, t_min=value), "t_min"),
+        (lambda: RewardRates(r1=value, r2=1.0), "r1"),
+        (lambda: RewardRates(r1=1.0, r2=value), "r2"),
+        (lambda: SystemParams(alpha=value, beta=50.0, comm_size=0.0, n=1), "alpha"),
+        (lambda: SystemParams(alpha=80.0, beta=value, comm_size=0.0, n=1), "beta"),
+    ]
+    for make, name in calls:
+        with pytest.raises(DomainError, match=rf"^{name} must be positive and finite, got"):
+            make()
+    with pytest.raises(DomainError, match="^comm_size must be non-negative and finite, got"):
+        SystemParams(alpha=80.0, beta=50.0, comm_size=value, n=1)

@@ -93,6 +93,36 @@ def test_scenario_validation():
         ScenarioConfig(tmin=(2.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"seed": -1}, "seed"),
+        ({"n": 2.5}, "n"),
+        ({"runs": 1.5}, "runs"),
+        ({"rounds": 2.0}, "rounds"),
+        ({"seed": 1.0}, "seed"),
+        ({"comm_size": math.nan}, "comm_size"),
+        ({"alpha": math.inf}, "alpha"),
+        ({"beta": math.nan}, "beta"),
+        ({"r2_cap": math.inf}, "r2_cap"),
+        ({"gamma": (1.0, math.inf)}, "gamma_hi"),
+        ({"delta": (math.nan, 2.0)}, "delta_lo"),
+        ({"tmin": (1.0, math.nan)}, "tmin_hi"),
+    ],
+)
+def test_scenario_rejects_non_integer_and_non_finite_values(kwargs, key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        ScenarioConfig(**kwargs)
+
+
+def test_scenario_accepts_numpy_integers_as_int():
+    config = ScenarioConfig(n=np.int64(4), runs=np.int32(2), rounds=np.uint8(3), seed=np.int64(0))
+    assert (config.n, config.runs, config.rounds, config.seed) == (4, 2, 3, 0)
+    assert all(type(v) is int for v in (config.n, config.runs, config.rounds, config.seed))
+    assert config.system_params.n == 4
+    assert config == ScenarioConfig(n=4, runs=2, rounds=3, seed=0)
+
+
 # ----------------------------------------------------------------- sampling
 
 def test_sample_population_deterministic():
@@ -348,6 +378,9 @@ def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeyp
     expected = equilibrium.compute_equilibrium(population, config.system_params, box)
     assert payload["rates"] == {"r1": expected.rates.r1, "r2": expected.rates.r2}
     assert payload["server_utility"] == expected.server_utility
+    assert payload["r1_source"] == expected.r1_source
+    assert payload["r2_source"] == expected.r2_source
+    assert "foc_residuals" not in payload
 
 
 def test_cli_sweep_writes_table(config_file, tmp_path):
@@ -413,6 +446,26 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     proc = run_cli("equilibrium", "--config", str(bad))
     assert proc.returncode == 2
     assert "workers" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed = -1", "seed must be at least 0"),
+        ("r2_cap = inf", "r2_cap must be finite"),
+        ("alpha = inf", "alpha must be finite"),
+        ("gamma_lo = 1\ngamma_hi = inf", "gamma_hi must be finite"),
+    ],
+    ids=["seed", "r2_cap", "alpha", "gamma_hi"],
+)
+def test_cli_rejects_invalid_scenario_value(tmp_path, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"n = 6\n{line}\n")
+    proc = run_cli("verify", "--config", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}, got ")
+    assert proc.stderr.count("\n") == 1  # no traceback, no RuntimeWarning
+    assert proc.stdout == ""
 
 
 def test_cli_unwritable_output_path(config_file, tmp_path):
