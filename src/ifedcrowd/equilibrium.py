@@ -37,22 +37,17 @@ from .game_core import (
     RewardRates,
     Strategy,
     SystemParams,
+    _population_arrays,
     best_response,
+    best_responses,
     client_utility,
-    server_utility,
+    population_utilities,
 )
 
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 _SCAN = 4097         # slope scan resolution per axis
 _SECTIONS = 64       # sections per bracket in each refine step
 _XTOL = 1e-12        # bracket width at which refinement stops
-
-
-def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gamma = np.array([p.gamma for p in profiles], dtype=float)
-    delta = np.array([p.delta for p in profiles], dtype=float)
-    t_min = np.array([p.t_min for p in profiles], dtype=float)
-    return gamma, delta, t_min
 
 
 def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
@@ -294,9 +289,8 @@ def _search(slope, value, lo: float, hi: float, kinks=()) -> tuple[float, str]:
 
 
 def _argmax_r1(
-    profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
+    gamma: np.ndarray, t: np.ndarray, params: SystemParams, box: RateBox, clamp: bool
 ) -> tuple[float, str]:
-    gamma, _, t = _population_arrays(profiles)
     kinks = ()
     if clamp:
         # An accuracy response enters the clamp rectangle at gt*c_in and leaves
@@ -319,7 +313,7 @@ def _argmax_r1(
 
 
 def _argmax_r2(
-    profiles: list[ClientProfile], params: SystemParams, box: RateBox, clamp: bool
+    delta: np.ndarray, params: SystemParams, box: RateBox, clamp: bool
 ) -> tuple[float, str]:
     """Exact maximizer of the r2 slice on the box, one concave segment at a time.
 
@@ -333,7 +327,6 @@ def _argmax_r2(
     lo, hi = box.r2_lo, box.r2_hi
     if hi <= lo:
         return lo, "edge"
-    _, delta, _ = _population_arrays(profiles)
     sums = _freshness_sums(delta)
     kinks = np.concatenate(sums[:2]) if clamp else np.empty(0)
     kinks = np.sort(kinks[(lo < kinks) & (kinks < hi)])
@@ -362,7 +355,8 @@ def solve_r1(
     Returns (rate, boundary): boundary is True when no stationary point beats
     the box edges and the better edge is returned instead.
     """
-    r1, source = _argmax_r1(profiles, params, box, clamp=False)
+    gamma, _, t = _population_arrays(profiles)
+    r1, source = _argmax_r1(gamma, t, params, box, clamp=False)
     return r1, source != "root"
 
 
@@ -370,7 +364,8 @@ def solve_r2(
     profiles: list[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
     """Maximizer in r2 of the substituted (unclamped) utility within the box."""
-    r2, source = _argmax_r2(profiles, params, box, clamp=False)
+    _, delta, _ = _population_arrays(profiles)
+    r2, source = _argmax_r2(delta, params, box, clamp=False)
     return r2, source != "root"
 
 
@@ -400,21 +395,22 @@ def compute_equilibrium(
     box interval, so the reported rates dominate every in-box rate pair under
     actual client behaviour, not just under the smooth surrogate.
     """
-    r1_star, r1_source = _argmax_r1(profiles, params, box, clamp=True)
-    r2_star, r2_source = _argmax_r2(profiles, params, box, clamp=True)
+    gamma, delta, t = _population_arrays(profiles)
+    r1_star, r1_source = _argmax_r1(gamma, t, params, box, clamp=True)
+    r2_star, r2_source = _argmax_r2(delta, params, box, clamp=True)
 
     rates = RewardRates(r1=r1_star, r2=r2_star)
-    responses = [best_response(p, rates) for p in profiles]
-    strategies = tuple(r.strategy for r in responses)
-    utilities = tuple(
-        client_utility(p, rates, s, params.comm_size)
-        for p, s in zip(profiles, strategies)
+    accuracy, freshness, _, _ = best_responses(gamma, delta, t, rates)
+    utilities, server = population_utilities(
+        gamma, delta, t, accuracy, freshness, params, rates
     )
     return EquilibriumResult(
         rates=rates,
-        strategies=strategies,
-        server_utility=server_utility(params, rates, list(strategies)),
-        client_utilities=utilities,
+        strategies=tuple(
+            map(Strategy, accuracy.tolist(), freshness.tolist(), t.tolist())
+        ),
+        server_utility=server,
+        client_utilities=tuple(utilities.tolist()),
         r1_source=r1_source,
         r2_source=r2_source,
     )

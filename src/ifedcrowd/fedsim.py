@@ -25,18 +25,17 @@ import numpy as np
 from .errors import DomainError, TrainingError
 from .game_core import (
     ACCURACY_MAX,
-    DEFAULT_R2_CAP,
+    FRESHNESS_MAX,
     ClientProfile,
     RewardRates,
     Strategy,
     SystemParams,
-    best_response,
+    _population_arrays,
+    best_responses,
     client_reward,
-    feasible_rate_box,
     server_utility,
     total_cost,
 )
-from .mechanisms import MechanismKind, select_rates
 
 _MIN_AGE = 1e-9  # freshness is undefined at zero age
 _EPS = float(np.finfo(float).eps)
@@ -44,7 +43,6 @@ _EPS = float(np.finfo(float).eps)
 # seed-stream tags so per-client generators never collide
 _TASK_TAG = 7001
 _COLLECT_TAG = 7002
-_RATES_TAG = 7003
 
 
 @dataclass
@@ -149,8 +147,9 @@ def collect_data(
     Routine samples arrive every collection_interval; when the freshness
     target is positive the last sample is scheduled exactly 1/F before
     upload (collection runs continuously, so that moment may predate the
-    round start).  The collection latency bounds how fresh a sample can be;
-    a shortfall is flagged only when latency makes the target unreachable,
+    round start); with a zero target they stop 1/FRESHNESS_MAX before
+    upload.  The collection latency bounds how fresh a sample can be; a
+    shortfall is flagged only when latency makes the target unreachable,
     i.e. the achieved freshness falls below the target.
     """
     if strategy.freshness < 0:
@@ -158,7 +157,7 @@ def collect_data(
     if strategy.freshness > 0:
         age_target = max(1.0 / strategy.freshness, latency, _MIN_AGE)
     else:
-        age_target = max(latency, _MIN_AGE)
+        age_target = max(latency, 1.0 / FRESHNESS_MAX)
     final_time = upload_time - age_target
 
     origin = round_start
@@ -346,7 +345,6 @@ class RoundConfig:
     noise_std: float = 0.1
     completion_jitter: float = 0.0
     iteration_cap_scale: float = 50.0
-    r2_cap: float = DEFAULT_R2_CAP
 
 
 @dataclass
@@ -456,29 +454,22 @@ class RoundReport:
 def run_round(
     population: list[ClientProfile],
     params: SystemParams,
-    kind: MechanismKind,
+    rates: RewardRates,
     config: RoundConfig,
     state: SimState,
     run_seed: int,
     round_index: int = 0,
-    rates: RewardRates | None = None,
 ) -> RoundReport:
-    """Execute one full round: announce rates, collect, train, aggregate, settle.
+    """Execute one full round at the announced rates: collect, train, aggregate, settle.
 
-    Rates are recomputed per the configured mechanism unless passed in (the
-    multi-round driver selects them once per run).  A client whose training
-    fails is recorded and excluded; aggregation weights renormalize over the
-    survivors.  Payouts always evaluate the reward formula on the achieved
-    strategy, bit-for-bit the same computation the game module exposes.
+    Every client targets its best response to ``rates``.  A client whose
+    training fails is recorded and excluded; aggregation weights renormalize
+    over the survivors.  Payouts always evaluate the reward formula on the
+    achieved strategy, bit-for-bit the same computation the game module
+    exposes.
     """
     if not population:
         raise DomainError("run_round needs a non-empty population")
-    if rates is None:
-        box = feasible_rate_box(population, config.r2_cap)
-        seed = int(
-            np.random.SeedSequence((run_seed, _RATES_TAG)).generate_state(1)[0]
-        )
-        rates = select_rates(kind, population, params, box, rng_seed=seed)
 
     round_start = state.clock
     records: list[ClientRoundRecord] = []
@@ -487,9 +478,11 @@ def run_round(
     achieved_strategies: list[Strategy] = []
     wall_clock = 0.0
 
-    for profile in population:
-        response = best_response(profile, rates)
-        target = response.strategy
+    responses = best_responses(*_population_arrays(population), rates)
+    for profile, accuracy, freshness, accuracy_clamped, freshness_clamped in zip(
+        population, *(v.tolist() for v in responses)
+    ):
+        target = Strategy(accuracy, freshness, profile.t_min)
         t_real = profile.t_min + config.completion_jitter
         upload_time = round_start + t_real
         wall_clock = max(wall_clock, t_real)
@@ -526,8 +519,8 @@ def run_round(
                     achieved=None,
                     payout=0.0,
                     utility=0.0,
-                    accuracy_clamped=response.accuracy_clamped,
-                    freshness_clamped=response.freshness_clamped,
+                    accuracy_clamped=accuracy_clamped,
+                    freshness_clamped=freshness_clamped,
                     accuracy_shortfall=True,
                     freshness_shortfall=coll.shortfall,
                     iterations=0,
@@ -552,8 +545,8 @@ def run_round(
                 achieved=achieved,
                 payout=payout,
                 utility=utility,
-                accuracy_clamped=response.accuracy_clamped,
-                freshness_clamped=response.freshness_clamped,
+                accuracy_clamped=accuracy_clamped,
+                freshness_clamped=freshness_clamped,
                 accuracy_shortfall=achieved.accuracy < target.accuracy * (1 - 1e-12),
                 freshness_shortfall=coll.shortfall,
                 iterations=trained.iterations,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 
 # Clamp bounds for client responses.  Closed-form best responses can leave
@@ -162,7 +164,12 @@ def collection_cost(delta: float, freshness_level: float) -> float:
         raise DomainError(f"delta must be positive, got {delta}")
     if freshness_level < 0:
         raise DomainError(f"freshness must be non-negative, got {freshness_level}")
-    return math.exp(delta * freshness_level)
+    try:
+        return math.exp(delta * freshness_level)
+    except OverflowError:
+        raise DomainError(
+            f"collection cost exp(delta * F) overflows at delta={delta}, F={freshness_level}"
+        ) from None
 
 
 def total_cost(profile: ClientProfile, strategy: Strategy, comm_size: float) -> CostBreakdown:
@@ -199,6 +206,12 @@ def client_utility(
     return client_reward(rates, strategy) - total_cost(profile, strategy, comm_size).total
 
 
+def _server_value(params: SystemParams, accuracy, freshness, completion_time, reward) -> float:
+    """The publisher-profit formula over arrays of strategy values and payouts."""
+    benefit = np.sum(params.alpha * accuracy + params.beta * freshness) / params.n
+    return float(benefit - np.max(completion_time) - np.sum(reward))
+
+
 def server_utility(
     params: SystemParams, rates: RewardRates, strategies: list[Strategy]
 ) -> float:
@@ -215,52 +228,54 @@ def server_utility(
         raise DomainError(
             f"expected {params.n} strategies, got {len(strategies)}"
         )
-    benefit = sum(
-        params.alpha * s.accuracy + params.beta * s.freshness for s in strategies
-    ) / params.n
-    wall_clock = max(s.completion_time for s in strategies)
-    payments = sum(client_reward(rates, s) for s in strategies)
-    return benefit - wall_clock - payments
+    a, f, t = np.array([(s.accuracy, s.freshness, s.completion_time) for s in strategies]).T
+    return _server_value(params, a, f, t, rates.r1 * a / t + rates.r2 * f)
 
 
-def accuracy_response(profile: ClientProfile, r1: float) -> float:
-    """Unclamped accuracy best response exp(r1 / (gamma * t_min) - 1) - 1.
+def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, ...]:
+    """The population's gamma, delta and t_min as three contiguous float arrays."""
+    values = np.array([(p.gamma, p.delta, p.t_min) for p in profiles], dtype=float)
+    return tuple(np.ascontiguousarray(values.reshape(-1, 3).T))
 
-    May leave [0, 1) when r1 sits outside the client's feasible r1 range, and
-    is math.inf when the exponential overflows, far above the accuracy cap.
+
+def best_responses(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarray, ...]:
+    """Closed-form client best responses, clamped into the feasible strategy set.
+
+    Returns the accuracy and freshness arrays and their two clamp masks.
+    Completion time is always t_min (utility strictly decreases in time for
+    positive accuracy).  Accuracy exp(r1/(gamma t_min) - 1) - 1 is clamped
+    into [ACCURACY_MIN, ACCURACY_MAX], an overflowed exponential to the cap,
+    and freshness ln(r2/delta)/delta into [0, FRESHNESS_MAX].  Because the
+    utility is separately concave in accuracy and freshness, the clamped
+    point remains optimal over the clamped rectangle.
     """
-    try:
-        return math.exp(r1 / (profile.gamma * profile.t_min) - 1.0) - 1.0
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore"):
+        a_raw = np.exp(rates.r1 / (gamma * t_min) - 1.0) - 1.0
+    f_raw = np.log(rates.r2 / delta) / delta
+    accuracy = np.clip(a_raw, ACCURACY_MIN, ACCURACY_MAX)
+    freshness = np.clip(f_raw, 0.0, FRESHNESS_MAX)
+    return accuracy, freshness, accuracy != a_raw, freshness != f_raw
 
 
-def freshness_response(profile: ClientProfile, r2: float) -> float:
-    """Unclamped freshness best response (1/delta) * ln(r2 / delta).
+def population_utilities(
+    gamma, delta, t_min, accuracy, freshness, params: SystemParams, rates: RewardRates
+) -> tuple[np.ndarray, float]:
+    """Every client's `client_utility` and the population's `server_utility`.
 
-    Negative when r2 < delta.
+    Client k plays (accuracy[k], freshness[k], t_min[k]), e.g. `best_responses`.
     """
-    return math.log(r2 / profile.delta) / profile.delta
+    reward = rates.r1 * accuracy / t_min + rates.r2 * freshness
+    cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + np.exp(delta * freshness)
+    utilities = reward - (cost + params.comm_size)
+    return utilities, _server_value(params, accuracy, freshness, t_min, reward)
 
 
 def best_response(profile: ClientProfile, rates: RewardRates) -> BestResponse:
-    """Closed-form client best response, clamped into the feasible strategy set.
-
-    Completion time is always t_min (utility strictly decreases in time for
-    positive accuracy).  Accuracy is clamped into [ACCURACY_MIN, ACCURACY_MAX]
-    and freshness into [0, FRESHNESS_MAX]; the flags report whether a clamp
-    was applied.  Because the utility is separately concave in accuracy and
-    freshness, the clamped point remains optimal over the clamped rectangle.
-    """
-    a_raw = accuracy_response(profile, rates.r1)
-    f_raw = freshness_response(profile, rates.r2)
-    a = min(max(a_raw, ACCURACY_MIN), ACCURACY_MAX)
-    f = min(max(f_raw, 0.0), FRESHNESS_MAX)
-    return BestResponse(
-        strategy=Strategy(accuracy=a, freshness=f, completion_time=profile.t_min),
-        accuracy_clamped=(a != a_raw),
-        freshness_clamped=(f != f_raw),
+    """One client's `best_responses`: its strategy and clamp flags."""
+    (a,), (f,), (a_clamped,), (f_clamped,) = (
+        v.tolist() for v in best_responses(*_population_arrays([profile]), rates)
     )
+    return BestResponse(Strategy(a, f, profile.t_min), a_clamped, f_clamped)
 
 
 def client_r1_range(profile: ClientProfile) -> tuple[float, float]:
@@ -280,6 +295,8 @@ def feasible_rate_box(
     """
     if not profiles:
         raise DomainError("feasible_rate_box needs a non-empty population")
+    if not math.isfinite(r2_cap):
+        raise ConfigError(f"r2_cap must be finite, got {r2_cap}")
     ranges = [client_r1_range(p) for p in profiles]
     r1_lo = min(lo for lo, _ in ranges)
     r1_hi = max(hi for _, hi in ranges)

@@ -33,10 +33,10 @@ from .fedsim import RoundConfig, init_state, run_round
 from .game_core import (
     ClientProfile,
     SystemParams,
-    best_response,
-    client_utility,
+    _population_arrays,
+    best_responses,
     feasible_rate_box,
-    server_utility,
+    population_utilities,
 )
 from .mechanisms import MechanismKind, select_rates
 
@@ -199,6 +199,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; expected {SWEEP_AXES}")
         if not self.values:
             raise ConfigError("sweep needs at least one axis value")
+        if self.axis == "workers" and not all(float(v).is_integer() for v in self.values):
+            raise ConfigError(f"workers values must be whole numbers, got {self.values}")
 
     @classmethod
     def for_axis(cls, axis: str, base: ScenarioConfig) -> "SweepSpec":
@@ -246,17 +248,13 @@ def evaluate_cell(
         try:
             population = sample_population(config, run)
             box = feasible_rate_box(population, config.r2_cap)
+            gamma, delta, t_min = _population_arrays(population)
             seed = rate_seed(config, run)
             for mech in mechanisms:
                 rates = select_rates(mech, population, params, box, rng_seed=seed)
-                strategies = [best_response(p, rates).strategy for p in population]
-                worker_util = float(
-                    np.mean(
-                        [
-                            client_utility(p, rates, s, config.comm_size)
-                            for p, s in zip(population, strategies)
-                        ]
-                    )
+                accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates)
+                utilities, server = population_utilities(
+                    gamma, delta, t_min, accuracy, freshness, params, rates
                 )
                 outcomes.append(
                     CellRun(
@@ -264,8 +262,8 @@ def evaluate_cell(
                         mechanism=mech,
                         r1=rates.r1,
                         r2=rates.r2,
-                        worker_utility=worker_util,
-                        server_utility=server_utility(params, rates, strategies),
+                        worker_utility=float(np.mean(utilities)),
+                        server_utility=server,
                     )
                 )
         except IFedCrowdError as exc:  # record and continue with the next run
@@ -399,11 +397,7 @@ def load_table(path: str, fmt: str) -> SweepTable:
     raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
 
-def run_simulation(
-    config: ScenarioConfig,
-    rounds: int | None = None,
-    round_config: RoundConfig | None = None,
-):
+def run_simulation(config: ScenarioConfig, rounds: int | None = None):
     """Yield one RoundReport per simulated round for the configured scenario.
 
     The population and the reward rates are fixed for the whole run (Random
@@ -411,7 +405,7 @@ def run_simulation(
     persist across rounds.
     """
     rounds = config.rounds if rounds is None else rounds
-    round_config = round_config or RoundConfig(r2_cap=config.r2_cap)
+    round_config = RoundConfig()
     population = sample_population(config, run_index=0)
     params = config.system_params
     box = feasible_rate_box(population, config.r2_cap)
@@ -421,14 +415,7 @@ def run_simulation(
     state = init_state(population, round_config, run_seed=config.seed)
     for index in range(rounds):
         yield run_round(
-            population,
-            params,
-            config.mechanism,
-            round_config,
-            state,
-            run_seed=config.seed,
-            round_index=index,
-            rates=rates,
+            population, params, rates, round_config, state, config.seed, index
         )
 
 

@@ -391,7 +391,7 @@ def test_criterion_9_simulation_consistency():
         config = ScenarioConfig(seed=seed, comm_size=0.0)
         pop = sample_population(config, 0)
         params = config.system_params
-        round_config = RoundConfig(noise_std=0.0, r2_cap=config.r2_cap)
+        round_config = RoundConfig(noise_std=0.0)
         box = feasible_rate_box(pop, config.r2_cap)
         eq = compute_equilibrium(pop, params, box)
         state = init_state(pop, round_config, run_seed=seed)
@@ -399,12 +399,11 @@ def test_criterion_9_simulation_consistency():
             rep = run_round(
                 pop,
                 params,
-                MechanismKind.IFEDCROWD,
+                eq.rates,
                 round_config,
                 state,
                 run_seed=seed,
                 round_index=index,
-                rates=eq.rates,
             )
             assert rep.n_failed == 0
             worst = max(worst, abs(rep.server_utility - eq.server_utility))

@@ -29,7 +29,7 @@ from ifedcrowd import (
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
-from ifedcrowd import equilibrium, harness
+from ifedcrowd import equilibrium, game_core, harness
 from ifedcrowd.game_core import ACCURACY_MAX, ACCURACY_MIN, FRESHNESS_MAX
 
 SINGLE = [ClientProfile(id=0, gamma=2.0, delta=1.0, t_min=1.0)]
@@ -479,7 +479,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
     for clamp in (False, True):
         axes = (
             (
-                equilibrium._argmax_r1,
+                lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp),
                 lambda r: equilibrium._r1_slope(r, gamma, t, params, clamp),
                 lambda r: equilibrium._r1_value(r, gamma, t, params, clamp),
                 box.r1_lo,
@@ -487,7 +487,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
                 r1_kinks,
             ),
             (
-                equilibrium._argmax_r2,
+                lambda: equilibrium._argmax_r2(delta, params, box, clamp),
                 lambda r: equilibrium._r2_slope(r, delta, params, clamp),
                 lambda r: equilibrium._r2_value(r, delta, params, clamp),
                 box.r2_lo,
@@ -496,7 +496,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
             ),
         )
         for argmax, slope, value, lo, hi, kinks in axes:
-            rate, _ = argmax(pop, params, box, clamp)
+            rate, _ = argmax()
             best = scalar_search_value(slope, value, lo, hi, kinks if clamp else ())
             assert value(rate) >= best - 1e-12 * max(1.0, abs(best)), (clamp, lo, hi)
 
@@ -534,7 +534,7 @@ def test_clamped_r2_with_in_box_kinks_is_exact(scenario):
     delta = np.array([p.delta for p in pop])
     kinks = delta * np.exp(FRESHNESS_MAX * delta)
     kinks = kinks[(box.r2_lo < kinks) & (kinks < box.r2_hi)]
-    rate, _ = equilibrium._argmax_r2(pop, params, box, clamp=True)
+    rate, _ = equilibrium._argmax_r2(delta, params, box, clamp=True)
     grid = np.concatenate([np.linspace(box.r2_lo, box.r2_hi, 20001), kinks])
     _, u_star = realized_axis_values(pop, params, box.r1_lo, rate)
     _, u_grid = realized_axis_values(pop, params, box.r1_lo, grid)
@@ -605,9 +605,10 @@ def test_clamped_r2_search_holds_no_rates_by_clients_array():
     pop = sample_population(config, 0)
     params = config.system_params
     box = feasible_rate_box(pop, config.r2_cap)
+    delta = np.array([p.delta for p in pop])
     tracemalloc.start()
     try:
-        rate, source = equilibrium._argmax_r2(pop, params, box, clamp=True)
+        rate, source = equilibrium._argmax_r2(delta, params, box, clamp=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,15 +639,15 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
         counts["roots"] += len(lo)
         return refine(slope, lo, *args)
 
+    gamma = np.array([p.gamma for p in pop])
+    t = np.array([p.t_min for p in pop])
     monkeypatch.setattr(equilibrium, "_r1_value", counted_value)
     monkeypatch.setattr(equilibrium, "_refine", counted_refine)
-    rate, _ = equilibrium._argmax_r1(pop, params, box, clamp=True)
+    rate, _ = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
     monkeypatch.undo()
     assert counts["rows"] <= counts["roots"] + 2 + n
 
     # every kink, upward ones included, still picks the same rate
-    gamma = np.array([p.gamma for p in pop])
-    t = np.array([p.t_min for p in pop])
     gt = gamma * t
     every_kink = np.concatenate(
         [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
@@ -706,7 +707,7 @@ def test_realized_r1_search_memory_stays_within_one_scan():
             tracemalloc.stop()
 
     slope_peak = peak_bytes(lambda: equilibrium._r1_slope(scan, gamma, t, params, True))
-    search_peak = peak_bytes(lambda: equilibrium._argmax_r1(pop, params, box, clamp=True))
+    search_peak = peak_bytes(lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp=True))
     assert search_peak <= 1.05 * slope_peak
 
 
@@ -824,13 +825,15 @@ def test_verify_scenario_makes_no_call_per_client(monkeypatch):
 
         return wrapper
 
-    for module in (equilibrium, harness):
+    for module in (game_core, equilibrium, harness):
         for name in calls:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     summary = harness.verify_scenario(ScenarioConfig(n=50))
     assert summary.ok and len(summary.client_reports) == 50
-    # the solver's own responses and utilities; the verifier reuses them
-    assert calls == {"best_response": 50, "client_utility": 50}
+    # the solver evaluates all responses and utilities in one array pass,
+    # and the verifier reuses them
+    assert calls == {"best_response": 0, "client_utility": 0}
 
 
 def test_verify_client_interior_case():

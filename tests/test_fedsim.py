@@ -27,8 +27,10 @@ from ifedcrowd import (
     feasible_rate_box,
     init_state,
     local_train,
+    rate_seed,
     run_round,
     sample_population,
+    select_rates,
     server_utility,
 )
 from ifedcrowd.harness import ScenarioConfig
@@ -87,6 +89,18 @@ def test_collect_without_target_uses_last_cadence_sample():
     res = collect_data(state, strategy, 10.0, make_task(), np.random.default_rng(0))
     assert res.state.last_generation_time == pytest.approx(9.0)
     assert res.achieved_freshness == pytest.approx(1.0)
+    assert not res.shortfall
+
+
+def test_collect_without_target_keeps_freshness_within_cap():
+    # the cadence sample at 9.5 lies 0.05 before upload, so it would make
+    # the achieved freshness 20 > FRESHNESS_MAX; the last one taken is 9.0
+    state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
+    strategy = Strategy(accuracy=0.5, freshness=0.0, completion_time=9.55)
+    res = collect_data(state, strategy, 9.55, make_task(), np.random.default_rng(0))
+    assert res.delta.size == 18
+    assert res.state.last_generation_time == 9.0
+    assert res.achieved_freshness == pytest.approx(1.0 / 0.55)
     assert not res.shortfall
 
 
@@ -392,27 +406,28 @@ def test_aggregate_validation():
 
 # -------------------------------------------------------------------- rounds
 
-def default_round_setup(seed=3, noise=0.0):
+def default_round_setup(seed=3, noise=0.0, kind=MechanismKind.IFEDCROWD):
     config = ScenarioConfig(seed=seed, comm_size=0.0)
     population = sample_population(config, 0)
     params = config.system_params
-    round_config = RoundConfig(noise_std=noise, r2_cap=config.r2_cap)
+    box = feasible_rate_box(population, config.r2_cap)
+    rates = select_rates(kind, population, params, box, rng_seed=rate_seed(config, 0))
+    round_config = RoundConfig(noise_std=noise)
     state = init_state(population, round_config, run_seed=config.seed)
-    return population, params, round_config, state
+    return population, params, rates, round_config, state
 
 
 def test_run_round_matches_equilibrium_prediction():
-    population, params, round_config, state = default_round_setup()
-    box = feasible_rate_box(population, round_config.r2_cap)
+    population, params, _, round_config, state = default_round_setup()
+    box = feasible_rate_box(population, ScenarioConfig().r2_cap)
     predicted = compute_equilibrium(population, params, box)
     report = run_round(
         population,
         params,
-        MechanismKind.IFEDCROWD,
+        predicted.rates,
         round_config,
         state,
         run_seed=3,
-        rates=predicted.rates,
     )
     assert report.n_failed == 0
     assert report.server_utility == pytest.approx(predicted.server_utility, abs=1e-6)
@@ -427,18 +442,20 @@ def test_run_round_matches_equilibrium_prediction():
 
 
 def test_run_round_settlement_is_bitwise_consistent():
-    population, params, round_config, state = default_round_setup(seed=5)
+    population, params, rates, round_config, state = default_round_setup(seed=5)
     report = run_round(
-        population, params, MechanismKind.IFEDCROWD, round_config, state, run_seed=5
+        population, params, rates, round_config, state, run_seed=5
     )
     for record in report.clients:
         assert record.payout == client_reward(report.rates, record.achieved)
 
 
 def test_run_round_report_recomputes_server_utility():
-    population, params, round_config, state = default_round_setup(seed=7)
+    population, params, rates, round_config, state = default_round_setup(
+        seed=7, kind=MechanismKind.MAX
+    )
     report = run_round(
-        population, params, MechanismKind.MAX, round_config, state, run_seed=7
+        population, params, rates, round_config, state, run_seed=7
     )
     achieved = [r.achieved for r in report.clients if not r.failed]
     recomputed = server_utility(
@@ -451,29 +468,29 @@ def test_run_round_report_recomputes_server_utility():
 
 
 def test_run_round_deterministic():
-    population, params, round_config, state_a = default_round_setup(seed=11, noise=0.1)
-    _, _, _, state_b = default_round_setup(seed=11, noise=0.1)
+    population, params, rates, round_config, state_a = default_round_setup(seed=11, noise=0.1)
+    _, _, _, _, state_b = default_round_setup(seed=11, noise=0.1)
     a = run_round(
-        population, params, MechanismKind.IFEDCROWD, round_config, state_a, run_seed=11
+        population, params, rates, round_config, state_a, run_seed=11
     )
     b = run_round(
-        population, params, MechanismKind.IFEDCROWD, round_config, state_b, run_seed=11
+        population, params, rates, round_config, state_b, run_seed=11
     )
     assert a == b
 
 
 def test_run_round_rejects_empty_population():
-    _, params, round_config, state = default_round_setup()
+    _, params, rates, round_config, state = default_round_setup(kind=MechanismKind.MAX)
     with pytest.raises(DomainError):
-        run_round([], params, MechanismKind.MAX, round_config, state, run_seed=1)
+        run_round([], params, rates, round_config, state, run_seed=1)
 
 
 def test_run_round_cap_shortfall_reduces_payout():
-    population, params, _, _ = default_round_setup(seed=13)
+    population, params, rates, _, _ = default_round_setup(seed=13, kind=MechanismKind.MAX)
     starved = RoundConfig(noise_std=0.0, iteration_cap_scale=1e-6)
     state = init_state(population, starved, run_seed=13)
     report = run_round(
-        population, params, MechanismKind.MAX, starved, state, run_seed=13
+        population, params, rates, starved, state, run_seed=13
     )
     for record in report.clients:
         assert not record.failed
@@ -487,9 +504,11 @@ def test_run_round_cap_shortfall_reduces_payout():
 def test_round_report_serializes_to_plain_json():
     import json
 
-    population, params, round_config, state = default_round_setup(seed=17, noise=0.1)
+    population, params, rates, round_config, state = default_round_setup(
+        seed=17, noise=0.1, kind=MechanismKind.RANDOM
+    )
     report = run_round(
-        population, params, MechanismKind.RANDOM, round_config, state, run_seed=17
+        population, params, rates, round_config, state, run_seed=17
     )
     payload = json.dumps(report.to_dict())
     parsed = json.loads(payload)
@@ -499,14 +518,14 @@ def test_round_report_serializes_to_plain_json():
 
 
 def test_multi_round_datasets_grow_and_clock_advances():
-    population, params, round_config, state = default_round_setup(seed=19, noise=0.1)
+    population, params, rates, round_config, state = default_round_setup(seed=19, noise=0.1)
     sizes = []
     clock = 0.0
     for index in range(3):
         report = run_round(
             population,
             params,
-            MechanismKind.IFEDCROWD,
+            rates,
             round_config,
             state,
             run_seed=19,
@@ -535,14 +554,14 @@ def test_client_dataset_merges_statistics_in_fixed_memory():
     assert merged.yty == pytest.approx(stacked.yty, rel=1e-12)
 
     # so a client's dataset holds the same bytes however many rounds it ran
-    population, params, round_config, state = default_round_setup(seed=29, noise=0.1)
+    population, params, rates, round_config, state = default_round_setup(seed=29, noise=0.1)
     first = population[0].id
     nbytes, sizes = set(), []
     for index in range(50):
         run_round(
             population,
             params,
-            MechanismKind.IFEDCROWD,
+            rates,
             round_config,
             state,
             run_seed=29,
@@ -555,11 +574,11 @@ def test_client_dataset_merges_statistics_in_fixed_memory():
 
 
 def test_completion_jitter_shifts_realized_times():
-    population, params, _, _ = default_round_setup(seed=23)
+    population, params, rates, _, _ = default_round_setup(seed=23)
     jittered = RoundConfig(noise_std=0.0, completion_jitter=0.5)
     state = init_state(population, jittered, run_seed=23)
     report = run_round(
-        population, params, MechanismKind.IFEDCROWD, jittered, state, run_seed=23
+        population, params, rates, jittered, state, run_seed=23
     )
     for record, profile in zip(report.clients, population):
         assert record.achieved.completion_time == pytest.approx(profile.t_min + 0.5)

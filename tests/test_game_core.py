@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifedcrowd import (
     ClientProfile,
@@ -23,8 +25,9 @@ from ifedcrowd.game_core import (
     ACCURACY_MAX,
     ACCURACY_MIN,
     FRESHNESS_MAX,
-    accuracy_response,
+    best_responses,
     client_r1_range,
+    population_utilities,
 )
 
 E05 = math.exp(0.5)  # exp(0.5), accuracy response at h = 0.5
@@ -72,6 +75,12 @@ def test_collection_cost_rejects_bad_inputs():
         collection_cost(2.0, -0.1)
     with pytest.raises(DomainError):
         collection_cost(-1.0, 0.5)
+
+
+def test_collection_cost_overflow_names_delta_and_freshness():
+    # exp(1500) overflows; the error is a typed one naming both inputs
+    with pytest.raises(DomainError, match=r"overflows at delta=150\.0, F=10\.0$"):
+        collection_cost(150.0, 10.0)
 
 
 # ---------------------------------------------------------------- total cost
@@ -286,17 +295,107 @@ def test_best_response_clamps_high_accuracy():
 
 
 def test_best_response_clamps_overflowed_accuracy_to_cap():
-    # r1/(gamma t_min) - 1 = 25399 overflows exp; the response lies far above the cap
+    # r1/(gamma t_min) - 1 = 25399 overflows exp; the response lies far above
+    # the cap.  RuntimeWarnings fail the tests, so this also checks that the
+    # overflow raises none.
     profile = make_profile(gamma=1e-3, delta=1.0, t_min=1.0)
     rates = RewardRates(r1=25.4, r2=100.0)
-    assert accuracy_response(profile, rates.r1) == math.inf
+    with pytest.raises(OverflowError):
+        math.exp(rates.r1 / (profile.gamma * profile.t_min) - 1.0)
     response = best_response(profile, rates)
     assert response.strategy.accuracy == ACCURACY_MAX
     assert response.accuracy_clamped
-    assert response.strategy.freshness == math.log(100.0)
-    # just below the overflow the response is the plain formula
-    near = RewardRates(r1=0.709, r2=100.0)
-    assert accuracy_response(profile, near.r1) == math.exp(709.0 - 1.0) - 1.0
+    assert response.strategy.freshness == pytest.approx(math.log(100.0), rel=1e-15)
+    # beside an in-range client, which keeps the plain formula unclamped
+    accuracy, freshness, a_clamped, f_clamped = best_responses(
+        np.array([1e-3, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0]), RewardRates(3.0, 25.4)
+    )
+    assert accuracy[0] == ACCURACY_MAX and accuracy[1] == pytest.approx(E05 - 1.0, rel=1e-15)
+    assert a_clamped.tolist() == [True, False] and f_clamped.tolist() == [False, False]
+
+
+def oracle_best_response(profile, rates):
+    """The scalar math-library response rule that `best_responses` replaced.
+
+    Returns the clamped accuracy and freshness, their clamp flags, and the
+    raw (unclamped) responses.
+    """
+    try:
+        a_raw = math.exp(rates.r1 / (profile.gamma * profile.t_min) - 1.0) - 1.0
+    except OverflowError:
+        a_raw = math.inf
+    f_raw = math.log(rates.r2 / profile.delta) / profile.delta
+    a = min(max(a_raw, ACCURACY_MIN), ACCURACY_MAX)
+    f = min(max(f_raw, 0.0), FRESHNESS_MAX)
+    return a, f, a != a_raw, f != f_raw, a_raw, f_raw
+
+
+def near_bound(raw, bounds):
+    return any(abs(raw - b) <= 1e-12 for b in bounds)
+
+
+@settings(max_examples=200)
+@given(
+    clients=st.lists(
+        st.tuples(
+            st.floats(1e-4, 1e3),  # gamma
+            st.floats(0.1, 10.0),  # t_min
+            st.floats(1e-3, 150.0),  # delta
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    r1=st.floats(1e-6, 1e4),
+    r2=st.floats(1e-6, 1e6),
+)
+def test_best_responses_match_scalar_oracle(clients, r1, r2):
+    profiles = [make_profile(gamma=g, delta=d, t_min=t, pid=k) for k, (g, t, d) in enumerate(clients)]
+    rates = RewardRates(r1=r1, r2=r2)
+    gamma, t_min, delta = (np.array(column) for column in zip(*clients))
+    arrays = [v.tolist() for v in best_responses(gamma, delta, t_min, rates)]
+    for k, profile in enumerate(profiles):
+        a, f, a_clamped, f_clamped, a_raw, f_raw = oracle_best_response(profile, rates)
+        view = best_response(profile, rates)
+        for got in (
+            (arrays[0][k], arrays[1][k], arrays[2][k], arrays[3][k]),
+            (view.strategy.accuracy, view.strategy.freshness, view.accuracy_clamped, view.freshness_clamped),
+        ):
+            assert abs(got[0] - a) <= 4.5e-16
+            assert abs(got[1] - f) <= 1e-15 * abs(f)
+            if not near_bound(a_raw, (ACCURACY_MIN, ACCURACY_MAX)):
+                assert got[2] == a_clamped
+            if not near_bound(f_raw, (0.0, FRESHNESS_MAX)):
+                assert got[3] == f_clamped
+        assert view.strategy.completion_time == profile.t_min
+
+
+def test_population_utilities_match_per_client_formulas():
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 50):
+        profiles = [
+            make_profile(
+                gamma=float(rng.uniform(0.5, 5.0)),
+                delta=float(rng.uniform(0.1, 3.0)),
+                t_min=float(rng.uniform(0.5, 3.0)),
+                pid=k,
+            )
+            for k in range(n)
+        ]
+        params = SystemParams(alpha=80.0, beta=50.0, comm_size=0.1, n=n)
+        rates = RewardRates(r1=float(rng.uniform(0.5, 20.0)), r2=float(rng.uniform(3.0, 100.0)))
+        strategies = [best_response(p, rates).strategy for p in profiles]
+        gamma, delta, t_min, accuracy, freshness = (
+            np.array(column)
+            for column in zip(
+                *((p.gamma, p.delta, p.t_min, s.accuracy, s.freshness) for p, s in zip(profiles, strategies))
+            )
+        )
+        utilities, server = population_utilities(
+            gamma, delta, t_min, accuracy, freshness, params, rates
+        )
+        expected = [client_utility(p, rates, s, params.comm_size) for p, s in zip(profiles, strategies)]
+        np.testing.assert_allclose(utilities, expected, rtol=1e-13, atol=1e-13)
+        assert server == pytest.approx(server_utility(params, rates, strategies), rel=1e-13)
 
 
 def test_best_response_clamps_high_freshness():
@@ -439,6 +538,12 @@ def test_feasible_rate_box_union_hull():
     assert box.r1_hi == pytest.approx(3.386294361119891, rel=1e-12)
     assert box.r2_lo == 3.0
     assert box.r2_hi == 50.0
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_feasible_rate_box_rejects_non_finite_cap(cap):
+    with pytest.raises(ConfigError, match="^r2_cap must be finite, got"):
+        feasible_rate_box([make_profile(delta=3.0)], r2_cap=cap)
 
 
 def test_feasible_rate_box_rejects_empty_r2_interval():

@@ -221,6 +221,37 @@ def test_sweep_spec_axes_defaults():
         SweepSpec.for_axis("bandwidth", base)
 
 
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+def test_workers_axis_refuses_fractional_counts(value):
+    # a cell solves n = int(value) workers, so its row would misreport n
+    with pytest.raises(ConfigError, match="^workers values must be whole numbers, got"):
+        SweepSpec("workers", (5, value), ScenarioConfig(runs=1))
+    table = run_sweep(SweepSpec("workers", (2.0,), ScenarioConfig(runs=1)), [MechanismKind.MAX])
+    assert [row.axis_value for row in table.rows] == [2.0]
+
+
+def test_evaluate_cell_makes_no_call_per_client(monkeypatch):
+    # responses and utilities of a cell-run come from one array pass each
+    from ifedcrowd import equilibrium, fedsim, game_core, mechanisms
+
+    calls = {"best_response": 0, "client_utility": 0, "server_utility": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (game_core, equilibrium, mechanisms, fedsim, harness):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    outcomes, failures = evaluate_cell(ScenarioConfig(), list(MechanismKind))
+    assert failures == [] and len(outcomes) == 30
+    assert calls == {"best_response": 0, "client_utility": 0, "server_utility": 0}
+
+
 def test_evaluate_cell_pairs_mechanisms_on_shared_populations():
     config = ScenarioConfig(runs=3, seed=5)
     outcomes, failures = evaluate_cell(config, list(MechanismKind))
@@ -432,6 +463,32 @@ def test_cli_simulate_streams_round_reports(config_file, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["round_index"] == 1
+
+
+def test_cli_simulate_zero_freshness_target_stays_finite(tmp_path):
+    # beta = 1 puts r2 on the box floor max delta, where that client's
+    # freshness target is 0; routine samples used to reach 1e-9 before
+    # upload, and exp(delta F) overflowed with a raw traceback
+    cfg = tmp_path / "beta1.cfg"
+    cfg.write_text("beta = 1\nseed = 5\n")
+    out = tmp_path / "rounds.jsonl"
+    proc = run_cli("simulate", "--config", str(cfg), "--rounds", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert min(c["target"]["freshness"] for c in report["clients"]) == 0.0
+    assert max(c["achieved"]["freshness"] for c in report["clients"]) <= 10.0
+
+
+def test_cli_simulate_reports_collection_cost_overflow(tmp_path):
+    # delta near 155 makes exp(delta F) overflow once the achieved freshness
+    # exceeds about 4.6; that is a typed error, not a traceback
+    cfg = tmp_path / "large_delta.cfg"
+    cfg.write_text("delta_lo = 150\ndelta_hi = 160\nr2_cap = 1000\nseed = 1\n")
+    out = tmp_path / "rounds.jsonl"
+    proc = run_cli("simulate", "--config", str(cfg), "--rounds", "1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: collection cost exp(delta * F) overflows at delta=")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_verify_exit_code(config_file):
