@@ -18,11 +18,12 @@ every training step costs O(d^2) however many rounds the dataset spans.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
+from .errors import ConfigError, DomainError, TrainingError
 from .game_core import (
     ACCURACY_MAX,
     FRESHNESS_MAX,
@@ -139,18 +140,19 @@ def collect_data(
     upload_time: float,
     task: ClientTask,
     rng: np.random.Generator,
+    round_start: float,
     latency: float = 0.0,
-    round_start: float | None = None,
 ) -> CollectionResult:
     """Generate this round's samples so upload-time freshness hits the target.
 
-    Routine samples arrive every collection_interval; when the freshness
-    target is positive the last sample is scheduled exactly 1/F before
-    upload (collection runs continuously, so that moment may predate the
-    round start); with a zero target they stop 1/FRESHNESS_MAX before
-    upload.  The collection latency bounds how fresh a sample can be; a
-    shortfall is flagged only when latency makes the target unreachable,
-    i.e. the achieved freshness falls below the target.
+    Routine samples arrive every collection_interval, counted from the later
+    of the newest sample and round_start; when the freshness target is
+    positive the last sample is scheduled exactly 1/F before upload
+    (collection runs continuously, so that moment may predate the round
+    start); with a zero target they stop 1/FRESHNESS_MAX before upload.  The
+    collection latency bounds how fresh a sample can be; a shortfall is
+    flagged only when latency makes the target unreachable, i.e. the
+    achieved freshness falls below the target.
     """
     if strategy.freshness < 0:
         raise DomainError("freshness target must be non-negative")
@@ -160,10 +162,7 @@ def collect_data(
         age_target = max(latency, 1.0 / FRESHNESS_MAX)
     final_time = upload_time - age_target
 
-    origin = round_start
-    if origin is None:
-        origin = state.last_generation_time if math.isfinite(state.last_generation_time) else final_time
-    cadence_start = max(state.last_generation_time, origin)
+    cadence_start = max(state.last_generation_time, round_start)
 
     if (final_time - cadence_start) / state.collection_interval > 1e6:
         raise DomainError(
@@ -346,6 +345,22 @@ class RoundConfig:
     completion_jitter: float = 0.0
     iteration_cap_scale: float = 50.0
 
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "dim", operator.index(self.dim))
+        except TypeError:
+            raise ConfigError(f"dim must be an integer, got {self.dim!r}") from None
+        if self.dim < 1:
+            raise ConfigError(f"dim must be positive, got {self.dim}")
+        for key in ("collection_interval", "iteration_cap_scale"):
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        for key in ("collection_latency", "noise_std", "completion_jitter"):
+            value = getattr(self, key)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be non-negative and finite, got {value}")
+
 
 @dataclass
 class SimState:
@@ -400,32 +415,6 @@ class ClientRoundRecord:
     failed: bool
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        def strat(s: Strategy | None):
-            if s is None:
-                return None
-            return {
-                "accuracy": s.accuracy,
-                "freshness": s.freshness,
-                "completion_time": s.completion_time,
-            }
-
-        return {
-            "client_id": self.client_id,
-            "target": strat(self.target),
-            "achieved": strat(self.achieved),
-            "payout": self.payout,
-            "utility": self.utility,
-            "accuracy_clamped": self.accuracy_clamped,
-            "freshness_clamped": self.freshness_clamped,
-            "accuracy_shortfall": self.accuracy_shortfall,
-            "freshness_shortfall": self.freshness_shortfall,
-            "iterations": self.iterations,
-            "dataset_size": self.dataset_size,
-            "failed": self.failed,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class RoundReport:
@@ -440,15 +429,29 @@ class RoundReport:
     n_failed: int
 
     def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "rates": {"r1": self.rates.r1, "r2": self.rates.r2},
-            "clients": [c.to_dict() for c in self.clients],
-            "server_model": list(self.server_model),
-            "server_utility": self.server_utility,
-            "wall_clock": self.wall_clock,
-            "n_failed": self.n_failed,
-        }
+        """The report as plain JSON data: one key per field, at every level."""
+        return _plain(self)
+
+
+_JSON_LEAVES = frozenset((bool, int, float, str, type(None)))
+
+
+def _plain(value):
+    """Records become objects keyed by their field names, tuples become lists.
+
+    Plain leaves are copied without a recursive call; one call per leaf
+    makes the walk several times slower, and it runs on every round.
+    """
+    if isinstance(value, tuple):
+        return [v if type(v) in _JSON_LEAVES else _plain(v) for v in value]
+    names = getattr(type(value), "__dataclass_fields__", None)
+    if names is None:
+        return value
+    plain = {}
+    for name in names:
+        v = getattr(value, name)
+        plain[name] = v if type(v) in _JSON_LEAVES else _plain(v)
+    return plain
 
 
 def run_round(
@@ -473,9 +476,7 @@ def run_round(
 
     round_start = state.clock
     records: list[ClientRoundRecord] = []
-    surviving_models: list[ModelParams] = []
-    surviving_weights: list[float] = []
-    achieved_strategies: list[Strategy] = []
+    models: list[ModelParams] = []
     wall_clock = 0.0
 
     responses = best_responses(*_population_arrays(population), rates)
@@ -496,13 +497,15 @@ def run_round(
             upload_time,
             state.tasks[profile.id],
             rng,
+            round_start,
             latency=config.collection_latency,
-            round_start=round_start,
         )
         state.collection[profile.id] = coll.state
         dataset = state.datasets[profile.id].merged(coll.delta)
         state.datasets[profile.id] = dataset
 
+        # a failed client is recorded and excluded: nothing achieved, nothing paid
+        achieved, payout, utility, iterations, error = None, 0.0, 0.0, 0, None
         try:
             trained = local_train(
                 state.server_model,
@@ -512,32 +515,13 @@ def run_round(
                 cap_scale=config.iteration_cap_scale,
             )
         except (TrainingError, DomainError) as exc:
-            records.append(
-                ClientRoundRecord(
-                    client_id=profile.id,
-                    target=target,
-                    achieved=None,
-                    payout=0.0,
-                    utility=0.0,
-                    accuracy_clamped=accuracy_clamped,
-                    freshness_clamped=freshness_clamped,
-                    accuracy_shortfall=True,
-                    freshness_shortfall=coll.shortfall,
-                    iterations=0,
-                    dataset_size=dataset.size,
-                    failed=True,
-                    error=str(exc),
-                )
-            )
-            continue
-
-        achieved = Strategy(
-            accuracy=trained.achieved_accuracy,
-            freshness=coll.achieved_freshness,
-            completion_time=t_real,
-        )
-        payout = client_reward(rates, achieved)
-        utility = payout - total_cost(profile, achieved, params.comm_size).total
+            error = str(exc)
+        else:
+            achieved = Strategy(trained.achieved_accuracy, coll.achieved_freshness, t_real)
+            payout = client_reward(rates, achieved)
+            utility = payout - total_cost(profile, achieved, params.comm_size).total
+            iterations = trained.iterations
+            models.append(trained.model)
         records.append(
             ClientRoundRecord(
                 client_id=profile.id,
@@ -547,27 +531,27 @@ def run_round(
                 utility=utility,
                 accuracy_clamped=accuracy_clamped,
                 freshness_clamped=freshness_clamped,
-                accuracy_shortfall=achieved.accuracy < target.accuracy * (1 - 1e-12),
+                accuracy_shortfall=(
+                    achieved is None or achieved.accuracy < target.accuracy * (1 - 1e-12)
+                ),
                 freshness_shortfall=coll.shortfall,
-                iterations=trained.iterations,
+                iterations=iterations,
                 dataset_size=dataset.size,
-                failed=False,
+                failed=achieved is None,
+                error=error,
             )
         )
-        surviving_models.append(trained.model)
-        surviving_weights.append(float(dataset.size))
-        achieved_strategies.append(achieved)
 
-    n_failed = len(population) - len(achieved_strategies)
-    if surviving_models:
-        state.server_model = aggregate(surviving_models, surviving_weights)
+    survivors = [r for r in records if not r.failed]
+    if survivors:
+        state.server_model = aggregate(models, [float(r.dataset_size) for r in survivors])
         realized_params = SystemParams(
             alpha=params.alpha,
             beta=params.beta,
             comm_size=params.comm_size,
-            n=len(achieved_strategies),
+            n=len(survivors),
         )
-        realized_utility = server_utility(realized_params, rates, achieved_strategies)
+        realized_utility = server_utility(realized_params, rates, [r.achieved for r in survivors])
     else:
         realized_utility = float("nan")
     state.clock = round_start + wall_clock
@@ -579,5 +563,5 @@ def run_round(
         server_model=tuple(float(v) for v in state.server_model.weights),
         server_utility=realized_utility,
         wall_clock=wall_clock,
-        n_failed=n_failed,
+        n_failed=len(records) - len(survivors),
     )

@@ -31,6 +31,7 @@ from .equilibrium import (
 from .errors import ConfigError, IFedCrowdError
 from .fedsim import RoundConfig, init_state, run_round
 from .game_core import (
+    DEFAULT_R2_CAP,
     ClientProfile,
     SystemParams,
     _population_arrays,
@@ -58,7 +59,7 @@ class ScenarioConfig:
     gamma: tuple[float, float] = (1.0, 5.0)
     delta: tuple[float, float] = (1.0, 2.0)
     tmin: tuple[float, float] = (1.0, 3.0)
-    r2_cap: float = 100.0
+    r2_cap: float = DEFAULT_R2_CAP
     mechanism: MechanismKind = MechanismKind.IFEDCROWD
     runs: int = 10
     seed: int = 1

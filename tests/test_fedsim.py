@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ifedcrowd import (
     ClientProfile,
     ClientTask,
     CollectionState,
+    ConfigError,
     DomainError,
     MechanismKind,
     ModelParams,
@@ -33,6 +35,7 @@ from ifedcrowd import (
     select_rates,
     server_utility,
 )
+from ifedcrowd import fedsim
 from ifedcrowd.harness import ScenarioConfig
 
 
@@ -77,7 +80,9 @@ def test_model_params_validation():
 def test_collect_schedules_final_sample_for_target():
     state = CollectionState(last_generation_time=0.0, collection_interval=1.0)
     strategy = Strategy(accuracy=0.5, freshness=0.5, completion_time=10.0)
-    res = collect_data(state, strategy, 10.0, make_task(), np.random.default_rng(0))
+    res = collect_data(
+        state, strategy, 10.0, make_task(), np.random.default_rng(0), round_start=0.0
+    )
     assert res.state.last_generation_time == pytest.approx(8.0)
     assert res.achieved_freshness == pytest.approx(0.5)
     assert not res.shortfall
@@ -86,7 +91,9 @@ def test_collect_schedules_final_sample_for_target():
 def test_collect_without_target_uses_last_cadence_sample():
     state = CollectionState(last_generation_time=0.0, collection_interval=1.0)
     strategy = Strategy(accuracy=0.5, freshness=0.0, completion_time=10.0)
-    res = collect_data(state, strategy, 10.0, make_task(), np.random.default_rng(0))
+    res = collect_data(
+        state, strategy, 10.0, make_task(), np.random.default_rng(0), round_start=0.0
+    )
     assert res.state.last_generation_time == pytest.approx(9.0)
     assert res.achieved_freshness == pytest.approx(1.0)
     assert not res.shortfall
@@ -97,7 +104,9 @@ def test_collect_without_target_keeps_freshness_within_cap():
     # the achieved freshness 20 > FRESHNESS_MAX; the last one taken is 9.0
     state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
     strategy = Strategy(accuracy=0.5, freshness=0.0, completion_time=9.55)
-    res = collect_data(state, strategy, 9.55, make_task(), np.random.default_rng(0))
+    res = collect_data(
+        state, strategy, 9.55, make_task(), np.random.default_rng(0), round_start=0.0
+    )
     assert res.delta.size == 18
     assert res.state.last_generation_time == 9.0
     assert res.achieved_freshness == pytest.approx(1.0 / 0.55)
@@ -108,7 +117,13 @@ def test_collect_latency_shortfall():
     state = CollectionState(last_generation_time=0.0, collection_interval=5.0)
     strategy = Strategy(accuracy=0.5, freshness=2.0, completion_time=1.0)
     res = collect_data(
-        state, strategy, 1.0, make_task(), np.random.default_rng(0), latency=0.6
+        state,
+        strategy,
+        1.0,
+        make_task(),
+        np.random.default_rng(0),
+        round_start=0.0,
+        latency=0.6,
     )
     assert res.achieved_freshness == pytest.approx(1.0 / 0.6)
     assert res.shortfall
@@ -130,17 +145,23 @@ def test_collect_count_and_state_advance():
     # cadence samples at 0.5, 1.0, ..., 4.0 = 8 - 1/0.25, the target's last sample
     state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
     strategy = Strategy(accuracy=0.5, freshness=0.25, completion_time=8.0)
-    res = collect_data(state, strategy, 8.0, make_task(), np.random.default_rng(1))
+    res = collect_data(
+        state, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
+    )
     assert res.delta.size == 8
     assert res.state.last_generation_time == 4.0
     # off the cadence, the scheduled sample is one more after the last routine one
     strategy = Strategy(accuracy=0.5, freshness=0.3, completion_time=8.0)
-    res = collect_data(state, strategy, 8.0, make_task(), np.random.default_rng(1))
+    res = collect_data(
+        state, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
+    )
     assert res.delta.size == 10  # 0.5, ..., 4.5, then 8 - 1/0.3
     assert res.state.last_generation_time == pytest.approx(8.0 - 1.0 / 0.3)
     # a target older than the last sample adds nothing
     late = CollectionState(last_generation_time=7.5, collection_interval=0.5)
-    res = collect_data(late, strategy, 8.0, make_task(), np.random.default_rng(1))
+    res = collect_data(
+        late, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
+    )
     assert res.delta.size == 0
     assert res.state.last_generation_time == 7.5
 
@@ -517,6 +538,139 @@ def test_round_report_serializes_to_plain_json():
     assert parsed["rates"]["r1"] == report.rates.r1
 
 
+def run_failed_round(monkeypatch, failing=2):
+    """One noisy default round in which client ``failing``'s training diverges.
+
+    Returns the population, the system parameters, the report and the models
+    that the other clients trained, in population order.
+    """
+    population, params, rates, round_config, state = default_round_setup(seed=3, noise=0.1)
+    assert len({p.gamma for p in population}) == len(population)
+    real_train = fedsim.local_train
+    models = []
+
+    def train(*args, iteration_scale, **kwargs):
+        if iteration_scale == population[failing].gamma:
+            raise TrainingError("training diverged: injected")
+        result = real_train(*args, iteration_scale=iteration_scale, **kwargs)
+        models.append(result.model)
+        return result
+
+    monkeypatch.setattr(fedsim, "local_train", train)
+    report = run_round(population, params, rates, round_config, state, run_seed=3)
+    assert report.server_model == tuple(state.server_model.weights)
+    return population, params, report, models
+
+
+def test_run_round_records_a_failed_client_and_settles_the_survivors(monkeypatch):
+    population, params, report, models = run_failed_round(monkeypatch)
+    failed = report.clients[2]
+    assert failed.client_id == population[2].id
+    assert failed.achieved is None
+    assert (failed.payout, failed.utility, failed.iterations) == (0.0, 0.0, 0)
+    assert failed.failed and failed.accuracy_shortfall
+    assert failed.error == "training diverged: injected"
+    assert failed.dataset_size > 0  # its collection still ran
+    assert report.n_failed == 1
+
+    survivors = [r for r in report.clients if not r.failed]
+    assert len(survivors) == len(models) == len(population) - 1
+    assert all(r.error is None and r.iterations > 0 for r in survivors)
+    sizes = np.array([r.dataset_size for r in survivors], dtype=float)
+    expected_model = sizes @ np.stack([m.weights for m in models]) / sizes.sum()
+    np.testing.assert_allclose(report.server_model, expected_model, rtol=1e-12, atol=1e-15)
+
+    realized = SystemParams(params.alpha, params.beta, params.comm_size, len(survivors))
+    assert report.server_utility == pytest.approx(
+        server_utility(realized, report.rates, [r.achieved for r in survivors]), rel=1e-12
+    )
+
+    line = json.dumps(report.to_dict())
+    assert json.loads(line)["clients"][2]["achieved"] is None
+    assert '"achieved": null' in line
+
+
+def oracle_client_dict(record) -> dict:
+    """The hand-written client-record format that reports were first written in."""
+
+    def strat(s):
+        if s is None:
+            return None
+        return {
+            "accuracy": s.accuracy,
+            "freshness": s.freshness,
+            "completion_time": s.completion_time,
+        }
+
+    return {
+        "client_id": record.client_id,
+        "target": strat(record.target),
+        "achieved": strat(record.achieved),
+        "payout": record.payout,
+        "utility": record.utility,
+        "accuracy_clamped": record.accuracy_clamped,
+        "freshness_clamped": record.freshness_clamped,
+        "accuracy_shortfall": record.accuracy_shortfall,
+        "freshness_shortfall": record.freshness_shortfall,
+        "iterations": record.iterations,
+        "dataset_size": record.dataset_size,
+        "failed": record.failed,
+        "error": record.error,
+    }
+
+
+def oracle_round_dict(report) -> dict:
+    return {
+        "round_index": report.round_index,
+        "rates": {"r1": report.rates.r1, "r2": report.rates.r2},
+        "clients": [oracle_client_dict(c) for c in report.clients],
+        "server_model": list(report.server_model),
+        "server_utility": report.server_utility,
+        "wall_clock": report.wall_clock,
+        "n_failed": report.n_failed,
+    }
+
+
+def assert_keys_are_field_names(data, record):
+    """Every object's keys are its record's field names, in order, at every level."""
+    names = [f.name for f in dataclasses.fields(record)]
+    assert list(data) == names
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, tuple):
+            assert isinstance(data[name], list)
+            pairs = zip(data[name], value, strict=True)
+        else:
+            pairs = [(data[name], value)]
+        for item_data, item in pairs:
+            if dataclasses.is_dataclass(item):
+                assert_keys_are_field_names(item_data, item)
+
+
+def assert_report_matches_oracle(report):
+    data = report.to_dict()
+    assert json.dumps(data) == json.dumps(oracle_round_dict(report))
+    assert_keys_are_field_names(data, report)
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_round_report_format_matches_hand_written_oracle(kind):
+    population, params, rates, round_config, state = default_round_setup(
+        seed=31, noise=0.1, kind=kind
+    )
+    for index in range(20):
+        report = run_round(
+            population, params, rates, round_config, state, run_seed=31, round_index=index
+        )
+        assert_report_matches_oracle(report)
+
+
+def test_failed_round_report_matches_hand_written_oracle(monkeypatch):
+    _, _, report, _ = run_failed_round(monkeypatch)
+    assert report.n_failed == 1
+    assert_report_matches_oracle(report)
+
+
 def test_multi_round_datasets_grow_and_clock_advances():
     population, params, rates, round_config, state = default_round_setup(seed=19, noise=0.1)
     sizes = []
@@ -585,3 +739,43 @@ def test_completion_jitter_shifts_realized_times():
     assert report.wall_clock == pytest.approx(
         max(p.t_min for p in population) + 0.5
     )
+
+
+# ------------------------------------------------------------ round config
+
+@pytest.mark.parametrize("dim", [0, -2, 2.5, float("nan")])
+def test_round_config_dim_is_a_positive_integer(dim):
+    with pytest.raises(ConfigError, match="dim"):
+        RoundConfig(dim=dim)
+    config = RoundConfig(dim=np.int64(3))
+    assert config.dim == 3 and type(config.dim) is int
+
+
+@pytest.mark.parametrize("key", ["collection_interval", "iteration_cap_scale"])
+@pytest.mark.parametrize("value", [0.0, -3.0])
+def test_round_config_cadence_and_cap_are_positive(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RoundConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["collection_latency", "noise_std", "completion_jitter"])
+def test_round_config_delays_and_noise_are_non_negative(key):
+    with pytest.raises(ConfigError, match=key):
+        RoundConfig(**{key: -0.5})
+    assert getattr(RoundConfig(**{key: 0.0}), key) == 0.0
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "collection_interval",
+        "collection_latency",
+        "noise_std",
+        "completion_jitter",
+        "iteration_cap_scale",
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_round_config_values_are_finite(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
+        RoundConfig(**{key: value})

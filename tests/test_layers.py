@@ -2,7 +2,8 @@
 
 The game core states the model; the equilibrium solver and the simulator
 build on it and on nothing else of the package, so neither can reach the
-rate policies or the harness.
+rate policies or the harness.  The rate policies build on the solver, and
+the CLI sits on top of the harness.  Every module's imports are pinned.
 """
 
 import ast
@@ -42,6 +43,8 @@ def package_imports(module: str) -> set[str]:
         ("game_core", {"errors"}),
         ("equilibrium", {"game_core", "errors"}),
         ("fedsim", {"game_core", "errors"}),
+        ("mechanisms", {"equilibrium", "game_core", "errors"}),
+        ("cli", {"equilibrium", "errors", "game_core", "harness", "mechanisms"}),
     ],
 )
 def test_module_imports_only_its_lower_layers(module, allowed):
