@@ -8,7 +8,7 @@ import json
 import sys
 
 from .equilibrium import compute_equilibrium
-from .errors import ConfigError, IFedCrowdError
+from .errors import IFedCrowdError
 from .game_core import feasible_rate_box
 from .harness import (
     SWEEP_AXES,
@@ -52,11 +52,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.rounds < 1:
-        raise ConfigError(f"--rounds must be at least 1, got {args.rounds}")
     config = load_config(args.config)
+    if args.rounds is not None:
+        config = dataclasses.replace(config, rounds=args.rounds)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for report in run_simulation(config, rounds=args.rounds):
+        for report in run_simulation(config):
             fh.write(json.dumps(report.to_dict()) + "\n")
     return 0
 
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run training rounds, stream round reports")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--rounds", required=True, type=int)
+    p_sim.add_argument("--rounds", type=int)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -16,10 +16,3 @@ class ConfigError(IFedCrowdError, ValueError):
 class NumericError(IFedCrowdError, ArithmeticError):
     """A numeric routine produced a non-finite value; the offending input is reported."""
 
-
-class TrainingError(IFedCrowdError, RuntimeError):
-    """Local training diverged; carries diagnostics about the failing run."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}

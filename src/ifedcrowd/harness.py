@@ -398,14 +398,13 @@ def load_table(path: str, fmt: str) -> SweepTable:
     raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
 
-def run_simulation(config: ScenarioConfig, rounds: int | None = None):
-    """Yield one RoundReport per simulated round for the configured scenario.
+def run_simulation(config: ScenarioConfig):
+    """Yield one RoundReport for each of the scenario's ``rounds`` rounds.
 
     The population and the reward rates are fixed for the whole run (Random
     draws its rates once per run, not per round); client models and datasets
     persist across rounds.
     """
-    rounds = config.rounds if rounds is None else rounds
     round_config = RoundConfig()
     population = sample_population(config, run_index=0)
     params = config.system_params
@@ -414,7 +413,7 @@ def run_simulation(config: ScenarioConfig, rounds: int | None = None):
         config.mechanism, population, params, box, rng_seed=rate_seed(config, 0)
     )
     state = init_state(population, round_config, run_seed=config.seed)
-    for index in range(rounds):
+    for index in range(config.rounds):
         yield run_round(
             population, params, rates, round_config, state, config.seed, index
         )

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -356,10 +357,10 @@ def test_sweep_baseline_dominance_in_every_cell():
 
 def test_run_simulation_reports_and_fixed_rates():
     config = ScenarioConfig(seed=9, n=6, runs=1)
-    reports = list(run_simulation(config, rounds=3))
+    reports = list(run_simulation(replace(config, rounds=3)))
     assert [r.round_index for r in reports] == [0, 1, 2]
     assert len({(r.rates.r1, r.rates.r2) for r in reports}) == 1
-    again = list(run_simulation(config, rounds=3))
+    again = list(run_simulation(replace(config, rounds=3)))
     assert reports == again
 
 
@@ -463,6 +464,26 @@ def test_cli_simulate_streams_round_reports(config_file, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["round_index"] == 1
+
+
+def test_cli_simulate_runs_the_configs_rounds_by_default(tmp_path):
+    cfg = tmp_path / "two_rounds.cfg"
+    cfg.write_text("n = 6\nseed = 5\nrounds = 2\n")
+    out = tmp_path / "rounds.jsonl"
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["round_index"] for line in lines] == [0, 1]
+
+
+def test_cli_simulate_rejects_zero_rounds(config_file, tmp_path):
+    out = tmp_path / "rounds.jsonl"
+    proc = run_cli(
+        "simulate", "--config", str(config_file), "--rounds", "0", "--out", str(out)
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: rounds must be at least 1, got 0\n"
+    assert not out.exists()
 
 
 def test_cli_simulate_zero_freshness_target_stays_finite(tmp_path):

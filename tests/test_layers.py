@@ -3,7 +3,8 @@
 The game core states the model; the equilibrium solver and the simulator
 build on it and on nothing else of the package, so neither can reach the
 rate policies or the harness.  The rate policies build on the solver, and
-the CLI sits on top of the harness.  Every module's imports are pinned.
+the CLI sits on top of the harness.  Every module's imports are pinned, and
+the package root exports exactly the names it imports.
 """
 
 import ast
@@ -60,3 +61,20 @@ def test_import_reader_finds_the_harness_imports():
         "mechanisms",
     }
     assert package_imports("errors") == set()
+
+
+def test_package_root_exports_exactly_the_names_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    names = ifedcrowd.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert set(names) == set(imported)
+    namespace = {}
+    exec("from ifedcrowd import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
