@@ -220,6 +220,18 @@ def local_train(
     hitting it leaves the achieved accuracy below target, which the caller
     records.
 
+    The run also stops, without taking the step, once a step would leave the
+    tracked loss unchanged (new_loss >= loss): its exact decrease
+    Delta = lin^2/(N |X g|^2) has fallen below the loss's rounding.  This is
+    what ends a target below the least-squares floor (the noise floor), and
+    it gives up at most (kappa + 1)^2/(4 kappa) Delta of loss, where kappa
+    is the condition number of G over its range, in which the iterates move.
+    On a quadratic, steepest descent with exact line search shrinks the
+    excess loss E = loss - loss* by at least the factor
+    ((kappa - 1)/(kappa + 1))^2 per step (Kantorovich; Luenberger & Ye,
+    Linear and Nonlinear Programming, sec. 8.2), so one step's decrease is
+    Delta >= (1 - ((kappa - 1)/(kappa + 1))^2) E = 4 kappa/(kappa + 1)^2 E.
+
     Training starts from the dataset's statistics G = X^T X, b = X^T y and
     c = y^T y: X^T r = G w - b for the residual r = X w - y, and the initial
     loss is (w . (G w - b) - w . b + c)/N.  Each step works in d x d Gram
@@ -276,6 +288,8 @@ def local_train(
         lin = float(grad @ xt_res)  # (X g) . r
         eta = (n / 2.0) * float(grad @ grad) / denom
         new_loss = loss - 2.0 * eta * lin / n + eta * eta * denom / n
+        if new_loss >= loss:
+            break  # stalled: the step no longer moves the loss
         landed = new_loss < target_loss
         if landed:
             # shorten the final step to land exactly on the target loss
@@ -413,6 +427,7 @@ class RoundReport:
     server_utility: float
     wall_clock: float
     n_failed: int
+    n_shortfall: int  # clients whose accuracy or freshness fell short, failed ones included
 
     def to_dict(self) -> dict:
         """The report as plain JSON data: one key per field, at every level."""
@@ -550,4 +565,5 @@ def run_round(
         server_utility=realized_utility,
         wall_clock=wall_clock,
         n_failed=len(records) - len(survivors),
+        n_shortfall=sum(r.accuracy_shortfall or r.freshness_shortfall for r in records),
     )

@@ -228,11 +228,22 @@ def test_local_train_cap_leaves_shortfall():
     assert res.achieved_accuracy < 0.999
 
 
-def row_space_train(model, x, y, target_accuracy, iteration_scale, cap_scale):
+def iteration_cap(target_accuracy, iteration_scale, cap_scale):
+    return max(
+        1,
+        math.ceil(
+            iteration_scale * (1.0 + target_accuracy) * math.log1p(target_accuracy) * cap_scale
+        ),
+    )
+
+
+def row_space_train(model, x, y, target_accuracy, iteration_scale, cap_scale, steps=None):
     """Oracle: the same descent run on the N-row residual, re-reading the rows every step.
 
     Returns the TrainResult plus why the loop stopped: "landed", "target",
-    "stationary" or "cap".
+    "stalled", "stationary" or "cap".  Given ``steps``, the run replays a run
+    of known length: it takes at most that many steps and does not stop on a
+    stall, since its loss, summed over the rows, stalls on its own rounding.
     """
     n = x.shape[0]
     w = model.weights.copy()
@@ -245,12 +256,7 @@ def row_space_train(model, x, y, target_accuracy, iteration_scale, cap_scale):
     if loss_init <= 0.0:
         return TrainResult(ModelParams(w), 1.0 - 1e-15, 0), "target"
     target_loss = (1.0 - target_accuracy) * loss_init
-    cap = max(
-        1,
-        math.ceil(
-            iteration_scale * (1.0 + target_accuracy) * math.log1p(target_accuracy) * cap_scale
-        ),
-    )
+    cap = iteration_cap(target_accuracy, iteration_scale, cap_scale) if steps is None else steps
     loss = loss_init
     iterations = 0
     stop = "cap"
@@ -262,7 +268,11 @@ def row_space_train(model, x, y, target_accuracy, iteration_scale, cap_scale):
             stop = "stationary"
             break
         eta = (n / 2.0) * float(grad @ grad) / denom
-        landed = loss_of(residual - eta * xg) < target_loss
+        new_loss = loss_of(residual - eta * xg)
+        if steps is None and new_loss >= loss:
+            stop = "stalled"
+            break
+        landed = new_loss < target_loss
         if landed:
             a_q = denom / n
             b_q = -2.0 * float(xg @ residual) / n
@@ -312,12 +322,25 @@ def test_gram_space_training_matches_row_space_oracle(problem):
     model, x, y, target, scale, cap_scale = problem
     ds = ClientDataset.from_rows(x, y)
     res = local_train(model, ds, target, iteration_scale=scale, cap_scale=cap_scale)
-    oracle, stop = row_space_train(model, x, y, target, scale, cap_scale)
+    # step for step: the oracle replays as many steps as the Gram run took
+    oracle, _ = row_space_train(model, x, y, target, scale, cap_scale, steps=res.iterations)
+    assert oracle.iterations == res.iterations
     assert res.achieved_accuracy == pytest.approx(oracle.achieved_accuracy, abs=1e-12)
     w_oracle = oracle.model.weights
     assert np.all(np.abs(res.model.weights - w_oracle) <= 1e-9 * (1.0 + np.abs(w_oracle)))
+
+    # run on its own, the oracle stops where the Gram run does unless one of
+    # them stalled: the two loss trackers round differently, so their stalls
+    # may fall a step or more apart
+    own, stop = row_space_train(model, x, y, target, scale, cap_scale)
     if stop in ("landed", "target"):
-        assert res.iterations == oracle.iterations
+        assert res.iterations == own.iterations
+    cap = iteration_cap(target, scale, cap_scale)
+    if res.iterations < cap and res.achieved_accuracy < target - 1e-12:
+        # short of the target before the cap, the Gram run stalled: its next
+        # step would not lower its loss, so a run restarted from there takes none
+        again = local_train(res.model, ds, target, iteration_scale=scale, cap_scale=cap_scale)
+        assert again.iterations == 0
 
 
 @settings(max_examples=100)
@@ -336,6 +359,36 @@ def test_local_train_accuracy_never_falls_with_more_iterations(problem):
     )
     accuracies = [accuracy for _, accuracy in runs]
     assert accuracies == sorted(accuracies)
+
+
+@pytest.mark.parametrize("seed, spread", [(1, None), (2, None), (3, None), (4, 1.0), (5, 1.0)])
+def test_local_train_stops_at_the_noise_floor_within_the_kantorovich_bound(seed, spread):
+    # a 0.999 target below the least-squares floor cannot be met; training
+    # stalls there before the cap, short of the best accuracy the rows allow
+    # by at most the Kantorovich factor times the stalled step's decrease,
+    # which lies below one rounding of the loss: eps * loss
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, 8))
+    if spread is not None:  # correlated features: kappa near 10 rather than 2
+        x = rng.standard_normal((200, 1)) + spread * x
+    y = x @ rng.standard_normal(8) + 0.3 * rng.standard_normal(200)
+    ds = ClientDataset.from_rows(x, y)
+    res = local_train(ModelParams(np.zeros(8)), ds, 0.999, iteration_scale=3.0, cap_scale=50.0)
+    assert 0 < res.iterations < iteration_cap(0.999, 3.0, 50.0)
+
+    eps = np.finfo(float).eps
+    loss_init = float(y @ y) / 200
+    residual = x @ np.linalg.lstsq(x, y, rcond=None)[0] - y
+    optimum = 1.0 - float(residual @ residual) / 200 / loss_init
+    assert optimum < 0.999
+    eig = np.linalg.eigvalsh(ds.gram)
+    eig = eig[eig > eig[-1] * 1e-12]  # G over its range
+    kappa = eig[-1] / eig[0]
+    bound = (kappa + 1.0) ** 2 / (4.0 * kappa) * eps * (1.0 - res.achieved_accuracy)
+    # each step rounds the tracked loss twice, by at most eps * loss_init / 2 each
+    rounding = res.iterations * eps
+    assert res.achieved_accuracy <= optimum + rounding
+    assert optimum - res.achieved_accuracy <= bound + rounding
 
 
 @pytest.mark.parametrize("rows, seed", [("well", 4), ("ill", 3)])
@@ -564,6 +617,9 @@ def test_run_round_records_a_failed_client_and_settles_the_survivors(monkeypatch
     assert failed.error == "injected training failure"
     assert failed.dataset_size > 0  # its collection still ran
     assert report.n_failed == 1
+    assert report.n_shortfall == 1 + sum(
+        r.accuracy_shortfall or r.freshness_shortfall for r in report.clients if not r.failed
+    )
 
     survivors = [r for r in report.clients if not r.failed]
     assert len(survivors) == len(models) == len(population) - 1
@@ -620,6 +676,7 @@ def oracle_round_dict(report) -> dict:
         "server_utility": report.server_utility,
         "wall_clock": report.wall_clock,
         "n_failed": report.n_failed,
+        "n_shortfall": sum(c.accuracy_shortfall or c.freshness_shortfall for c in report.clients),
     }
 
 
