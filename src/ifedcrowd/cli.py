@@ -28,7 +28,22 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
     population = sample_population(config, run_index=0)
     box = feasible_rate_box(population, config.r2_cap)
     result = compute_equilibrium(population, config.system_params, box)
-    text = json.dumps(dataclasses.asdict(result), indent=2) + "\n"
+    payload = {
+        "rates": {"r1": result.rates.r1, "r2": result.rates.r2},
+        "strategies": [
+            {"accuracy": a, "freshness": f, "completion_time": t}
+            for a, f, t in zip(
+                result.accuracy.tolist(),
+                result.freshness.tolist(),
+                result.completion_time.tolist(),
+            )
+        ],
+        "server_utility": result.server_utility,
+        "client_utilities": result.utilities.tolist(),
+        "r1_source": result.r1_source,
+        "r2_source": result.r2_source,
+    }
+    text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -64,13 +79,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     summary = verify_scenario(config)
-    worst_client = max(r.worst_violation for r in summary.client_reports)
+    worst_client = float(summary.client_violations.max())
     eq = summary.equilibrium
     print(f"rates: r1={eq.rates.r1:.6g} ({eq.r1_source}) r2={eq.rates.r2:.6g} ({eq.r2_source})")
     print(f"server check: worst violation {summary.server_report.worst_violation:.3e} "
           f"({'pass' if summary.server_report.passed else 'FAIL'})")
     print(f"client checks: worst violation {worst_client:.3e} "
-          f"({'pass' if all(r.passed for r in summary.client_reports) else 'FAIL'})")
+          f"({'pass' if summary.clients_passed else 'FAIL'})")
     return 0 if summary.ok else 1
 
 

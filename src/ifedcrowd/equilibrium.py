@@ -15,7 +15,13 @@ bracketed by the slope signs at its ends.  r1 is concave in neither
 objective, so it keeps a search: it scans the slope on a grid, narrows all
 sign changes together by multisection (one vectorized slope call per step),
 and keeps the best of those roots, the box edges and the clamp kinks where
-the slope jumps down.  Maximizing the realized objective is what keeps the
+the slope jumps down.  An r1 value or slope call larger than _BLOCK rates x
+clients entries takes exponentials over the live clients only.  With the
+clients sorted by g_k = gamma_k t_k, client k is live on
+[g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate are
+one contiguous window of that order; the clamped clients on either side
+add constants from prefix sums of 1/t.  Rates are taken in blocks of at
+most _BLOCK entries, so memory is O(_BLOCK), not O(4097 n).  Maximizing the realized objective is what keeps the
 equilibrium rates undominated by any in-box rate pair once clamping binds,
 including for heterogeneous populations.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +55,99 @@ VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 _SCAN = 4097         # slope scan resolution per axis
 _SECTIONS = 64       # sections per bracket in each refine step
 _XTOL = 1e-12        # bracket width at which refinement stops
+_BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
+_PAD = 1e-9          # relative margin of an r1 live window
+# r1/(gamma t) at which an accuracy response enters and leaves the clamp rectangle
+_C_IN, _C_OUT = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
+
+
+def _r1_block(
+    r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, clamp: bool, slope: bool
+):
+    """The r1 slice (or its slope) at rates r over the clients (g_k = gamma_k t_k, t_k) alone.
+
+    Builds one rates x clients array.  ``share`` is alpha/n.
+    """
+    # an overflowed response clips to the cap; the slope's products may hold inf*0
+    with np.errstate(over="ignore", invalid="ignore" if slope else None):
+        x = np.exp(r[:, None] / g - 1.0)
+        a = x - 1.0
+        if clamp:
+            if slope:
+                x[~((a >= ACCURACY_MIN) & (a < ACCURACY_MAX))] = 0.0
+            np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+        if slope:
+            return x @ (share / g) - r * (x @ (1.0 / (t * g))) - a @ (1.0 / t)
+        return share * a.sum(axis=1) - r * (a @ (1.0 / t))
+
+
+def _r1_windowed(r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, slope: bool):
+    """The realized r1 slice (or its slope) at rates r, over each rate's live clients only.
+
+    Sorted by g_k = gamma_k t_k, a client is live exactly when
+    g_k _C_IN <= r < g_k _C_OUT, so the live clients at any rate form one
+    contiguous window of that order: the clients before it sit at
+    ACCURACY_MAX, those after it at ACCURACY_MIN, and their terms are
+    constants times prefix sums of 1/t.  Both window ends rise with the rate,
+    so the sorted rates go in blocks of consecutive rates whose rows times
+    window width stay within _BLOCK entries (at least one rate per block),
+    and exponentials are taken over each block's window only.  A window is
+    padded by the relative margin _PAD, so every client outside it clamps
+    whatever the rounding of its exponential, and inside it the clamp test
+    is the exact one of `_r1_block`.  Returns the results in the order of r.
+    """
+    order = np.argsort(g, kind="stable")
+    g, t = g[order], t[order]
+    n = len(g)
+    cum = np.concatenate(([0.0], np.cumsum(1.0 / t)))
+    rank = np.argsort(r, kind="stable")
+    rs = r[rank]
+    first = np.searchsorted(g, rs / _C_OUT * (1.0 - _PAD))
+    stop = np.searchsorted(g, rs / _C_IN * (1.0 + _PAD), side="right")
+    out = np.empty(len(r))
+    i = 0
+    while i < len(rs):
+        width = stop[i : i + _BLOCK] - first[i]
+        rows = np.searchsorted(width * np.arange(1, len(width) + 1), _BLOCK, side="right")
+        j = i + max(int(rows), 1)
+        lo, hi = first[i], stop[j - 1]
+        rb = rs[i:j]
+        part = _r1_block(rb, g[lo:hi], t[lo:hi], share, True, slope)
+        # the clamped clients outside the window add sum a_k/t_k to the
+        # payment rate and, to the value only, sum a_k to the benefit
+        paid = ACCURACY_MAX * cum[lo] + ACCURACY_MIN * (cum[n] - cum[hi])
+        if slope:
+            part -= paid
+        else:
+            part += share * (ACCURACY_MAX * lo + ACCURACY_MIN * (n - hi)) - rb * paid
+        out[rank[i:j]] = part
+        i = j
+    return out
+
+
+def _r1_parts(
+    r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, slope: bool
+):
+    """`_r1_value` (or, with ``slope``, `_r1_slope`) at every rate of r1, in its order.
+
+    A call of at most _BLOCK rates x clients entries is one `_r1_block` over
+    every client.  A larger clamped call goes through `_r1_windowed`, and a
+    larger unclamped one, where every client is live, is split into blocks
+    of rates over every client.
+    """
+    r = np.atleast_1d(np.asarray(r1, dtype=float))
+    g = gamma * t
+    share = params.alpha / params.n
+    if len(r) * len(g) <= _BLOCK:
+        out = _r1_block(r, g, t, share, clamp, slope)
+    elif clamp:
+        out = _r1_windowed(r, g, t, share, slope)
+    else:
+        step = max(_BLOCK // len(g), 1)
+        out = np.concatenate(
+            [_r1_block(r[i : i + step], g, t, share, False, slope) for i in range(0, len(r), step)]
+        )
+    return out if np.ndim(r1) else float(out[0])
 
 
 def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
@@ -57,13 +157,7 @@ def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp:
     [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
     1-D array of rates and returns the same shape.
     """
-    r = np.atleast_1d(np.asarray(r1, dtype=float))
-    with np.errstate(over="ignore"):  # overflowed responses clip to the cap
-        a = np.exp(r[:, None] / (gamma * t) - 1.0) - 1.0
-    if clamp:
-        np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
-    out = (params.alpha / params.n) * a.sum(axis=1) - r * (a @ (1.0 / t))
-    return out if np.ndim(r1) else float(out[0])
+    return _r1_parts(r1, gamma, t, params, clamp, slope=False)
 
 
 def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
@@ -72,20 +166,7 @@ def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp:
     A clamped response has zero slope.  A client counts as unclamped on
     [ACCURACY_MIN, ACCURACY_MAX), where its response rises just right of r1.
     """
-    r = np.atleast_1d(np.asarray(r1, dtype=float))
-    gt = gamma * t
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(r[:, None] / gt - 1.0)
-        a = x - 1.0
-        if clamp:
-            x[~((a >= ACCURACY_MIN) & (a < ACCURACY_MAX))] = 0.0
-            np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
-        out = (
-            x @ ((params.alpha / params.n) / gt)
-            - r * (x @ (1.0 / (t * gt)))
-            - a @ (1.0 / t)
-        )
-    return out if np.ndim(r1) else float(out[0])
+    return _r1_parts(r1, gamma, t, params, clamp, slope=True)
 
 
 def _freshness_sums(delta: np.ndarray):
@@ -245,11 +326,7 @@ def _best(
     preferred over an edge or kink that beats it only by floating-point dust.
     """
     candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
-    # at most _SCAN candidates per call, so the values never outgrow the scan
-    cand = np.array(candidates)
-    values = np.concatenate(
-        [value(cand[i : i + _SCAN]) for i in range(0, len(cand), _SCAN)]
-    )
+    values = value(np.array(candidates))
     best = float(np.max(values))
     snap = 1e-10 * max(1.0, abs(best))
     rate = candidates[int(np.nonzero(values >= best - snap)[0][0])]
@@ -293,15 +370,14 @@ def _argmax_r1(
 ) -> tuple[float, str]:
     kinks = ()
     if clamp:
-        # An accuracy response enters the clamp rectangle at gt*c_in and leaves
-        # it at gt*c_out, where the client's slope term jumps by a positive
-        # multiple of alpha/n - c_in*gamma and of c_out*gamma - alpha/n.  Only a
+        # An accuracy response enters the clamp rectangle at gt*_C_IN and leaves
+        # it at gt*_C_OUT, where the client's slope term jumps by a positive
+        # multiple of alpha/n - _C_IN*gamma and of _C_OUT*gamma - alpha/n.  Only a
         # kink where the slope jumps down can be a maximum: at most one per client.
         gt = gamma * t
-        c_in, c_out = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
         share = params.alpha / params.n
         kinks = np.concatenate(
-            [gt[share < c_in * gamma] * c_in, gt[share > c_out * gamma] * c_out]
+            [gt[share < _C_IN * gamma] * _C_IN, gt[share > _C_OUT * gamma] * _C_OUT]
         )
     return _search(
         lambda r: _r1_slope(r, gamma, t, params, clamp),
@@ -369,21 +445,45 @@ def solve_r2(
     return r2, source != "root"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Solved reward rates plus the client responses and utilities they induce.
 
-    ``r1_source`` and ``r2_source`` say why each rate won its axis search:
-    "root" (a stationary point of the realized objective), "kink" (a clamp
-    kink) or "edge" (a box edge).
+    The per-client results are the solver's read-only arrays: client k plays
+    (accuracy[k], freshness[k], completion_time[k]) for utility utilities[k].
+    `strategies` and `client_utilities` give the same as tuples, built when
+    first read.  ``r1_source`` and ``r2_source`` say why each rate won its
+    axis search: "root" (a stationary point of the realized objective),
+    "kink" (a clamp kink) or "edge" (a box edge).
     """
 
     rates: RewardRates
-    strategies: tuple[Strategy, ...]
+    accuracy: np.ndarray
+    freshness: np.ndarray
+    completion_time: np.ndarray
+    utilities: np.ndarray
     server_utility: float
-    client_utilities: tuple[float, ...]
     r1_source: str
     r2_source: str
+
+    def __post_init__(self):
+        for values in (self.accuracy, self.freshness, self.completion_time, self.utilities):
+            values.flags.writeable = False
+
+    @cached_property
+    def strategies(self) -> tuple[Strategy, ...]:
+        return tuple(
+            map(
+                Strategy,
+                self.accuracy.tolist(),
+                self.freshness.tolist(),
+                self.completion_time.tolist(),
+            )
+        )
+
+    @cached_property
+    def client_utilities(self) -> tuple[float, ...]:
+        return tuple(self.utilities.tolist())
 
 
 def compute_equilibrium(
@@ -405,14 +505,7 @@ def compute_equilibrium(
         gamma, delta, t, accuracy, freshness, params, rates
     )
     return EquilibriumResult(
-        rates=rates,
-        strategies=tuple(
-            map(Strategy, accuracy.tolist(), freshness.tolist(), t.tolist())
-        ),
-        server_utility=server,
-        client_utilities=tuple(utilities.tolist()),
-        r1_source=r1_source,
-        r2_source=r2_source,
+        rates, accuracy, freshness, t, utilities, server, r1_source, r2_source
     )
 
 
@@ -434,23 +527,21 @@ class ClientEquilibriumReport:
     passed: bool
 
 
-def verify_clients(
-    profiles: list[ClientProfile],
-    rates: RewardRates,
-    utilities: tuple[float, ...] | list[float],
-    comm_size: float = 0.0,
-) -> list[ClientEquilibriumReport]:
-    """Check that no grid strategy beats any client's utility at its audited strategy.
+def _client_deviations(
+    gamma, delta, t_min, rates: RewardRates, utilities, comm_size: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's worst grid violation, and the grid strategy that reaches it.
 
-    ``utilities[k]`` is client k's utility there, e.g. the equilibrium's
-    `client_utilities`.  Utility separates into an accuracy part, which
-    depends on the completion time, and a freshness part, so one argmax over
-    clients x freshness grid and one over clients x accuracy grid per time
-    factor search the whole accuracy x freshness x time cube.
+    ``utilities[k]`` is client k's utility at its audited strategy.  Returns
+    the violations and an (n, 3) array of (accuracy, freshness, completion
+    time) rows, NaN where no grid strategy scores above -inf.  Utility
+    separates into an accuracy part, which depends on the completion time,
+    and a freshness part, so one argmax over clients x freshness grid and one
+    over clients x accuracy grid per time factor search the whole accuracy x
+    freshness x time cube.
     """
-    gamma, delta, t_min = _population_arrays(profiles)
     a, f = GRID_ACCURACY, GRID_FRESHNESS
-    rows = np.arange(len(profiles))
+    rows = np.arange(len(gamma))
     # each n x grid array is built in place and freed once its argmax is read
     gain_f = delta[:, None] * f
     with np.errstate(over="ignore"):  # an infinite collection cost never wins
@@ -464,9 +555,9 @@ def verify_clients(
     cost_a = gamma[:, None] * (1.0 + a)
     cost_a *= np.log1p(a)
 
-    worst = np.full(len(profiles), -math.inf)
-    best_a = np.zeros(len(profiles), dtype=int)
-    best_t = np.zeros(len(profiles))
+    worst = np.full(len(gamma), -math.inf)
+    best_a = np.zeros(len(gamma), dtype=int)
+    best_t = np.zeros(len(gamma))
     part_a = np.empty_like(cost_a)
     for factor in GRID_TIME_FACTORS:
         t = factor * t_min
@@ -479,19 +570,43 @@ def verify_clients(
         best_a[better] = idx[better]
         best_t[better] = t[better]
 
-    violation = worst - np.asarray(utilities, dtype=float)
-    checked = len(a) * len(f) * len(GRID_TIME_FACTORS)
-    return [
+    strategy = np.column_stack([a[best_a], f[best_f], best_t])
+    strategy[worst == -math.inf] = math.nan
+    return worst - utilities, strategy
+
+
+def _client_reports(
+    violation: np.ndarray, strategy: np.ndarray
+) -> tuple[ClientEquilibriumReport, ...]:
+    """One `ClientEquilibriumReport` per client from `_client_deviations`' arrays."""
+    checked = len(GRID_ACCURACY) * len(GRID_FRESHNESS) * len(GRID_TIME_FACTORS)
+    return tuple(
         ClientEquilibriumReport(
-            worst_violation=float(v),
-            worst_strategy=Strategy(float(a[i]), float(f[j]), float(tv))
-            if w > -math.inf
-            else None,
+            worst_violation=v,
+            worst_strategy=None if math.isnan(s[0]) else Strategy(*s),
             checked=checked,
-            passed=bool(v <= VERIFY_TOL),
+            passed=v <= VERIFY_TOL,
         )
-        for v, w, i, j, tv in zip(violation, worst, best_a, best_f, best_t)
-    ]
+        for v, s in zip(violation.tolist(), strategy.tolist())
+    )
+
+
+def verify_clients(
+    profiles: list[ClientProfile],
+    rates: RewardRates,
+    utilities: tuple[float, ...] | list[float] | np.ndarray,
+    comm_size: float = 0.0,
+) -> list[ClientEquilibriumReport]:
+    """Check that no grid strategy beats any client's utility at its audited strategy.
+
+    ``utilities[k]`` is client k's utility there, e.g. the equilibrium's
+    `utilities`; see `_client_deviations` for the search.
+    """
+    gamma, delta, t_min = _population_arrays(profiles)
+    deviations = _client_deviations(
+        gamma, delta, t_min, rates, np.asarray(utilities, dtype=float), comm_size
+    )
+    return list(_client_reports(*deviations))
 
 
 def verify_client_equilibrium(

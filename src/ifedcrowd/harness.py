@@ -16,16 +16,19 @@ import json
 import math
 import operator
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
 
 from .equilibrium import (
+    VERIFY_TOL,
     ClientEquilibriumReport,
     EquilibriumResult,
     ServerEquilibriumReport,
+    _client_deviations,
+    _client_reports,
     compute_equilibrium,
-    verify_clients,
     verify_server_equilibrium,
 )
 from .errors import ConfigError, IFedCrowdError
@@ -419,14 +422,29 @@ def run_simulation(config: ScenarioConfig):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationSummary:
-    """Joint NE verification outcome for one scenario's run-0 population."""
+    """Joint NE verification outcome for one scenario's run-0 population.
+
+    The client checks are kept as the verifier's arrays: client k's worst
+    grid violation ``client_violations[k]`` and the grid strategy reaching
+    it, row k of ``client_worst_strategies`` (NaN where none scored).
+    `client_reports` gives them as report objects, built when first read.
+    """
 
     equilibrium: EquilibriumResult
-    client_reports: tuple[ClientEquilibriumReport, ...]
+    client_violations: np.ndarray
+    client_worst_strategies: np.ndarray
     server_report: ServerEquilibriumReport
     ok: bool
+
+    @property
+    def clients_passed(self) -> bool:
+        return bool(np.all(self.client_violations <= VERIFY_TOL))
+
+    @cached_property
+    def client_reports(self) -> tuple[ClientEquilibriumReport, ...]:
+        return _client_reports(self.client_violations, self.client_worst_strategies)
 
 
 def verify_scenario(config: ScenarioConfig) -> VerificationSummary:
@@ -435,14 +453,10 @@ def verify_scenario(config: ScenarioConfig) -> VerificationSummary:
     params = config.system_params
     box = feasible_rate_box(population, config.r2_cap)
     result = compute_equilibrium(population, params, box)
-    client_reports = tuple(
-        verify_clients(population, result.rates, result.client_utilities, config.comm_size)
+    gamma, delta, t_min = _population_arrays(population)
+    violations, worst = _client_deviations(
+        gamma, delta, t_min, result.rates, result.utilities, config.comm_size
     )
     server_report = verify_server_equilibrium(population, params, result.rates, box)
-    ok = server_report.passed and all(r.passed for r in client_reports)
-    return VerificationSummary(
-        equilibrium=result,
-        client_reports=client_reports,
-        server_report=server_report,
-        ok=ok,
-    )
+    ok = server_report.passed and bool(np.all(violations <= VERIFY_TOL))
+    return VerificationSummary(result, violations, worst, server_report, ok)

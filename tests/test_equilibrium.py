@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -685,18 +686,11 @@ def test_refinement_slope_call_budget(monkeypatch):
     assert calls["r2"] == 0
 
 
-def test_realized_r1_search_memory_stays_within_one_scan():
-    # r1 has two clamp kinks per client, so at n=3000 the 2n kink candidates
-    # outnumber the scan points; valuing them must not outgrow the scan
+def test_r1_search_and_verification_memory_stay_within_absolute_budgets():
+    # the r1 helpers value and slope rates in blocks of at most _BLOCK rates x
+    # clients entries, so neither a search nor a whole verification holds a
+    # scan x clients array; one such 4097 x 10^4 array alone takes 328 MB
     import tracemalloc
-
-    config = ScenarioConfig(n=3000)
-    pop = sample_population(config, 0)
-    params = config.system_params
-    box = feasible_rate_box(pop, config.r2_cap)
-    gamma = np.array([p.gamma for p in pop])
-    t = np.array([p.t_min for p in pop])
-    scan = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
 
     def peak_bytes(call):
         tracemalloc.start()
@@ -706,9 +700,145 @@ def test_realized_r1_search_memory_stays_within_one_scan():
         finally:
             tracemalloc.stop()
 
-    slope_peak = peak_bytes(lambda: equilibrium._r1_slope(scan, gamma, t, params, True))
-    search_peak = peak_bytes(lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp=True))
-    assert search_peak <= 1.05 * slope_peak
+    config = ScenarioConfig(n=3000)
+    pop = sample_population(config, 0)
+    box = feasible_rate_box(pop, config.r2_cap)
+    gamma = np.array([p.gamma for p in pop])
+    t = np.array([p.t_min for p in pop])
+    params = config.system_params
+    search = lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp=True)  # noqa: E731
+    assert peak_bytes(search) <= 8 * 2**20
+    assert peak_bytes(lambda: harness.verify_scenario(ScenarioConfig(n=10**4))) <= 64 * 2**20
+
+
+def dense_r1(r1, gamma, t, params, clamp, slope):
+    """Oracle: the r1 slice or its right slope over the full rates x clients array.
+
+    This is how `_r1_value` and `_r1_slope` computed them before the live
+    windows, in the clients' own order.  Also returns the rounding scale:
+    the summed magnitudes of each rate's terms.
+    """
+    r = np.atleast_1d(np.asarray(r1, dtype=float))
+    gt = gamma * t
+    share = params.alpha / params.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(r[:, None] / gt - 1.0)
+        a = x - 1.0
+        if clamp:
+            x[~((a >= ACCURACY_MIN) & (a < ACCURACY_MAX))] = 0.0
+            np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+        if slope:
+            out = x @ (share / gt) - r * (x @ (1.0 / (t * gt))) - a @ (1.0 / t)
+            size = x @ (share / gt) + np.abs(r) * (x @ (1.0 / (t * gt))) + np.abs(a) @ (1.0 / t)
+        else:
+            out = share * a.sum(axis=1) - r * (a @ (1.0 / t))
+            size = share * np.abs(a).sum(axis=1) + np.abs(r) * (np.abs(a) @ (1.0 / t))
+    return out, size
+
+
+def r1_test_rates(rng, gamma, t, spread):
+    """Every client's entry and cap kink, one ulp either side of each, and
+    ``spread`` rates across and beyond the kinks, shuffled."""
+    gt = gamma * t
+    kinks = np.concatenate([gt * equilibrium._C_IN, gt * equilibrium._C_OUT])
+    rates = np.concatenate(
+        [
+            kinks,
+            np.nextafter(kinks, 0.0),
+            np.nextafter(kinks, np.inf),
+            rng.uniform(0.5 * gt.min(), 1.2 * equilibrium._C_OUT * gt.max(), spread),
+        ]
+    )
+    return rng.permutation(rates)
+
+
+def assert_r1_helpers_match_dense_oracle(rates, gamma, t, params):
+    for clamp in (True, False):
+        for helper, slope in ((equilibrium._r1_value, False), (equilibrium._r1_slope, True)):
+            want, size = dense_r1(rates, gamma, t, params, clamp, slope)
+            got = helper(rates, gamma, t, params, clamp)
+            assert got.shape == rates.shape
+            # a client misclassified at a window edge moves a slope by a whole
+            # client term, far more than this
+            bad = ~(np.abs(got - want) <= 1e-12 * size)
+            assert not bad.any(), (clamp, slope, rates[bad][:3], got[bad][:3], want[bad][:3])
+            scalar = helper(float(rates[0]), gamma, t, params, clamp)
+            assert isinstance(scalar, float)
+            assert abs(scalar - want[0]) <= 1e-12 * size[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(1.0, 500.0),
+    twins=st.booleans(),
+    block=st.sampled_from([None, 97]),
+)
+def test_windowed_r1_helpers_match_dense_oracle(n, seed, alpha, twins, block):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.5, 5.0, n)
+    t = rng.uniform(0.5, 3.0, n)
+    if twins:  # identical clients share both kinks
+        gamma[: n // 3], t[: n // 3] = gamma[0], t[0]
+    params = SystemParams(alpha=alpha, beta=50.0, comm_size=0.0, n=n)
+    rates = r1_test_rates(rng, gamma, t, spread=200)
+    with patch.object(equilibrium, "_BLOCK", block or equilibrium._BLOCK):
+        assert_r1_helpers_match_dense_oracle(rates, gamma, t, params)
+
+
+def test_windowed_r1_helpers_match_dense_oracle_at_scale_size():
+    config = ScenarioConfig(n=2000)
+    pop = sample_population(config, 0)
+    box = feasible_rate_box(pop, config.r2_cap)
+    gamma = np.array([p.gamma for p in pop])
+    t = np.array([p.t_min for p in pop])
+    rng = np.random.default_rng(7)
+    rates = rng.permutation(
+        np.concatenate(
+            [
+                np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN),
+                r1_test_rates(rng, gamma[:300], t[:300], spread=0),
+            ]
+        )
+    )
+    assert_r1_helpers_match_dense_oracle(rates, gamma, t, config.system_params)
+
+
+def scale_populations():
+    """The four populations of the benchmark's ``scale`` workload at seed 1."""
+    import random
+
+    rng = random.Random(1)
+    for _ in range(4):
+        config = ScenarioConfig(n=2000, seed=rng.randrange(1, 2**31))
+        pop = sample_population(config, 0)
+        yield pop, config.system_params, feasible_rate_box(pop, config.r2_cap)
+
+
+def test_r1_search_matches_the_dense_search_bit_for_bit():
+    # the dense helpers in the clients' own order, in the unchanged search,
+    # are the r1 solver as it was before the live windows
+    for pop, params, box in [*default_cell_runs(), *scale_populations()]:
+        gamma = np.array([p.gamma for p in pop])
+        t = np.array([p.t_min for p in pop])
+        gt = gamma * t
+        share = params.alpha / params.n
+        kinks = np.concatenate(
+            [
+                gt[share < equilibrium._C_IN * gamma] * equilibrium._C_IN,
+                gt[share > equilibrium._C_OUT * gamma] * equilibrium._C_OUT,
+            ]
+        )
+        want = equilibrium._search(
+            lambda r: dense_r1(r, gamma, t, params, True, slope=True)[0],
+            lambda r: dense_r1(r, gamma, t, params, True, slope=False)[0],
+            box.r1_lo,
+            box.r1_hi,
+            kinks,
+        )
+        got = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
+        assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
 
 
 # ---------------------------------------------------------------- verification
@@ -834,6 +964,46 @@ def test_verify_scenario_makes_no_call_per_client(monkeypatch):
     # the solver evaluates all responses and utilities in one array pass,
     # and the verifier reuses them
     assert calls == {"best_response": 0, "client_utility": 0}
+
+
+def test_nothing_is_built_per_client_until_it_is_read(monkeypatch):
+    # the solver and the verifier keep per-client results as arrays; the
+    # Strategy and report objects exist only once `strategies` or
+    # `client_reports` is read, and then equal the per-client oracles
+    built = {"Strategy": 0, "ClientEquilibriumReport": 0}
+    for cls in (Strategy, equilibrium.ClientEquilibriumReport):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    config = ScenarioConfig(n=2000)
+    pop = sample_population(config, 0)
+    eq = compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
+    summary = harness.verify_scenario(config)
+    assert summary.ok
+    assert built == {"Strategy": 0, "ClientEquilibriumReport": 0}
+
+    assert eq.strategies == tuple(best_response(p, eq.rates).strategy for p in pop)
+    assert eq.client_utilities == pytest.approx(
+        [client_utility(p, eq.rates, s, config.comm_size) for p, s in zip(pop, eq.strategies)],
+        rel=1e-12,
+    )
+    assert eq.strategies is eq.strategies  # built once
+    reports = summary.client_reports
+    assert reports is summary.client_reports
+    # `verify_clients` is checked against the per-client oracle on its own
+    assert reports == tuple(
+        equilibrium.verify_clients(
+            pop, summary.equilibrium.rates, summary.equilibrium.client_utilities, config.comm_size
+        )
+    )
+    assert summary.clients_passed and all(r.passed for r in reports)
+    with pytest.raises(ValueError):
+        eq.accuracy[0] = 0.5
 
 
 def test_verify_client_interior_case():

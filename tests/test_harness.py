@@ -3,7 +3,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from ifedcrowd import (
     ScenarioConfig,
     SweepSpec,
     SweepTable,
+    compute_equilibrium,
     emit,
     evaluate_cell,
     feasible_rate_box,
@@ -398,8 +399,9 @@ def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("equilibrium must not run the verification")
 
+    monkeypatch.setattr(equilibrium, "verify_clients", forbidden)
     for module in (equilibrium, harness):
-        monkeypatch.setattr(module, "verify_clients", forbidden)
+        monkeypatch.setattr(module, "_client_deviations", forbidden)
         monkeypatch.setattr(module, "verify_server_equilibrium", forbidden)
     out = tmp_path / "eq.json"
     assert cli.main(["equilibrium", "--config", str(config_file), "--out", str(out)]) == 0
@@ -413,6 +415,28 @@ def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeyp
     assert payload["r1_source"] == expected.r1_source
     assert payload["r2_source"] == expected.r2_source
     assert "foc_residuals" not in payload
+
+
+def test_cli_equilibrium_json_lists_every_client_in_field_order(config_file, tmp_path):
+    # the command writes the solver's arrays directly; the JSON must read as
+    # the result's fields and per-client views would, key order included
+    from ifedcrowd import cli
+
+    out = tmp_path / "eq.json"
+    assert cli.main(["equilibrium", "--config", str(config_file), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    config = harness.load_config(str(config_file))
+    population = sample_population(config, 0)
+    box = feasible_rate_box(population, config.r2_cap)
+    expected = compute_equilibrium(population, config.system_params, box)
+    assert list(payload) == [
+        "rates", "strategies", "server_utility", "client_utilities", "r1_source", "r2_source"
+    ]
+    assert payload["rates"] == asdict(expected.rates)
+    assert payload["strategies"] == [asdict(s) for s in expected.strategies]
+    for strategy in payload["strategies"]:
+        assert list(strategy) == ["accuracy", "freshness", "completion_time"]
+    assert payload["client_utilities"] == list(expected.client_utilities)
 
 
 def test_cli_sweep_writes_table(config_file, tmp_path):
