@@ -21,14 +21,22 @@ clients sorted by g_k = gamma_k t_k, client k is live on
 [g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate are
 one contiguous window of that order; the clamped clients on either side
 add constants from prefix sums of 1/t.  Rates are taken in blocks of at
-most _BLOCK entries, so memory is O(_BLOCK), not O(4097 n).  Maximizing the realized objective is what keeps the
-equilibrium rates undominated by any in-box rate pair once clamping binds,
-including for heterogeneous populations.
+most _BLOCK entries, so memory is O(_BLOCK), not O(4097 n).  Each value or
+slope call allocates one scratch buffer, and every block writes its rates x
+clients temporaries into it in place.
+
+Maximizing the realized objective is what keeps the equilibrium rates
+undominated by any in-box rate pair once clamping binds, including for
+heterogeneous populations.  A client is certified by strong concavity: its
+utility separates into an accuracy and a freshness part, each with a
+curvature bound on the clamp rectangle, so a closed form bounds what any
+deviation gains over its best response (`_deviation_bounds`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +60,9 @@ from .game_core import (
 )
 
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
+# Relative rounding slack of a client's utility slope: a few roundings of its
+# terms, each within half an ulp, with room to spare.
+_SLACK = 16 * np.finfo(float).eps
 _SCAN = 4097         # slope scan resolution per axis
 _SECTIONS = 64       # sections per bracket in each refine step
 _XTOL = 1e-12        # bracket width at which refinement stops
@@ -61,27 +72,58 @@ _PAD = 1e-9          # relative margin of an r1 live window
 _C_IN, _C_OUT = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
 
 
+def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two float buffers and a bool buffer of ``entries`` each, for `_r1_block`.
+
+    They share one allocation, so the allocator gets back one block it can
+    hand out whole to the next call.
+    """
+    buf = np.empty(2 * entries + -(-entries // 8))
+    return buf[:entries], buf[entries : 2 * entries], buf[2 * entries :].view(bool)[:entries]
+
+
 def _r1_block(
-    r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, clamp: bool, slope: bool
+    r: np.ndarray,
+    g: np.ndarray,
+    t: np.ndarray,
+    share: float,
+    clamp: bool,
+    slope: bool,
+    scratch: tuple[np.ndarray, ...],
 ):
     """The r1 slice (or its slope) at rates r over the clients (g_k = gamma_k t_k, t_k) alone.
 
-    Builds one rates x clients array.  ``share`` is alpha/n.
+    Its rates x clients temporaries are views of the `_scratch` buffers,
+    which hold at least len(r) * len(g) entries each.  ``share`` is alpha/n.
     """
+    shape = (len(r), len(g))
+    x, a, dead = (buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
     # an overflowed response clips to the cap; the slope's products may hold inf*0
     with np.errstate(over="ignore", invalid="ignore" if slope else None):
-        x = np.exp(r[:, None] / g - 1.0)
-        a = x - 1.0
+        np.divide(r[:, None], g, out=x)
+        np.subtract(x, 1.0, out=x)
+        np.exp(x, out=x)
+        np.subtract(x, 1.0, out=a)
         if clamp:
-            if slope:
-                x[~((a >= ACCURACY_MIN) & (a < ACCURACY_MAX))] = 0.0
+            if slope:  # a clamped response has zero slope
+                np.less(a, ACCURACY_MIN, out=dead)
+                np.copyto(x, 0.0, where=dead)
+                np.greater_equal(a, ACCURACY_MAX, out=dead)
+                np.copyto(x, 0.0, where=dead)
             np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
         if slope:
             return x @ (share / g) - r * (x @ (1.0 / (t * g))) - a @ (1.0 / t)
         return share * a.sum(axis=1) - r * (a @ (1.0 / t))
 
 
-def _r1_windowed(r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, slope: bool):
+def _r1_windowed(
+    r: np.ndarray,
+    g: np.ndarray,
+    t: np.ndarray,
+    share: float,
+    slope: bool,
+    scratch: tuple[np.ndarray, ...],
+):
     """The realized r1 slice (or its slope) at rates r, over each rate's live clients only.
 
     Sorted by g_k = gamma_k t_k, a client is live exactly when
@@ -94,7 +136,8 @@ def _r1_windowed(r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, slop
     and exponentials are taken over each block's window only.  A window is
     padded by the relative margin _PAD, so every client outside it clamps
     whatever the rounding of its exponential, and inside it the clamp test
-    is the exact one of `_r1_block`.  Returns the results in the order of r.
+    is the exact one of `_r1_block`.  Every block reuses ``scratch``.
+    Returns the results in the order of r.
     """
     order = np.argsort(g, kind="stable")
     g, t = g[order], t[order]
@@ -112,7 +155,7 @@ def _r1_windowed(r: np.ndarray, g: np.ndarray, t: np.ndarray, share: float, slop
         j = i + max(int(rows), 1)
         lo, hi = first[i], stop[j - 1]
         rb = rs[i:j]
-        part = _r1_block(rb, g[lo:hi], t[lo:hi], share, True, slope)
+        part = _r1_block(rb, g[lo:hi], t[lo:hi], share, True, slope, scratch)
         # the clamped clients outside the window add sum a_k/t_k to the
         # payment rate and, to the value only, sum a_k to the benefit
         paid = ACCURACY_MAX * cum[lo] + ACCURACY_MIN * (cum[n] - cum[hi])
@@ -133,19 +176,25 @@ def _r1_parts(
     A call of at most _BLOCK rates x clients entries is one `_r1_block` over
     every client.  A larger clamped call goes through `_r1_windowed`, and a
     larger unclamped one, where every client is live, is split into blocks
-    of rates over every client.
+    of rates over every client.  The blocks share one `_scratch`, allocated
+    here: no block holds more than max(_BLOCK, n) entries.
     """
     r = np.atleast_1d(np.asarray(r1, dtype=float))
     g = gamma * t
     share = params.alpha / params.n
-    if len(r) * len(g) <= _BLOCK:
-        out = _r1_block(r, g, t, share, clamp, slope)
+    entries = len(r) * len(g)
+    scratch = _scratch(min(entries, max(_BLOCK, len(g))))
+    if entries <= _BLOCK:
+        out = _r1_block(r, g, t, share, clamp, slope, scratch)
     elif clamp:
-        out = _r1_windowed(r, g, t, share, slope)
+        out = _r1_windowed(r, g, t, share, slope, scratch)
     else:
         step = max(_BLOCK // len(g), 1)
         out = np.concatenate(
-            [_r1_block(r[i : i + step], g, t, share, False, slope) for i in range(0, len(r), step)]
+            [
+                _r1_block(r[i : i + step], g, t, share, False, slope, scratch)
+                for i in range(0, len(r), step)
+            ]
         )
     return out if np.ndim(r1) else float(out[0])
 
@@ -236,7 +285,7 @@ def _r2_slope(r2, delta: np.ndarray, params: SystemParams, clamp: bool):
     return slope if np.ndim(r2) else float(slope)
 
 
-def du_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> float:
+def du_dr1(profiles: Sequence[ClientProfile], params: SystemParams, r1: float) -> float:
     """First derivative in r1 of the rate-substituted server utility.
 
     Uses the unclamped accuracy responses A_k(r1) = exp(r1/(gamma_k t_k) - 1) - 1
@@ -246,13 +295,13 @@ def du_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> fl
     return _r1_slope(r1, gamma, t, params, clamp=False)
 
 
-def du_dr2(profiles: list[ClientProfile], params: SystemParams, r2: float) -> float:
+def du_dr2(profiles: Sequence[ClientProfile], params: SystemParams, r2: float) -> float:
     """First derivative in r2: sum_k [beta/(n delta_k r2) - 1/delta_k - ln(r2/delta_k)/delta_k]."""
     _, delta, _ = _population_arrays(profiles)
     return _r2_slope(r2, delta, params, clamp=False)
 
 
-def d2u_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> float:
+def d2u_dr1(profiles: Sequence[ClientProfile], params: SystemParams, r1: float) -> float:
     """Second derivative in r1: sum_k x_k (alpha t_k - n r1 - 2 gamma_k n t_k) / (n gamma_k^2 t_k^3).
 
     Here x_k = exp(r1/(gamma_k t_k) - 1).  A client's term is positive
@@ -266,7 +315,7 @@ def d2u_dr1(profiles: list[ClientProfile], params: SystemParams, r1: float) -> f
     return float(np.sum(num / den * np.exp(r1 / (gamma * t) - 1.0)))
 
 
-def d2u_dr2(profiles: list[ClientProfile], params: SystemParams, r2: float) -> float:
+def d2u_dr2(profiles: Sequence[ClientProfile], params: SystemParams, r2: float) -> float:
     """Second derivative in r2: sum_k [-1/(delta_k r2) - beta/(n delta_k r2^2)] < 0."""
     _, delta, _ = _population_arrays(profiles)
     return float(
@@ -275,7 +324,7 @@ def d2u_dr2(profiles: list[ClientProfile], params: SystemParams, r2: float) -> f
 
 
 def leader_objective(
-    profiles: list[ClientProfile], params: SystemParams, r1: float, r2: float
+    profiles: Sequence[ClientProfile], params: SystemParams, r1: float, r2: float
 ) -> float:
     """Server utility with the unclamped closed-form responses substituted in.
 
@@ -424,7 +473,7 @@ def _argmax_r2(
 
 
 def solve_r1(
-    profiles: list[ClientProfile], params: SystemParams, box: RateBox
+    profiles: Sequence[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
     """Maximizer in r1 of the substituted (unclamped) utility within the box.
 
@@ -437,7 +486,7 @@ def solve_r1(
 
 
 def solve_r2(
-    profiles: list[ClientProfile], params: SystemParams, box: RateBox
+    profiles: Sequence[ClientProfile], params: SystemParams, box: RateBox
 ) -> tuple[float, bool]:
     """Maximizer in r2 of the substituted (unclamped) utility within the box."""
     _, delta, _ = _population_arrays(profiles)
@@ -487,7 +536,7 @@ class EquilibriumResult:
 
 
 def compute_equilibrium(
-    profiles: list[ClientProfile], params: SystemParams, box: RateBox
+    profiles: Sequence[ClientProfile], params: SystemParams, box: RateBox
 ) -> EquilibriumResult:
     """Solve both rate dimensions, instantiate best responses, evaluate utility.
 
@@ -509,104 +558,93 @@ def compute_equilibrium(
     )
 
 
-# The client verifier's deviation grid, restricted to the clamp rectangle of
-# strategies clients may actually play; completion times are multiples of t_min.
-GRID_ACCURACY = np.maximum(np.arange(0.0, 1.0, 0.01), ACCURACY_MIN)
-GRID_FRESHNESS = np.arange(0.0, 5.0 + 1e-12, 0.05)
-GRID_ACCURACY.flags.writeable = GRID_FRESHNESS.flags.writeable = False
-GRID_TIME_FACTORS = (1.0, 1.5, 2.0)
-
-
 @dataclass(frozen=True)
 class ClientEquilibriumReport:
-    """Worst grid deviation found against a client's best response."""
+    """Certified bound on what a client gains by leaving its audited strategy."""
 
     worst_violation: float
-    worst_strategy: Strategy | None
-    checked: int
+    worst_strategy: Strategy
     passed: bool
 
 
-def _client_deviations(
-    gamma, delta, t_min, rates: RewardRates, utilities, comm_size: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every client's worst grid violation, and the grid strategy that reaches it.
+def _move_gain(x, slope, slack, m, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bound on what a concave part gains by moving from x within [lo, hi], and where.
 
-    ``utilities[k]`` is client k's utility at its audited strategy.  Returns
-    the violations and an (n, 3) array of (accuracy, freshness, completion
-    time) rows, NaN where no grid strategy scores above -inf.  Utility
-    separates into an accuracy part, which depends on the completion time,
-    and a freshness part, so one argmax over clients x freshness grid and one
-    over clients x accuracy grid per time factor search the whole accuracy x
-    freshness x time cube.
+    The part's slope at x is ``slope`` to within ``slack``, and its curvature
+    is at most -m, so a move s gains at most (slope + slack) s - m s^2/2 for
+    s >= 0 and (slope - slack) s - m s^2/2 for s <= 0.  Each side peaks at
+    x + (slope +- slack)/m clipped into [x, hi] or [lo, x]; the larger peak is
+    the bound, and the point reaching it is returned with it.
     """
-    a, f = GRID_ACCURACY, GRID_FRESHNESS
-    rows = np.arange(len(gamma))
-    # each n x grid array is built in place and freed once its argmax is read
-    gain_f = delta[:, None] * f
-    with np.errstate(over="ignore"):  # an infinite collection cost never wins
-        np.exp(gain_f, out=gain_f)
-    np.subtract(rates.r2 * f, gain_f, out=gain_f)
-    best_f = gain_f.argmax(axis=1)
-    part_f = gain_f[rows, best_f]
-    del gain_f
+    c_up, c_down = slope + slack, slope - slack
+    # m may underflow to 0; fmax and fmin then skip the NaN of 0/0, which stays at x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_up = np.fmin(np.fmax(x + c_up / m, x), hi)
+        y_down = np.fmax(np.fmin(x + c_down / m, x), lo)
+    s_up, s_down = y_up - x, y_down - x
+    gain_up = s_up * (c_up - 0.5 * m * s_up)
+    gain_down = s_down * (c_down - 0.5 * m * s_down)
+    up = gain_up >= gain_down
+    # + 0.0 turns the -0.0 of a null move against a falling slope into 0.0
+    return np.where(up, gain_up, gain_down) + 0.0, np.where(up, y_up, y_down)
 
-    gain_a = rates.r1 * a  # divided by T per time factor below
-    cost_a = gamma[:, None] * (1.0 + a)
-    cost_a *= np.log1p(a)
 
-    worst = np.full(len(gamma), -math.inf)
-    best_a = np.zeros(len(gamma), dtype=int)
-    best_t = np.zeros(len(gamma))
-    part_a = np.empty_like(cost_a)
-    for factor in GRID_TIME_FACTORS:
-        t = factor * t_min
-        np.divide(gain_a, t[:, None], out=part_a)
-        part_a -= cost_a
-        idx = part_a.argmax(axis=1)
-        u = part_a[rows, idx] + part_f - comm_size
-        better = u > worst
-        worst[better] = u[better]
-        best_a[better] = idx[better]
-        best_t[better] = t[better]
+def _deviation_bounds(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's certified bound on what leaving its best response x gains.
 
-    strategy = np.column_stack([a[best_a], f[best_f], best_t])
-    strategy[worst == -math.inf] = math.nan
-    return worst - utilities, strategy
+    Returns the bounds and an (n, 3) array of (accuracy, freshness,
+    completion time) rows: the strategies reaching them.  A deviation ranges
+    over the clamp rectangle and any completion time T >= t_min.  Utility
+    falls in T, since every accuracy in the rectangle is positive, so T = t_min,
+    and it separates into two strongly concave parts:
+
+    - accuracy: r1 A/t_min - gamma (1 + A) ln(1 + A), with slope
+      r1/t_min - gamma (ln(1 + A) + 1) and curvature -gamma/(1 + A), at most
+      -gamma/(1 + ACCURACY_MAX) on the rectangle;
+    - freshness: r2 F - exp(delta F), with slope r2 - delta exp(delta F) and
+      curvature -delta^2 exp(delta F), at most -delta^2.
+
+    `_move_gain` bounds each part from x.  Each slope is padded by _SLACK
+    times the sum of its terms' magnitudes (the freshness exponential's
+    term once more per unit of delta F, which its argument's rounding
+    scales), so the bound holds for the exact slope at the rounded x.
+    """
+    accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates)
+    paid_a = rates.r1 / t_min
+    cost_a = gamma * (np.log1p(accuracy) + 1.0)
+    gain_a, best_a = _move_gain(
+        accuracy,
+        paid_a - cost_a,
+        _SLACK * (paid_a + cost_a),
+        gamma / (1.0 + ACCURACY_MAX),
+        ACCURACY_MIN,
+        ACCURACY_MAX,
+    )
+    rise_f = delta * freshness
+    cost_f = delta * np.exp(rise_f)
+    with np.errstate(over="ignore"):  # any smaller curvature bound holds as well
+        curve_f = np.minimum(delta * delta, np.finfo(float).max)
+    gain_f, best_f = _move_gain(
+        freshness,
+        rates.r2 - cost_f,
+        _SLACK * (rates.r2 + cost_f * (1.0 + rise_f)),
+        curve_f,
+        0.0,
+        FRESHNESS_MAX,
+    )
+    return gain_a + gain_f, np.column_stack([best_a, best_f, t_min])
 
 
 def _client_reports(
     violation: np.ndarray, strategy: np.ndarray
 ) -> tuple[ClientEquilibriumReport, ...]:
-    """One `ClientEquilibriumReport` per client from `_client_deviations`' arrays."""
-    checked = len(GRID_ACCURACY) * len(GRID_FRESHNESS) * len(GRID_TIME_FACTORS)
+    """One `ClientEquilibriumReport` per client from its violation and `_deviation_bounds` row."""
     return tuple(
         ClientEquilibriumReport(
-            worst_violation=v,
-            worst_strategy=None if math.isnan(s[0]) else Strategy(*s),
-            checked=checked,
-            passed=v <= VERIFY_TOL,
+            worst_violation=v, worst_strategy=Strategy(*s), passed=v <= VERIFY_TOL
         )
         for v, s in zip(violation.tolist(), strategy.tolist())
     )
-
-
-def verify_clients(
-    profiles: list[ClientProfile],
-    rates: RewardRates,
-    utilities: tuple[float, ...] | list[float] | np.ndarray,
-    comm_size: float = 0.0,
-) -> list[ClientEquilibriumReport]:
-    """Check that no grid strategy beats any client's utility at its audited strategy.
-
-    ``utilities[k]`` is client k's utility there, e.g. the equilibrium's
-    `utilities`; see `_client_deviations` for the search.
-    """
-    gamma, delta, t_min = _population_arrays(profiles)
-    deviations = _client_deviations(
-        gamma, delta, t_min, rates, np.asarray(utilities, dtype=float), comm_size
-    )
-    return list(_client_reports(*deviations))
 
 
 def verify_client_equilibrium(
@@ -615,11 +653,20 @@ def verify_client_equilibrium(
     comm_size: float = 0.0,
     strategy: Strategy | None = None,
 ) -> ClientEquilibriumReport:
-    """`verify_clients` for one client, at its best response unless ``strategy`` is given."""
-    if strategy is None:
-        strategy = best_response(profile, rates).strategy
-    u_star = client_utility(profile, rates, strategy, comm_size)
-    return verify_clients([profile], rates, [u_star], comm_size)[0]
+    """Certify that no strategy beats the client's audited one by more than VERIFY_TOL.
+
+    The audited strategy is the best response x unless ``strategy`` is given.
+    The violation is u(x) + `_deviation_bounds`(x) - u(audited), both
+    utilities by `client_utility`, so a client audited at x scores the bound alone.
+    """
+    best = best_response(profile, rates).strategy
+    audited = best if strategy is None else strategy
+    (bound,), (worst,) = _deviation_bounds(*_population_arrays([profile]), rates)
+    violation = bound + (
+        client_utility(profile, rates, best, comm_size)
+        - client_utility(profile, rates, audited, comm_size)
+    )
+    return _client_reports(np.array([violation]), worst[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -634,7 +681,7 @@ class ServerEquilibriumReport:
 
 
 def verify_server_equilibrium(
-    profiles: list[ClientProfile],
+    profiles: Sequence[ClientProfile],
     params: SystemParams,
     rates_star: RewardRates,
     box: RateBox,

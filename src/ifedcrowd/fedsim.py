@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,7 +375,7 @@ class SimState:
 
 
 def init_state(
-    population: list[ClientProfile], config: RoundConfig, run_seed: int
+    population: Sequence[ClientProfile], config: RoundConfig, run_seed: int
 ) -> SimState:
     """Fresh simulation state; client tasks are derived from (run_seed, client id)."""
     tasks = {}
@@ -456,7 +457,7 @@ def _plain(value):
 
 
 def run_round(
-    population: list[ClientProfile],
+    population: Sequence[ClientProfile],
     params: SystemParams,
     rates: RewardRates,
     config: RoundConfig,

@@ -10,7 +10,10 @@ and values the aggregate outcome through ``alpha`` (accuracy) and ``beta``
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,64 @@ class ClientProfile:
             raise DomainError(f"delta must be positive and finite, got {self.delta}")
         if not (self.t_min > 0 and math.isfinite(self.t_min)):
             raise DomainError(f"t_min must be positive and finite, got {self.t_min}")
+
+
+class Population(Sequence):
+    """A population of workers held as four read-only arrays.
+
+    Worker k is ``ClientProfile(ids[k], gamma[k], delta[k], t_min[k])``.  The
+    arrays are copied and validated in one vectorized pass, with the messages
+    `ClientProfile` raises.  The profiles themselves are built once, when the
+    first one is read, so array code never pays for them.  A slice is a
+    Population, and a Population equals any sequence of equal profiles.
+    """
+
+    def __init__(self, ids, gamma, delta, t_min):
+        self.ids = np.array(ids, dtype=np.int64)
+        columns = (gamma, delta, t_min)
+        if self.ids.ndim != 1 or any(np.ndim(v) != 1 or len(v) != len(self.ids) for v in columns):
+            raise DomainError("ids, gamma, delta and t_min must be 1-D arrays of one length")
+        values = np.array(columns, dtype=float)  # one copy; each row is contiguous
+        ok = (values > 0) & (values < math.inf)  # NaN fails both tests
+        if not ok.all():
+            row, k = np.unravel_index(np.argmin(ok), ok.shape)
+            name = ("gamma", "delta", "t_min")[row]
+            raise DomainError(f"{name} must be positive and finite, got {values[row, k].item()}")
+        self.ids.flags.writeable = values.flags.writeable = False
+        self.gamma, self.delta, self.t_min = values
+
+    @cached_property
+    def _profiles(self) -> tuple[ClientProfile, ...]:
+        return tuple(
+            map(
+                ClientProfile,
+                self.ids.tolist(),
+                self.gamma.tolist(),
+                self.delta.tolist(),
+                self.t_min.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Population(
+                self.ids[index], self.gamma[index], self.delta[index], self.t_min[index]
+            )
+        return self._profiles[index]
+
+    def __iter__(self):
+        return iter(self._profiles)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Population(n={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -126,8 +187,10 @@ class RateBox:
 
     The population box is the union hull of the per-client r1 ranges (min of
     lower bounds, max of upper bounds) so the search region never collapses
-    for heterogeneous populations; r2 is bounded below by the largest delta
-    so every freshness response stays non-negative.
+    for heterogeneous populations.  r2 is bounded below by the largest delta:
+    the least rate at which no client's freshness response is clamped at 0.
+    Below it `best_responses` would clamp those responses at 0, a legitimate
+    play, so the floor is a modelling choice, not a domain limit.
     """
 
     r1_lo: float
@@ -232,8 +295,13 @@ def server_utility(
     return _server_value(params, a, f, t, rates.r1 * a / t + rates.r2 * f)
 
 
-def _population_arrays(profiles: list[ClientProfile]) -> tuple[np.ndarray, ...]:
-    """The population's gamma, delta and t_min as three contiguous float arrays."""
+def _population_arrays(profiles: Sequence[ClientProfile]) -> tuple[np.ndarray, ...]:
+    """The population's gamma, delta and t_min as three contiguous float arrays.
+
+    A `Population` gives its own read-only arrays, with no copy.
+    """
+    if isinstance(profiles, Population):
+        return profiles.gamma, profiles.delta, profiles.t_min
     values = np.array([(p.gamma, p.delta, p.t_min) for p in profiles], dtype=float)
     return tuple(np.ascontiguousarray(values.reshape(-1, 3).T))
 
@@ -285,22 +353,25 @@ def client_r1_range(profile: ClientProfile) -> tuple[float, float]:
 
 
 def feasible_rate_box(
-    profiles: list[ClientProfile], r2_cap: float = DEFAULT_R2_CAP
+    profiles: Sequence[ClientProfile], r2_cap: float = DEFAULT_R2_CAP
 ) -> RateBox:
     """Population rate box derived from the per-client feasible ranges.
 
-    r1 spans the union hull of the client intervals; r2 runs from the largest
-    delta (below which some freshness response would go negative) up to the
-    configured cap.
+    r1 spans the union hull of the `client_r1_range` intervals.  r2 runs from
+    the largest delta, the least rate at which no freshness response is
+    clamped at 0 (the client with that delta responds with exactly 0), up to
+    the configured cap.
     """
     if not profiles:
         raise DomainError("feasible_rate_box needs a non-empty population")
     if not math.isfinite(r2_cap):
         raise ConfigError(f"r2_cap must be finite, got {r2_cap}")
-    ranges = [client_r1_range(p) for p in profiles]
-    r1_lo = min(lo for lo, _ in ranges)
-    r1_hi = max(hi for _, hi in ranges)
-    r2_lo = max(p.delta for p in profiles)
+    gamma, delta, t_min = _population_arrays(profiles)
+    lo = gamma * t_min
+    r1_lo = float(lo.min())
+    # rounding is monotone, so the positive factor commutes with max exactly
+    r1_hi = R1_RANGE_FACTOR * float(lo.max())
+    r2_lo = float(delta.max())
     if not r2_cap > r2_lo:
         raise ConfigError(
             f"r2_cap={r2_cap} must exceed the largest delta {r2_lo}: empty r2 interval"

@@ -26,8 +26,8 @@ from .equilibrium import (
     ClientEquilibriumReport,
     EquilibriumResult,
     ServerEquilibriumReport,
-    _client_deviations,
     _client_reports,
+    _deviation_bounds,
     compute_equilibrium,
     verify_server_equilibrium,
 )
@@ -35,7 +35,7 @@ from .errors import ConfigError, IFedCrowdError
 from .fedsim import RoundConfig, init_state, run_round
 from .game_core import (
     DEFAULT_R2_CAP,
-    ClientProfile,
+    Population,
     SystemParams,
     _population_arrays,
     best_responses,
@@ -163,8 +163,8 @@ def load_config(path: str) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
-def sample_population(config: ScenarioConfig, run_index: int) -> list[ClientProfile]:
-    """Draw n client profiles from the configured uniforms.
+def sample_population(config: ScenarioConfig, run_index: int) -> Population:
+    """Draw n client profiles from the configured uniforms, as a `Population`.
 
     The underlying standard uniforms depend only on (seed, run_index) and the
     worker index, never on the distribution bounds or on n, which is what
@@ -177,10 +177,7 @@ def sample_population(config: ScenarioConfig, run_index: int) -> list[ClientProf
     lo = np.array([config.gamma[0], config.delta[0], config.tmin[0]])
     hi = np.array([config.gamma[1], config.delta[1], config.tmin[1]])
     values = np.maximum(lo + (hi - lo) * rng.random((config.n, 3)), _PARAM_FLOOR)
-    return [
-        ClientProfile(id=k, gamma=gamma, delta=delta, t_min=t_min)
-        for k, (gamma, delta, t_min) in enumerate(values.tolist())
-    ]
+    return Population(np.arange(config.n), *values.T)
 
 
 def rate_seed(config: ScenarioConfig, run_index: int) -> int:
@@ -426,10 +423,11 @@ def run_simulation(config: ScenarioConfig):
 class VerificationSummary:
     """Joint NE verification outcome for one scenario's run-0 population.
 
-    The client checks are kept as the verifier's arrays: client k's worst
-    grid violation ``client_violations[k]`` and the grid strategy reaching
-    it, row k of ``client_worst_strategies`` (NaN where none scored).
-    `client_reports` gives them as report objects, built when first read.
+    The client checks are kept as the verifier's arrays: client k's
+    certified bound on what any deviation gains, ``client_violations[k]``,
+    and the strategy reaching that bound, row k of
+    ``client_worst_strategies``.  `client_reports` gives them as report
+    objects, built when first read.
     """
 
     equilibrium: EquilibriumResult
@@ -453,10 +451,8 @@ def verify_scenario(config: ScenarioConfig) -> VerificationSummary:
     params = config.system_params
     box = feasible_rate_box(population, config.r2_cap)
     result = compute_equilibrium(population, params, box)
-    gamma, delta, t_min = _population_arrays(population)
-    violations, worst = _client_deviations(
-        gamma, delta, t_min, result.rates, result.utilities, config.comm_size
-    )
+    # every client is audited at its best response, so its violation is the bound alone
+    violations, worst = _deviation_bounds(*_population_arrays(population), result.rates)
     server_report = verify_server_equilibrium(population, params, result.rates, box)
     ok = server_report.passed and bool(np.all(violations <= VERIFY_TOL))
     return VerificationSummary(result, violations, worst, server_report, ok)

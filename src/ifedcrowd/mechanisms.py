@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 
 import numpy as np
@@ -33,7 +34,7 @@ class MechanismKind(Enum):
 
 def select_rates(
     kind: MechanismKind,
-    profiles: list[ClientProfile],
+    profiles: Sequence[ClientProfile],
     params: SystemParams,
     box: RateBox,
     rng_seed: int,

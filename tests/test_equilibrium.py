@@ -1,6 +1,8 @@
+import itertools
 import math
 from unittest.mock import patch
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ifedcrowd import (
     SweepSpec,
     SystemParams,
     best_response,
+    client_reward,
     client_utility,
     compute_equilibrium,
     d2u_dr1,
@@ -27,6 +30,7 @@ from ifedcrowd import (
     sample_population,
     solve_r1,
     solve_r2,
+    total_cost,
     verify_client_equilibrium,
     verify_server_equilibrium,
 )
@@ -843,53 +847,91 @@ def test_r1_search_matches_the_dense_search_bit_for_bit():
 
 # ---------------------------------------------------------------- verification
 
-def test_verify_grid_is_read_only_inside_clamp_rectangle():
-    for values in (equilibrium.GRID_ACCURACY, equilibrium.GRID_FRESHNESS):
-        with pytest.raises(ValueError):
-            values[0] = 0.5
-        assert np.all(np.diff(values) > 0)
-    assert equilibrium.GRID_ACCURACY[0] == ACCURACY_MIN
-    assert equilibrium.GRID_ACCURACY[-1] <= ACCURACY_MAX
-    assert equilibrium.GRID_FRESHNESS[0] == 0.0
-    assert equilibrium.GRID_FRESHNESS[-1] <= FRESHNESS_MAX
-    assert min(equilibrium.GRID_TIME_FACTORS) == 1.0  # no time below t_min
+def test_verify_bound_maximizer_stays_inside_clamp_rectangle():
+    # the strategy reaching each client's bound is a legal deviation: inside
+    # the clamp rectangle, at the shortest completion time
+    for pop, rates in (
+        (clamped_population(), CLAMPED_RATES),
+        (sample_population(ScenarioConfig(n=2000), 0), RewardRates(r1=1.2, r2=3.0)),
+    ):
+        gamma, delta, t_min = game_core._population_arrays(pop)
+        bounds, worst = equilibrium._deviation_bounds(gamma, delta, t_min, rates)
+        assert np.all(np.isfinite(bounds)) and np.all(bounds >= 0.0)
+        assert np.all((ACCURACY_MIN <= worst[:, 0]) & (worst[:, 0] <= ACCURACY_MAX))
+        assert np.all((0.0 <= worst[:, 1]) & (worst[:, 1] <= FRESHNESS_MAX))
+        assert np.array_equal(worst[:, 2], t_min)
 
 
-def per_client_verify(profile, rates, comm_size=0.0, strategy=None):
-    """The one-client-at-a-time verifier that `verify_clients` replaced, as its oracle."""
-    if strategy is None:
-        strategy = best_response(profile, rates).strategy
-    u_star = client_utility(profile, rates, strategy, comm_size)
+# The deviation grid the client verifier searched before it was certified by
+# strong concavity: accuracy 0.001, 0.01, ..., 0.99, freshness 0, 0.05, ..., 5
+# and completion times t_min x {1, 1.5, 2}.
+GRID_ACCURACY = np.maximum(np.arange(0.0, 1.0, 0.01), ACCURACY_MIN)
+GRID_FRESHNESS = np.arange(0.0, 5.0 + 1e-12, 0.05)
+GRID_TIME_FACTORS = (1.0, 1.5, 2.0)
 
-    a = np.unique(np.clip(np.arange(0.0, 1.0, 0.01), ACCURACY_MIN, ACCURACY_MAX))
-    f = np.unique(np.clip(np.arange(0.0, 5.0 + 1e-12, 0.05), 0.0, FRESHNESS_MAX))
-    time_factors = (1.0, 1.5, 2.0)
-    gain_a = rates.r1 * a
-    cost_a = profile.gamma * (1.0 + a) * np.log1p(a)
-    gain_f = rates.r2 * f - np.exp(profile.delta * f)
-    best_f_idx = int(np.argmax(gain_f))
 
-    worst = -math.inf
-    worst_strategy = None
+def grid_gains(
+    gamma,
+    delta,
+    t_min,
+    rates,
+    utilities,
+    comm_size,
+    a=GRID_ACCURACY,
+    f=GRID_FRESHNESS,
+    time_factors=GRID_TIME_FACTORS,
+):
+    """Oracle: every client's best grid utility minus its audited utility.
+
+    Utility separates into an accuracy part, which depends on the completion
+    time, and a freshness part, so one argmax per part and time factor
+    searches the whole accuracy x freshness x time grid.
+    """
+    with np.errstate(over="ignore"):  # an infinite collection cost never wins
+        part_f = np.max(rates.r2 * f - np.exp(delta[:, None] * f), axis=1)
+    cost_a = gamma[:, None] * (1.0 + a) * np.log1p(a)
+    best = np.full(len(gamma), -math.inf)
     for factor in time_factors:
-        t_val = factor * profile.t_min
-        part_a = gain_a / t_val - cost_a
-        best_a_idx = int(np.argmax(part_a))
-        u = part_a[best_a_idx] + gain_f[best_f_idx] - comm_size
-        if u > worst:
-            worst = u
-            worst_strategy = Strategy(
-                accuracy=float(a[best_a_idx]),
-                freshness=float(f[best_f_idx]),
-                completion_time=t_val,
-            )
-    violation = worst - u_star
-    return equilibrium.ClientEquilibriumReport(
-        worst_violation=violation,
-        worst_strategy=worst_strategy,
-        checked=len(a) * len(f) * len(time_factors),
-        passed=violation <= equilibrium.VERIFY_TOL,
+        part_a = np.max(rates.r1 * a / (factor * t_min)[:, None] - cost_a, axis=1)
+        best = np.maximum(best, part_a + part_f - comm_size)
+    return best - utilities
+
+
+def rounding_tol(profile, rates, audited):
+    """Rounding allowance of a violation: a few ulps of the magnitudes of the
+    utility terms at the audited strategy and at the best response."""
+    best = best_response(profile, rates).strategy
+    terms = sum(
+        client_reward(rates, s) + total_cost(profile, s, 0.0).total for s in (audited, best)
     )
+    return 1e-15 * (terms + 1.0)
+
+
+def mp_gain(profile, rates, accuracy, freshness, completion_time):
+    """Oracle in 80-digit arithmetic: the most any strategy in the clamp
+    rectangle gains over (accuracy, freshness, completion_time).
+
+    Utility falls in the completion time, and each of its two parts is
+    concave, so the best strategy is the exact response clipped into the
+    rectangle, at t_min.
+    """
+    mpf = mpmath.mpf
+    with mpmath.workdps(80):
+        gamma, delta, t = mpf(profile.gamma), mpf(profile.delta), mpf(profile.t_min)
+        r1, r2 = mpf(rates.r1), mpf(rates.r2)
+
+        def part_a(a, time):
+            return r1 * a / time - gamma * (1 + a) * mpmath.log1p(a)
+
+        def part_f(f):
+            return r2 * f - mpmath.exp(delta * f)
+
+        best_a = mpmath.exp(r1 / (gamma * t) - 1) - 1
+        best_a = min(max(best_a, mpf(ACCURACY_MIN)), mpf(ACCURACY_MAX))
+        best_f = min(max(mpmath.log(r2 / delta) / delta, mpf(0)), mpf(FRESHNESS_MAX))
+        return (part_a(best_a, t) - part_a(mpf(accuracy), mpf(completion_time))) + (
+            part_f(best_f) - part_f(mpf(freshness))
+        )
 
 
 def clamped_population():
@@ -912,6 +954,9 @@ CLAMPED_RATES = RewardRates(r1=3.0, r2=5.0)
 @pytest.mark.parametrize("comm_size", [0.0, 0.1])
 @pytest.mark.parametrize("case", ["1", "7", "2000", "clamped", "perturbed"])
 def test_verify_clients_matches_per_client_oracle(case, comm_size):
+    # one client at a time, the certificate agrees bit for bit with the array
+    # bounds that `verify_scenario` reports, and it is never below the gain
+    # of the old deviation grid
     if case == "clamped":
         pop, rates = clamped_population(), CLAMPED_RATES
     else:
@@ -928,21 +973,134 @@ def test_verify_clients_matches_per_client_oracle(case, comm_size):
         strategies = [Strategy(0.5, s.freshness + 0.3, s.completion_time) for s in strategies]
     utilities = [client_utility(p, rates, s, comm_size) for p, s in zip(pop, strategies)]
 
-    reports = equilibrium.verify_clients(pop, rates, utilities, comm_size)
-    expected = [
-        per_client_verify(p, rates, comm_size, strategy=s) for p, s in zip(pop, strategies)
-    ]
-    assert reports == expected
-    assert [r.worst_violation.hex() for r in reports] == [
-        float(r.worst_violation).hex() for r in expected
-    ]
-    single = [
+    reports = [
         verify_client_equilibrium(p, rates, comm_size, strategy=s)
         for p, s in zip(pop, strategies)
     ]
-    assert single == expected
+    gamma, delta, t_min = game_core._population_arrays(pop)
+    grid = grid_gains(gamma, delta, t_min, rates, np.array(utilities), comm_size)
+    for p, s, r, g in zip(pop, strategies, reports, grid.tolist()):
+        assert r.worst_violation >= g - rounding_tol(p, rates, s)
     if case == "perturbed":
         assert not any(r.passed for r in reports)
+        return
+    bounds, worst = equilibrium._deviation_bounds(gamma, delta, t_min, rates)
+    assert reports == list(equilibrium._client_reports(bounds, worst))
+    assert [r.worst_violation.hex() for r in reports] == [b.hex() for b in bounds.tolist()]
+    assert all(r.passed for r in reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    comm_size=st.sampled_from([0.0, 0.1]),
+)
+def test_certificate_never_below_dense_grid_gain(n, seed, comm_size):
+    # random clients, rates and audited strategies anywhere in the clamp
+    # rectangle: no point of a dense grid over the whole rectangle, at three
+    # completion times, gains more than the certified violation
+    rng = np.random.default_rng(seed)
+    pop = [
+        ClientProfile(
+            id=k,
+            gamma=float(10.0 ** rng.uniform(-2, 2)),
+            delta=float(10.0 ** rng.uniform(-2, 1.5)),
+            t_min=float(10.0 ** rng.uniform(-1, 1)),
+        )
+        for k in range(n)
+    ]
+    r1, r2 = 10.0 ** rng.uniform(-2, 2.5, size=2)
+    rates = RewardRates(r1=float(r1), r2=float(r2))
+    strategies = [
+        Strategy(
+            float(rng.uniform(ACCURACY_MIN, ACCURACY_MAX)),
+            float(rng.uniform(0.0, FRESHNESS_MAX)) * float(rng.integers(0, 2)),
+            p.t_min * float(rng.choice([1.0, rng.uniform(1.0, 3.0)])),
+        )
+        for p in pop
+    ]
+    utilities = np.array(
+        [client_utility(p, rates, s, comm_size) for p, s in zip(pop, strategies)]
+    )
+    gamma, delta, t_min = game_core._population_arrays(pop)
+    dense = grid_gains(
+        gamma,
+        delta,
+        t_min,
+        rates,
+        utilities,
+        comm_size,
+        a=np.linspace(ACCURACY_MIN, ACCURACY_MAX, 801),
+        f=np.linspace(0.0, FRESHNESS_MAX, 801),
+        time_factors=(1.0, 1.5, 2.0),
+    )
+    for p, s, g in zip(pop, strategies, dense.tolist()):
+        report = verify_client_equilibrium(p, rates, comm_size, strategy=s)
+        assert report.worst_violation >= g - rounding_tol(p, rates, s)
+
+
+@pytest.mark.parametrize("offset, flagged", [(1e-2, True), (1e-5, False)])
+def test_certificate_flags_clients_of_offset_rates_by_their_true_gain(offset, flagged):
+    # criterion 4's populations: clients best-respond to rates `offset` off the
+    # solved ones, and are audited at the solved rates.  At 1% every client
+    # whose exact gain exceeds VERIFY_TOL is flagged (the old grid flagged 1 of
+    # 10 at seed 4000); at 0.001% none is.
+    gains = []
+    for run in range(20):
+        config = ScenarioConfig(seed=4000 + run)
+        pop = sample_population(config, 0)
+        params = config.system_params
+        rates = compute_equilibrium(pop, params, feasible_rate_box(pop, config.r2_cap)).rates
+        moved = RewardRates(r1=rates.r1 * (1 + offset), r2=rates.r2 * (1 + offset))
+        for p in pop:
+            played = best_response(p, moved).strategy
+            report = verify_client_equilibrium(p, rates, params.comm_size, strategy=played)
+            gain = mp_gain(p, rates, played.accuracy, played.freshness, played.completion_time)
+            gains.append(gain)
+            assert report.passed == (gain <= equilibrium.VERIFY_TOL), (run, p.id, gain)
+    assert (max(gains) > equilibrium.VERIFY_TOL) == flagged
+
+
+def stressed_clients():
+    """Clients and rates that sit at, or one ulp beside, the clamp kinks, for
+    gamma from 1e-100 up and delta from 1e-6 up."""
+
+    def beside(*rates):
+        return [float(np.nextafter(r, to)) for r in rates for to in (0.0, r, math.inf)]
+
+    rows = []
+    for gamma, t, delta in itertools.product(
+        (1e-100, 1e-9, 0.37, 4.2, 1e5), (1e-3, 1.0, 30.0), (1e-6, 0.05, 1.3, 40.0)
+    ):
+        g = gamma * t
+        r1s = beside(g * equilibrium._C_IN, g * equilibrium._C_OUT, g * (1.0 + math.log(1.4)))
+        r2s = beside(delta, delta * math.exp(FRESHNESS_MAX * delta), delta * math.e)
+        rows += [(gamma, delta, t, r1, r2) for r1, r2 in itertools.product(r1s, r2s)]
+    return np.array(rows)
+
+
+def test_padded_certificate_holds_where_rounding_is_stressed(monkeypatch):
+    rows = stressed_clients()
+    gamma, delta, t = rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
+
+    def shortfalls():
+        """The clients whose bound falls below the exact gain from their best response."""
+        short = []
+        for k, (g, d, tm, r1, r2) in enumerate(rows.tolist()):
+            rates = RewardRates(r1=r1, r2=r2)
+            one = slice(k, k + 1)
+            (bound,), _ = equilibrium._deviation_bounds(gamma[one], delta[one], t[one], rates)
+            profile = ClientProfile(k, g, d, tm)
+            x = best_response(profile, rates).strategy
+            if mpmath.mpf(bound) < mp_gain(profile, rates, x.accuracy, x.freshness, tm):
+                short.append(k)
+        return short
+
+    assert shortfalls() == []
+    # the stress is real: without the slack some bound falls short
+    monkeypatch.setattr(equilibrium, "_SLACK", 0.0)
+    assert shortfalls()
 
 
 def test_verify_scenario_makes_no_call_per_client(monkeypatch):
@@ -995,11 +1153,8 @@ def test_nothing_is_built_per_client_until_it_is_read(monkeypatch):
     assert eq.strategies is eq.strategies  # built once
     reports = summary.client_reports
     assert reports is summary.client_reports
-    # `verify_clients` is checked against the per-client oracle on its own
     assert reports == tuple(
-        equilibrium.verify_clients(
-            pop, summary.equilibrium.rates, summary.equilibrium.client_utilities, config.comm_size
-        )
+        verify_client_equilibrium(p, summary.equilibrium.rates, config.comm_size) for p in pop
     )
     assert summary.clients_passed and all(r.passed for r in reports)
     with pytest.raises(ValueError):
@@ -1011,8 +1166,13 @@ def test_verify_client_interior_case():
     profile = ClientProfile(id=0, gamma=2.0, delta=2.0, t_min=1.0)
     report = verify_client_equilibrium(profile, rates)
     assert report.passed
-    assert report.worst_violation <= 1e-9
-    assert report.checked > 10000
+    # at an interior best response the bound is the padded slope squared over
+    # twice the curvature bound: far below rounding of the utility itself
+    assert 0.0 <= report.worst_violation <= 1e-20
+    star = best_response(profile, rates).strategy
+    assert report.worst_strategy.accuracy == pytest.approx(star.accuracy, abs=1e-12)
+    assert report.worst_strategy.freshness == pytest.approx(star.freshness, abs=1e-12)
+    assert report.worst_strategy.completion_time == profile.t_min
 
 
 def test_verify_client_clamped_case():
@@ -1031,8 +1191,11 @@ def test_verify_client_flags_perturbed_strategy():
     worse = Strategy(star.accuracy + 0.1, star.freshness, star.completion_time)
     report = verify_client_equilibrium(profile, rates, strategy=worse)
     assert not report.passed
-    assert report.worst_violation > 1e-6
-    assert abs(report.worst_strategy.accuracy - star.accuracy) < 0.02
+    # the violation is what returning to the best response gains, plus the
+    # best response's own bound, and the bound's maximizer is that response
+    gain = client_utility(profile, rates, star, 0.0) - client_utility(profile, rates, worse, 0.0)
+    assert report.worst_violation == pytest.approx(gain, rel=1e-12)
+    assert abs(report.worst_strategy.accuracy - star.accuracy) < 1e-12
 
 
 def test_verify_server_flags_suboptimal_rates():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import resource
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -8,10 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifedcrowd import (
     ConfigError,
+    DomainError,
     MechanismKind,
+    Population,
+    RoundConfig,
     ScenarioConfig,
     SweepSpec,
     SweepTable,
@@ -19,14 +25,17 @@ from ifedcrowd import (
     emit,
     evaluate_cell,
     feasible_rate_box,
+    init_state,
     load_table,
     parse_config,
     rate_seed,
+    run_round,
     run_simulation,
     run_sweep,
     sample_population,
+    verify_server_equilibrium,
 )
-from ifedcrowd import ClientProfile, harness
+from ifedcrowd import ClientProfile, game_core, harness
 from ifedcrowd.harness import table_to_csv, table_to_json
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_default.csv"
@@ -191,6 +200,94 @@ def test_sample_population_matches_per_row_draws(n):
             drawn = sample_population(config, run)
             assert drawn == per_row_population(config, run)
             assert all(type(p.delta) is float for p in drawn)
+
+
+def profiles_of(values):
+    """The ClientProfile list of an (n, 3) array of gamma, delta, t_min rows."""
+    return [ClientProfile(k, *row) for k, row in enumerate(values.tolist())]
+
+
+def assert_same_results(population, profiles, alpha):
+    """Every entry point gives bit-identical results for the two representations."""
+    params = ScenarioConfig(n=len(profiles), alpha=alpha).system_params
+    box = feasible_rate_box(population)
+    assert box == feasible_rate_box(profiles)
+    assert [v.hex() for v in asdict(box).values()] == [
+        v.hex() for v in asdict(feasible_rate_box(profiles)).values()
+    ]
+    eq = compute_equilibrium(population, params, box)
+    eq_list = compute_equilibrium(profiles, params, box)
+    assert (eq.rates.r1.hex(), eq.rates.r2.hex(), eq.r1_source, eq.r2_source) == (
+        eq_list.rates.r1.hex(),
+        eq_list.rates.r2.hex(),
+        eq_list.r1_source,
+        eq_list.r2_source,
+    )
+    for name in ("accuracy", "freshness", "completion_time", "utilities"):
+        assert getattr(eq, name).tobytes() == getattr(eq_list, name).tobytes()
+    assert eq.server_utility.hex() == eq_list.server_utility.hex()
+    assert verify_server_equilibrium(population, params, eq.rates, box) == (
+        verify_server_equilibrium(profiles, params, eq.rates, box)
+    )
+    rounds = RoundConfig()
+    reports = [
+        run_round(pop, params, eq.rates, rounds, init_state(pop, rounds, run_seed=3), 3, 0)
+        for pop in (population, profiles)
+    ]
+    assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([80.0, 5e3]))
+def test_population_and_profile_list_give_identical_results(n, seed, alpha):
+    values = np.random.default_rng(seed).uniform((1.0, 1.0, 1.0), (5.0, 2.0, 3.0), (n, 3))
+    population = Population(np.arange(n), *values.T)
+    profiles = profiles_of(values)
+    assert population == profiles and profiles == population
+    assert list(population) == profiles and len(population) == n
+    assert_same_results(population, profiles, alpha)
+
+
+def test_population_and_profile_list_give_identical_results_at_n_2000():
+    population = sample_population(ScenarioConfig(n=2000), 0)
+    profiles = list(population)
+    assert isinstance(population, Population) and type(profiles[0]) is ClientProfile
+    assert_same_results(population, profiles, 80.0)
+
+
+def test_population_holds_read_only_arrays_and_builds_profiles_once():
+    population = sample_population(ScenarioConfig(n=6, seed=2), 1)
+    arrays = game_core._population_arrays(population)
+    assert arrays == (population.gamma, population.delta, population.t_min)
+    assert all(a is b for a, b in zip(arrays, game_core._population_arrays(population)))
+    for values in (population.ids, *arrays):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    assert population[2] is population[2] and population[-1].id == 5
+    part = population[1:4]
+    assert isinstance(part, Population) and part == list(population)[1:4]
+    assert part.ids.tolist() == [1, 2, 3]
+    assert population != list(population)[:-1] and population != population[::-1]
+    assert population != "abcdef" and population != 6
+
+
+@pytest.mark.parametrize("field", ["gamma", "delta", "t_min"])
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf, -math.inf])
+def test_population_refuses_bad_values_as_client_profile_does(field, bad):
+    values = {"gamma": [2.0, 3.0, 4.0], "delta": [1.0, 1.5, 2.0], "t_min": [1.0, 2.0, 3.0]}
+    values[field][1] = bad
+    with pytest.raises(DomainError, match=f"^{field} must be positive and finite") as refused:
+        Population([0, 1, 2], **values)
+    with pytest.raises(DomainError) as single:
+        ClientProfile(1, *(values[name][1] for name in ("gamma", "delta", "t_min")))
+    assert str(refused.value) == str(single.value)
+
+
+def test_population_refuses_arrays_of_other_shapes():
+    with pytest.raises(DomainError, match="one length"):
+        Population([0, 1], [1.0, 2.0], [1.0], [1.0, 2.0])
+    with pytest.raises(DomainError, match="1-D"):
+        Population([[0]], [[1.0]], [[1.0]], [[1.0]])
 
 
 def test_rate_seed_deterministic():
@@ -399,9 +496,9 @@ def test_cli_equilibrium_solves_without_verifying(config_file, tmp_path, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("equilibrium must not run the verification")
 
-    monkeypatch.setattr(equilibrium, "verify_clients", forbidden)
+    monkeypatch.setattr(equilibrium, "verify_client_equilibrium", forbidden)
     for module in (equilibrium, harness):
-        monkeypatch.setattr(module, "_client_deviations", forbidden)
+        monkeypatch.setattr(module, "_deviation_bounds", forbidden)
         monkeypatch.setattr(module, "verify_server_equilibrium", forbidden)
     out = tmp_path / "eq.json"
     assert cli.main(["equilibrium", "--config", str(config_file), "--out", str(out)]) == 0
@@ -612,6 +709,26 @@ def test_verify_scenario_with_large_delta_emits_no_overflow():
     # RuntimeWarnings fail the tests, so this also checks that none is raised
     summary = harness.verify_scenario(ScenarioConfig(delta=(150.0, 160.0), r2_cap=1000.0))
     assert summary.ok
+
+
+def test_verify_scenario_with_huge_delta_emits_no_overflow():
+    # delta^2, the freshness part's curvature bound, overflows above ~1.3e154
+    summary = harness.verify_scenario(ScenarioConfig(delta=(1e160, 1e160), r2_cap=1e161))
+    assert summary.ok and np.all(np.isfinite(summary.client_violations))
+
+
+def test_verify_scenario_at_n_2000_takes_few_page_faults():
+    # every r1 value or slope call writes its blocks into one scratch
+    # allocation, which the allocator hands out whole to the next call;
+    # block temporaries of their own came back as fresh zeroed pages.  The
+    # first two calls grow the heap once.
+    config = ScenarioConfig(n=2000)
+    for _ in range(2):
+        harness.verify_scenario(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        harness.verify_scenario(config)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 500
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
