@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 from unittest.mock import patch
 
@@ -845,6 +847,166 @@ def test_r1_search_matches_the_dense_search_bit_for_bit():
         assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
 
 
+def down_kinks(gamma, t, params):
+    """The realized r1 kinks where the slope jumps down, as `_argmax_r1` lists them."""
+    gt = gamma * t
+    share = params.alpha / params.n
+    return np.concatenate(
+        [
+            gt[share < equilibrium._C_IN * gamma] * equilibrium._C_IN,
+            gt[share > equilibrium._C_OUT * gamma] * equilibrium._C_OUT,
+        ]
+    )
+
+
+def full_r1_search(gamma, t, params, box, slope, value):
+    """The r1 search with no cut: every grid slope and every candidate valued."""
+    return equilibrium._search(
+        lambda r: slope(r, gamma, t, params, True),
+        lambda r: value(r, gamma, t, params, True),
+        box.r1_lo,
+        box.r1_hi,
+        down_kinks(gamma, t, params),
+    )
+
+
+def alpha_with_cut(t, n, box, where, u):
+    """An alpha whose cut (alpha/n) max t lies below, inside or above the r1 box."""
+    cut = {
+        "below": u * box.r1_lo,
+        "inside": box.r1_lo + u * (box.r1_hi - box.r1_lo),
+        "above": (1.0 + u) * box.r1_hi,
+    }[where]
+    return cut * n / float(t.max())
+
+
+def assert_r1_cut_is_exact(gamma, t, params, box):
+    # the cut changes no rate or source of the full search
+    dense = lambda slope: lambda r, *args: dense_r1(r, *args, slope=slope)[0]  # noqa: E731
+    want = full_r1_search(gamma, t, params, box, dense(True), dense(False))
+    got = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
+    assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
+    # past the cut every computed scan slope is negative, the sign the search assumes
+    cut = params.alpha / params.n * float(t.max())
+    xs = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
+    past = xs[xs >= cut]
+    if past.size:
+        assert np.all(equilibrium._r1_slope(past, gamma, t, params, True) < 0)
+    # and the realized slice strictly falls there, in or beyond the box
+    rs = np.linspace(cut, max(cut, box.r1_hi) + (box.r1_hi - box.r1_lo), 4001)
+    values, _ = dense_r1(rs, gamma, t, params, True, slope=False)
+    assert np.all(np.diff(values) < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["below", "inside", "above"]),
+    u=st.floats(0.05, 0.95),
+)
+def test_r1_search_past_the_cut_is_exact(n, seed, where, u):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.2, 6.0, n)
+    t = rng.uniform(0.5, 3.0, n)
+    box = feasible_rate_box(game_core.Population(np.arange(n), gamma, np.ones(n), t), 100.0)
+    alpha = alpha_with_cut(t, n, box, where, u)
+    params = SystemParams(alpha=alpha, beta=50.0, comm_size=0.0, n=n)
+    assert_r1_cut_is_exact(gamma, t, params, box)
+
+
+@pytest.mark.parametrize("where", ["below", "inside", "above"])
+def test_r1_search_past_the_cut_is_exact_at_scale_size(where):
+    pop = sample_population(ScenarioConfig(n=2000), 0)
+    box = feasible_rate_box(pop, 100.0)
+    alpha = alpha_with_cut(pop.t_min, 2000, box, where, 0.5)
+    params = SystemParams(alpha=alpha, beta=50.0, comm_size=0.0, n=2000)
+    assert_r1_cut_is_exact(pop.gamma, pop.t_min, params, box)
+
+
+def test_best_skips_past_the_cut_only_when_the_cut_value_rules_them_out():
+    valued = []
+
+    def value(r):
+        valued.extend(r.tolist())
+        return -((r - 3.0) ** 2)
+
+    kinks = np.array([3.0, 4.0])
+    # V(3.5) = -0.25 falls short of V(3) = 0, so 4 and the edge 5 are skipped
+    assert equilibrium._best(value, np.empty(0), 0.0, 5.0, kinks, cut=3.5) == (3.0, "kink")
+    assert valued == [0.0, 3.0, 3.5]
+    # with the pad, or with a cut whose value tops the best, everything is valued
+    for cut, pad in ((3.5, 1.0), (1.0, 0.0)):
+        valued.clear()
+        assert equilibrium._best(value, np.empty(0), 0.0, 5.0, kinks, cut, pad) == (3.0, "kink")
+        assert {4.0, 5.0} <= set(valued)
+
+
+def r1_search_work(monkeypatch, pop, params, box):
+    """The rates of each `_r1_slope` call, and the rates valued, in one `compute_equilibrium`."""
+    slopes, valued = [], []
+    slope, value = equilibrium._r1_slope, equilibrium._r1_value
+    monkeypatch.setattr(
+        equilibrium, "_r1_slope", lambda r, *args: slopes.append(np.size(r)) or slope(r, *args)
+    )
+    monkeypatch.setattr(
+        equilibrium, "_r1_value", lambda r, *args: valued.append(np.size(r)) or value(r, *args)
+    )
+    compute_equilibrium(pop, params, box)
+    monkeypatch.undo()
+    return slopes, sum(valued)
+
+
+def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
+    # (alpha/n) max t lies below r1_lo on these populations, so the slice
+    # falls across the whole box: no slope is computed and only r1_lo is valued
+    big = ScenarioConfig(n=10**4)
+    big_pop = sample_population(big, 0)
+    cases = [
+        *scale_populations(),
+        (big_pop, big.system_params, feasible_rate_box(big_pop, big.r2_cap)),
+    ]
+    for pop, params, box in cases:
+        assert r1_search_work(monkeypatch, pop, params, box) == ([], 1)
+    # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7:
+    # the whole grid is scanned
+    config = ScenarioConfig(n=2000, alpha=40000.0)
+    pop = sample_population(config, 0)
+    box = feasible_rate_box(pop, config.r2_cap)
+    assert config.alpha / config.n * pop.t_min.max() > box.r1_hi
+    slopes, _ = r1_search_work(monkeypatch, pop, config.system_params, box)
+    assert slopes[0] == equilibrium._SCAN
+
+
+@pytest.mark.parametrize("n", [10, 2000])
+def test_r1_cut_hides_no_error_of_the_full_scan(n):
+    # a subnormal gamma*t makes the slope's 1/(gamma t) terms overflow; the
+    # full scan raises on it, and so must the scan that stops at the cut
+    config = ScenarioConfig(n=n)
+    base = sample_population(config, 0)
+    for tiny in (1e-310, 1e-300):
+        gamma = base.gamma.copy()
+        gamma[0] = tiny
+        pop = game_core.Population(base.ids, gamma, base.delta, base.t_min)
+        box = feasible_rate_box(pop, config.r2_cap)
+        params = config.system_params
+        if tiny == 1e-310:
+            for search in (
+                lambda: full_r1_search(
+                    gamma, base.t_min, params, box, equilibrium._r1_slope, equilibrium._r1_value
+                ),
+                lambda: compute_equilibrium(pop, params, box),
+            ):
+                with pytest.raises(NumericError, match="derivative not finite"):
+                    search()
+        else:
+            want = full_r1_search(
+                gamma, base.t_min, params, box, equilibrium._r1_slope, equilibrium._r1_value
+            )
+            eq = compute_equilibrium(pop, params, box)
+            assert (eq.rates.r1.hex(), eq.r1_source) == (want[0].hex(), want[1])
+
+
 # ---------------------------------------------------------------- verification
 
 def test_verify_bound_maximizer_stays_inside_clamp_rectangle():
@@ -1206,6 +1368,13 @@ def test_verify_server_flags_suboptimal_rates():
     report = verify_server_equilibrium(THIRTY, PARAMS_30, midpoint, box)
     assert not report.passed
     assert report.worst_violation > 1.0
+
+
+@pytest.mark.parametrize("n", [10, 2000])
+def test_server_report_is_plain_json(n):
+    report = harness.verify_scenario(ScenarioConfig(n=n)).server_report
+    assert type(report.passed) is bool
+    assert json.loads(json.dumps(dataclasses.asdict(report)))["passed"] is report.passed
 
 
 def test_verify_server_degenerate_box_vacuous():
