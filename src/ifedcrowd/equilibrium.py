@@ -18,9 +18,8 @@ and keeps the best of those roots, the box edges and the clamp kinks where
 the slope jumps down.  On the realized objective the search stops at
 c = (alpha/n) max t: past it every client's term (alpha/n - r/t_k) A_k has
 right slope at most -A_k/t_k < 0, since A_k >= ACCURACY_MIN.  So no slope is
-computed there, and the candidates past c are valued only if V(c), padded
-for rounding, could still tie the best; at c <= r1_lo, r1_lo comes first in
-the tie order and beats them all.
+computed there, and at c <= r1_lo the slice falls across the whole box:
+r1_lo is its maximum, and nothing is scanned or valued.
 
 An r1 value or slope call larger than _BLOCK rates x clients entries takes
 exponentials over the live clients only.  With the clients sorted by
@@ -372,7 +371,7 @@ def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
 
 
 def _best(
-    value, roots: np.ndarray, lo: float, hi: float, kinks: np.ndarray, cut=math.inf, pad=0.0
+    value, roots: np.ndarray, lo: float, hi: float, kinks: np.ndarray
 ) -> tuple[float, str]:
     """The best by value of the roots, the edges and the kinks, plus its source.
 
@@ -380,35 +379,18 @@ def _best(
     snapped onto a kink counts as one) and "root" otherwise.  Candidates
     within 1e-10 relative of the best tie toward the earliest, so a root is
     preferred over an edge or kink that beats it only by floating-point dust.
-
-    Where the objective strictly falls on [cut, inf), only the roots and the
-    candidates at or below ``cut`` are valued, as long as those past it can
-    neither win nor tie.  At cut = lo, lo precedes and beats each of them.
-    Above lo, V(cut) + ``pad``, where ``pad`` bounds the rounding of two
-    values, bounds them all: when it falls short of the best by more than the
-    tie margin they are skipped, and otherwise valued as well.
     """
-    candidates = np.array([*roots.tolist(), lo, hi, *kinks.tolist()])
-    past = candidates > cut
-    past[: len(roots)] = False  # every root is valued
-    probe = bool(cut > lo and past.any())
-    values = np.full(len(candidates), -np.inf)
-    got = value(np.append(candidates[~past], cut) if probe else candidates[~past])
-    values[~past] = got[: len(got) - probe]
+    candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
+    values = value(np.array(candidates))
     best = float(np.max(values))
-    if probe and not got[-1] + pad < best - 1e-10 * max(1.0, abs(best)):
-        values[past] = value(candidates[past])
-        best = float(np.max(values))
     snap = 1e-10 * max(1.0, abs(best))
-    rate = float(candidates[int(np.nonzero(values >= best - snap)[0][0])])
+    rate = candidates[int(np.nonzero(values >= best - snap)[0][0])]
     if rate in (lo, hi):
         return rate, "edge"
     return rate, "kink" if rate in kinks else "root"
 
 
-def _search(
-    slope, value, lo: float, hi: float, kinks=(), cut=math.inf, pad=0.0
-) -> tuple[float, str]:
+def _search(slope, value, lo: float, hi: float, kinks=(), cut=math.inf) -> tuple[float, str]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
     Scans the slope on a _SCAN-point grid, refines every sign change with
@@ -418,13 +400,12 @@ def _search(
     the bracket's width, since the clamp tests round).  A degenerate box
     returns its edge.
 
-    ``cut`` is a rate past which the objective is known to fall strictly,
-    with ``pad`` the rounding slack of its values (see `_best`).  The grid
-    stays the same, but the slope is computed only at the grid points below
-    the cut; the sign at the rest is taken as -1, their exact sign.  So
-    every bracket is the one a full scan finds, and an error the scan meets
-    below the cut is still raised.  With cut = inf the whole grid is scanned
-    and every candidate valued.
+    ``cut`` is a rate past which the objective is known to fall strictly.
+    The grid stays the same, but the slope is computed only at the grid
+    points below the cut; the sign at the rest is taken as -1, their exact
+    sign.  So every bracket is the one a full scan finds, and an error the
+    scan meets below the cut is still raised.  With cut = inf the whole grid
+    is scanned.
     """
     if hi <= lo:
         return lo, "edge"
@@ -446,7 +427,7 @@ def _search(
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    return _best(value, roots, lo, hi, kinks, max(cut, lo), pad)
+    return _best(value, roots, lo, hi, kinks)
 
 
 def _argmax_r1(
@@ -457,24 +438,24 @@ def _argmax_r1(
     Client k's realized term (alpha/n - r/t_k) A_k(r) has right slope
     -A_k/t_k + (alpha/n - r/t_k) A_k'(r), with A_k' >= 0 and
     A_k >= ACCURACY_MIN > 0.  So past c = (alpha/n) max t every term, and the
-    slice, strictly falls, and `_search` neither scans nor values past c.
-    The surrogate's unclamped A_k may be negative, so it keeps c = inf.  The
-    value pad is _SLACK times a bound on the value's term magnitudes in the
-    box, alpha + r1_hi sum 1/t_k.
+    slice, strictly falls: at c <= r1_lo the maximum is r1_lo, and otherwise
+    `_search` computes no slope past c.  The surrogate's unclamped A_k may
+    be negative, so it keeps c = inf.
     """
-    kinks, cut, pad = (), math.inf, 0.0
+    kinks, cut = (), math.inf
     if clamp:
+        share = params.alpha / params.n
+        cut = share * float(t.max())
+        if cut <= box.r1_lo:
+            return box.r1_lo, "edge"
         # An accuracy response enters the clamp rectangle at gt*_C_IN and leaves
         # it at gt*_C_OUT, where the client's slope term jumps by a positive
         # multiple of alpha/n - _C_IN*gamma and of _C_OUT*gamma - alpha/n.  Only a
         # kink where the slope jumps down can be a maximum: at most one per client.
         gt = gamma * t
-        share = params.alpha / params.n
         kinks = np.concatenate(
             [gt[share < _C_IN * gamma] * _C_IN, gt[share > _C_OUT * gamma] * _C_OUT]
         )
-        cut = share * float(t.max())
-        pad = _SLACK * (params.alpha + box.r1_hi * float(np.sum(1.0 / t)))
     return _search(
         lambda r: _r1_slope(r, gamma, t, params, clamp),
         lambda r: _r1_value(r, gamma, t, params, clamp),
@@ -482,7 +463,6 @@ def _argmax_r1(
         box.r1_hi,
         kinks,
         cut,
-        pad,
     )
 
 

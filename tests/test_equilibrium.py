@@ -924,24 +924,6 @@ def test_r1_search_past_the_cut_is_exact_at_scale_size(where):
     assert_r1_cut_is_exact(pop.gamma, pop.t_min, params, box)
 
 
-def test_best_skips_past_the_cut_only_when_the_cut_value_rules_them_out():
-    valued = []
-
-    def value(r):
-        valued.extend(r.tolist())
-        return -((r - 3.0) ** 2)
-
-    kinks = np.array([3.0, 4.0])
-    # V(3.5) = -0.25 falls short of V(3) = 0, so 4 and the edge 5 are skipped
-    assert equilibrium._best(value, np.empty(0), 0.0, 5.0, kinks, cut=3.5) == (3.0, "kink")
-    assert valued == [0.0, 3.0, 3.5]
-    # with the pad, or with a cut whose value tops the best, everything is valued
-    for cut, pad in ((3.5, 1.0), (1.0, 0.0)):
-        valued.clear()
-        assert equilibrium._best(value, np.empty(0), 0.0, 5.0, kinks, cut, pad) == (3.0, "kink")
-        assert {4.0, 5.0} <= set(valued)
-
-
 def r1_search_work(monkeypatch, pop, params, box):
     """The rates of each `_r1_slope` call, and the rates valued, in one `compute_equilibrium`."""
     slopes, valued = [], []
@@ -959,7 +941,7 @@ def r1_search_work(monkeypatch, pop, params, box):
 
 def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
     # (alpha/n) max t lies below r1_lo on these populations, so the slice
-    # falls across the whole box: no slope is computed and only r1_lo is valued
+    # falls across the whole box: r1_lo is returned with no slope or value call
     big = ScenarioConfig(n=10**4)
     big_pop = sample_population(big, 0)
     cases = [
@@ -967,7 +949,7 @@ def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
         (big_pop, big.system_params, feasible_rate_box(big_pop, big.r2_cap)),
     ]
     for pop, params, box in cases:
-        assert r1_search_work(monkeypatch, pop, params, box) == ([], 1)
+        assert r1_search_work(monkeypatch, pop, params, box) == ([], 0)
     # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7:
     # the whole grid is scanned
     config = ScenarioConfig(n=2000, alpha=40000.0)
