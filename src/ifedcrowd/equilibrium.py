@@ -11,11 +11,16 @@ server verifier).
 r2 is solved exactly.  With the clients sorted by their freshness kinks,
 prefix sums give the r2 slice at any rate in O(log n), and between
 neighbouring kinks it is concave, so each segment holds at most one root,
-bracketed by the slope signs at its ends.  r1 is concave in neither
-objective, so it keeps a search: it scans the slope on a grid, narrows all
-sign changes together by multisection (one vectorized slope call per step),
-and keeps the best of those roots, the box edges and the clamp kinks where
-the slope jumps down.  On the realized objective the search stops at
+bracketed by the slope signs at its ends.  That root solves
+B/r - ln r = K for the segment's constants, and Newton's method from the
+segment's left end rises to it monotonically.  r1 is concave in neither
+objective, so it keeps a search: it scans the slope on a grid and keeps the
+best of the box edges, the clamp kinks where the slope jumps down, and the
+sign changes that can hold a maximum.  A sign change that leaves a negative
+slope rises, so it is a local minimum, and one whose sign first changes
+across a kink has that kink as its root; the rest are narrowed together by
+multisection (one vectorized slope call per step).  Only what can win is
+refined.  On the realized objective the search stops at
 c = (alpha/n) max t: past it every client's term (alpha/n - r/t_k) A_k has
 right slope at most -A_k/t_k < 0, since A_k >= ACCURACY_MIN.  So no slope is
 computed there, and at c <= r1_lo the slice falls across the whole box:
@@ -390,15 +395,56 @@ def _best(
     return rate, "kink" if rate in kinks else "root"
 
 
+def _kink_roots(
+    slope, a: np.ndarray, b: np.ndarray, sign_lo: np.ndarray, kinks: np.ndarray
+) -> np.ndarray:
+    """Which sign-change brackets [a_i, b_i] first leave their left sign across a kink.
+
+    Bracket i holds the sorted ``kinks`` in (a_i, b_i].  The slope is read in
+    one call at k - eps and k + eps for every held kink k, with
+    eps = max(_XTOL, ulp(k)), so that neither rounds to k.  Walking a
+    bracket's kinks from the left, the first kink where the sign is not
+    sign_lo on both sides decides: the bracket is resolved at that kink if
+    the sign is sign_lo just left of it and another sign just right of it.
+    Otherwise the sign left sign_lo away from a kink, or a read there was
+    not finite, and the bracket stays unresolved.
+    """
+    resolved = np.zeros(len(a), dtype=bool)
+    owner = np.searchsorted(b, kinks)  # the first bracket ending at or past each kink
+    held = owner < len(b)
+    held[held] = a[owner[held]] < kinks[held]
+    if not held.any():
+        return resolved
+    k, owner = kinks[held], owner[held]
+    eps = np.maximum(_XTOL, np.spacing(k))
+    s = slope(np.concatenate([k - eps, k + eps])).reshape(2, -1)
+    left, right = np.sign(s)
+    sign, finite = sign_lo[owner], np.isfinite(s).all(axis=0)
+    stays = finite & (left == sign) & (right == sign)
+    crosses = finite & (left == sign) & (right != sign)
+    decide = np.nonzero(~stays)[0]
+    brackets, first = np.unique(owner[decide], return_index=True)
+    resolved[brackets] = crosses[decide[first]]
+    return resolved
+
+
 def _search(slope, value, lo: float, hi: float, kinks=(), cut=math.inf) -> tuple[float, str]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
-    Scans the slope on a _SCAN-point grid, refines every sign change with
-    `_refine`, and returns `_best` of those roots, the edges and the in-box
-    kinks, with the winner's source.  A root is its bracket's midpoint, or
-    the exact kink where the slope jumps if the bracket holds one (to within
-    the bracket's width, since the clamp tests round).  A degenerate box
-    returns its edge.
+    Scans the slope on a _SCAN-point grid and returns `_best` of the edges,
+    the in-box kinks and the sign changes that can hold a maximum, with the
+    winner's source.  Two rules drop the sign changes that cannot win:
+
+    - One that leaves a negative slope rises: `_refine` would narrow it to
+      where the slope turns from - to 0 or +, a local minimum, or to a
+      kink, which `_best` values anyway.  Dropped.
+    - One whose sign first leaves its left sign across a kink
+      (`_kink_roots`) has that kink as its root.  Dropped too.
+
+    Every other sign change is refined with `_refine`.  Its root is its
+    bracket's midpoint, or the exact kink where the slope jumps if the
+    bracket holds one (to within the bracket's width, since the clamp tests
+    round).  A degenerate box returns its edge.
 
     ``cut`` is a rate past which the objective is known to fall strictly.
     The grid stays the same, but the slope is computed only at the grid
@@ -418,11 +464,12 @@ def _search(slope, value, lo: float, hi: float, kinks=(), cut=math.inf) -> tuple
     if bad.any():
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
-    i = np.nonzero(signs[:-1] != signs[1:])[0]
-    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
-    roots = 0.5 * (b_lo + b_hi)
     kinks = np.asarray(kinks, dtype=float)
     kinks = kinks[(lo < kinks) & (kinks < hi)]
+    i = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
+    i = i[~_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
+    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
+    roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
@@ -475,8 +522,15 @@ def _argmax_r2(
     are fixed, so V(r) = (beta/n - r)(S1 ln r - S2 + FRESHNESS_MAX m) has
     V'' = -S1/r - beta S1/(n r^2) <= 0.  A segment holds an interior maximum
     only when its slope is positive just right of its left end and negative
-    just left of its right end; all such roots are refined together.  The
-    unclamped surrogate is one segment with every client live.
+    just left of its right end.  There the live sums (S1, S2, m) are fixed,
+    and with B = beta/n and K = 1 + (FRESHNESS_MAX m - S2)/S1 the slope is
+    V'(r) = S1 h(r), h(r) = B/r - ln r - K: the root is r* = B / W0(B e^K).
+    h is convex and strictly decreasing, so Newton's method from the left
+    end, where h > 0, rises monotonically to r* and never overshoots it.
+    All inner segments are iterated at once, each iterate clipped to its
+    segment's right end, until no iterate rises: a rising sequence of floats
+    below a bound ends.  The unclamped surrogate is one segment with every
+    client live.
     """
     lo, hi = box.r2_lo, box.r2_hi
     if hi <= lo:
@@ -493,12 +547,19 @@ def _argmax_r2(
     if bad.any():
         raise NumericError(f"derivative not finite at rate {a[bad][0]}")
     inner = (s_a > 0) & (s_b < 0)
-
-    def parts(r):
-        return _r2_parts(r, _live_sums(r, sums, clamp), params)
-
-    b_lo, b_hi = _refine(lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum())))
-    return _best(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
+    r, end = a[inner], b[inner]
+    s1, s2, m = _live_sums(r, sums, clamp)
+    share = params.beta / params.n
+    k = 1.0 + (FRESHNESS_MAX * m - s2) / s1
+    while True:
+        # the Newton step -h/h', with B = share and h' = -(B/r + 1)/r
+        step = r * (share / r - np.log(r) - k) / (share / r + 1.0)
+        nxt = np.minimum(r + step, end)
+        rises = nxt > r
+        if not rises.any():
+            break
+        r = np.where(rises, nxt, r)
+    return _best(lambda x: _r2_parts(x, _live_sums(x, sums, clamp), params)[0], r, lo, hi, kinks)
 
 
 def solve_r1(

@@ -670,10 +670,10 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
 
 
 def test_refinement_slope_call_budget(monkeypatch):
-    # the default workers=10 cell, run 2, has 14 r1 sign changes; all are
-    # refined together, so r1 costs one scan and a handful of refine steps,
-    # not dozens of calls per sign change; r2 is solved from prefix sums and
-    # never calls the slope helper
+    # the default workers=10 cell, run 2, has 14 r1 sign changes; 7 can hold
+    # a maximum and are refined together, so r1 costs one scan, one kink
+    # check and a handful of refine steps, not dozens of calls per sign
+    # change; r2 is solved from prefix sums and never calls the slope helper
     calls = {"r1": 0, "r2": 0}
 
     def counted(name, slope):
@@ -987,6 +987,232 @@ def test_r1_cut_hides_no_error_of_the_full_scan(n):
             )
             eq = compute_equilibrium(pop, params, box)
             assert (eq.rates.r1.hex(), eq.r1_source) == (want[0].hex(), want[1])
+
+
+def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf):
+    """Oracle: the r1 search that refines every scan sign change, rising ones included."""
+    if hi <= lo:
+        return lo, "edge"
+    xs = np.linspace(lo, hi, equilibrium._SCAN)
+    s = np.full(equilibrium._SCAN, -1.0)
+    below = int(np.searchsorted(xs, cut))
+    if below:
+        s[:below] = slope(xs[:below])
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
+    signs = np.sign(s)
+    i = np.nonzero(signs[:-1] != signs[1:])[0]
+    b_lo, b_hi = equilibrium._refine(slope, xs[i], xs[i + 1], signs[i])
+    roots = 0.5 * (b_lo + b_hi)
+    kinks = np.asarray(kinks, dtype=float)
+    kinks = kinks[(lo < kinks) & (kinks < hi)]
+    if kinks.size:
+        w = (b_hi - b_lo)[:, None]
+        held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
+        roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
+    return equilibrium._best(value, roots, lo, hi, kinks)
+
+
+def r1_refining_every_sign_change(gamma, t, params, box, clamp):
+    """`_argmax_r1` with the oracle search in place of `_search`."""
+    with patch.object(equilibrium, "_search", refine_every_sign_change):
+        return equilibrium._argmax_r1(gamma, t, params, box, clamp)
+
+
+def assert_same_r1(gamma, t, params, box, clamp):
+    got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    want = r1_refining_every_sign_change(gamma, t, params, box, clamp)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (params, clamp, got, want)
+
+
+def test_refining_only_what_can_win_keeps_every_r1_rate_and_source():
+    # the default sweep in both clamp modes, the scale populations with the
+    # cut inside the box, and per-worker valuations at n = 2000 and 10^4
+    for pop, params, box in default_cell_runs():
+        for clamp in (True, False):
+            assert_same_r1(pop.gamma, pop.t_min, params, box, clamp)
+    for pop, params, box in scale_populations():
+        for u in (0.25, 0.5, 0.75):
+            alpha = alpha_with_cut(pop.t_min, 2000, box, "inside", u)
+            params_u = dataclasses.replace(params, alpha=alpha)
+            assert_same_r1(pop.gamma, pop.t_min, params_u, box, True)
+    for n in (2000, 10**4):
+        config = ScenarioConfig(n=n, alpha=8.0 * n, beta=5.0 * n)
+        pop = sample_population(config, 0)
+        box = feasible_rate_box(pop, config.r2_cap)
+        assert_same_r1(pop.gamma, pop.t_min, config.system_params, box, True)
+
+
+@settings(max_examples=100)
+@given(heterogeneous_scenarios())
+def test_refining_only_what_can_win_differs_only_by_a_tied_local_minimum(scenario):
+    pop, params = scenario
+    box = feasible_rate_box(pop, 100.0)
+    gamma, _, t = game_core._population_arrays(pop)
+    for clamp in (False, True):
+        got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+        want = r1_refining_every_sign_change(gamma, t, params, box, clamp)
+        if (got[0].hex(), got[1]) == (want[0].hex(), want[1]):
+            continue
+        # the oracle picked the root of a sign change leaving a negative slope,
+        # a local minimum, that tied the new pick within `_best`'s snap
+        xs = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
+        j = int(np.searchsorted(xs, want[0])) - 1
+        left, right = np.sign(equilibrium._r1_slope(xs[j : j + 2], gamma, t, params, clamp))
+        assert want[1] == "root" and left < 0 <= right
+        v_got, v_want = equilibrium._r1_value(np.array([got[0], want[0]]), gamma, t, params, clamp)
+        assert v_got >= v_want - 1e-10 * max(1.0, abs(v_want))
+
+
+def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
+    # over the 180 default-sweep populations the r1 scans find 442 sign
+    # changes: 221 leave a negative slope (local minima) and 113 first leave
+    # their left sign across a down-kink, which `_best` values anyway; the
+    # other 108 are refined, and each r2 segment is solved in closed form
+    calls, brackets = [], []
+    refine = equilibrium._refine
+
+    def counted(slope, lo, hi, sign_lo):
+        calls.append(len(lo))
+        brackets.extend(sign_lo.tolist())
+        return refine(slope, lo, hi, sign_lo)
+
+    monkeypatch.setattr(equilibrium, "_refine", counted)
+    runs = 0
+    for pop, params, box in default_cell_runs():
+        compute_equilibrium(pop, params, box)
+        runs += 1
+    assert runs == 180
+    assert len(calls) == runs  # one per r1 search, none from r2
+    assert sum(calls) == 108
+    assert all(sign >= 0 for sign in brackets)  # no refined bracket leaves a negative slope
+
+
+def test_kink_check_steps_off_kinks_where_xtol_is_below_half_an_ulp():
+    # kinks at 2e4 and more: k +- _XTOL rounds to k, so the check reads the
+    # slope at least one ulp either side; brackets resolved there keep every
+    # rate bit for bit
+    resolved = []
+    kink_roots = equilibrium._kink_roots
+
+    def counted(*args):
+        out = kink_roots(*args)
+        resolved.append(int(out.sum()))
+        return out
+
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        gamma, t = rng.uniform(2e4, 6e4, 12), rng.uniform(1.0, 3.0, 12)
+        kinks = gamma * t * np.array([[equilibrium._C_IN], [equilibrium._C_OUT]])
+        assert np.all(kinks + equilibrium._XTOL == kinks)
+        assert np.all(kinks - equilibrium._XTOL == kinks)
+        box = feasible_rate_box(game_core.Population(np.arange(12), gamma, np.ones(12), t), 100.0)
+        for ratio in (1.2, 1.5, 2.0, 3.0):
+            params = SystemParams(alpha=12 * ratio * gamma.mean(), beta=50.0, comm_size=0.0, n=12)
+            with patch.object(equilibrium, "_kink_roots", counted):
+                equilibrium._argmax_r1(gamma, t, params, box, True)
+            assert_same_r1(gamma, t, params, box, True)
+    assert sum(resolved) >= 8
+
+
+def test_kink_check_walks_each_brackets_kinks_from_the_left():
+    # bracket 0 falls across its kink; bracket 1 reads -inf right of its
+    # kink, so it stays unresolved; bracket 2 keeps its sign across its first
+    # kink and falls across its second; bracket 3 falls before its kink
+    edges = np.array([0.5, 2.0, 2.5, 4.0, 4.6, 6.0, 6.2])
+    signs = np.array([1.0, -1.0, 1.0, -np.inf, 1.0, -1.0, 1.0, -1.0])
+    slope = lambda r: signs[np.searchsorted(edges, r, side="right")]  # noqa: E731
+    a, b = np.array([0.0, 2.0, 4.0, 6.0]), np.array([1.0, 3.0, 5.0, 7.0])
+    kinks = np.array([0.5, 2.5, 4.3, 4.6, 6.5])
+    resolved = equilibrium._kink_roots(slope, a, b, np.ones(4), kinks)
+    assert resolved.tolist() == [True, False, True, False]
+
+
+def bisect_r2_segments(delta, params, box, clamp):
+    """Oracle: `_argmax_r2` with each inner segment's root bisected by `_refine`."""
+    lo, hi = box.r2_lo, box.r2_hi
+    sums = equilibrium._freshness_sums(delta)
+    kinks = np.concatenate(sums[:2]) if clamp else np.empty(0)
+    kinks = np.sort(kinks[(lo < kinks) & (kinks < hi)])
+    ends = np.concatenate(([lo], kinks, [hi]))
+    a, b = ends[:-1], ends[1:]
+    live = equilibrium._live_sums(a, sums, clamp)
+    inner = (equilibrium._r2_parts(a, live, params)[1] > 0) & (
+        equilibrium._r2_parts(b, live, params)[1] < 0
+    )
+
+    def parts(r):
+        return equilibrium._r2_parts(r, equilibrium._live_sums(r, sums, clamp), params)
+
+    b_lo, b_hi = equilibrium._refine(
+        lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum()))
+    )
+    return equilibrium._best(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
+
+
+def r2_root_ulps(delta, params, rate):
+    """Distance in ulps from ``rate`` to the 50-digit root of its segment's r2 slope."""
+    live = equilibrium._live_sums(np.array([rate]), equilibrium._freshness_sums(delta), True)
+    s1, s2, m = (float(x[0]) for x in live)
+    with mpmath.workdps(50):
+        share = mpmath.mpf(params.beta / params.n)
+        root = mpmath.findroot(
+            lambda r: (share - r) / r * s1 - (s1 * mpmath.log(r) - s2 + FRESHNESS_MAX * m),
+            mpmath.mpf(rate),
+        )
+        return float(abs(root - rate)) / np.spacing(rate)
+
+
+@pytest.mark.parametrize(
+    "n, beta, delta, run",
+    [
+        (10, 50.0, (1.0, 2.0), 0),  # the default seed-1 population
+        (10, 50.0, (1.0, 2.0), 1),
+        (10, 50.0, (0.05, 0.35), 0),
+        (10, 50.0, (0.05, 0.35), 1),
+        (30, 150.0, (0.05, 0.35), 2),
+        (200, 1000.0, (0.05, 0.35), 0),
+    ],
+)
+def test_r2_closed_form_root_is_within_an_ulp_of_the_exact_root(n, beta, delta, run):
+    config = ScenarioConfig(n=n, beta=beta, delta=delta)
+    pop = sample_population(config, run)
+    params, box = config.system_params, feasible_rate_box(pop, config.r2_cap)
+    rate, source = equilibrium._argmax_r2(pop.delta, params, box, clamp=True)
+    bisected, bisected_source = bisect_r2_segments(pop.delta, params, box, clamp=True)
+    assert source == bisected_source == "root"
+    assert abs(rate - bisected) <= 1e-12 * bisected
+    ulps = r2_root_ulps(pop.delta, params, rate)
+    assert ulps <= min(1.0, r2_root_ulps(pop.delta, params, bisected))
+
+
+def test_r2_closed_form_moves_no_source_on_the_default_sweep():
+    for pop, params, box in default_cell_runs():
+        for clamp in (True, False):
+            rate, source = equilibrium._argmax_r2(pop.delta, params, box, clamp)
+            bisected, bisected_source = bisect_r2_segments(pop.delta, params, box, clamp)
+            assert source == bisected_source
+            assert abs(rate - bisected) <= 1e-12 * bisected
+
+
+@pytest.mark.parametrize("share", [1e-3, 1e-1, 10.0, 1e3, 1e5, 1e7])
+@pytest.mark.parametrize("spread", [(1e-3, 1e-2), (0.05, 0.35), (1.0, 10.0)])
+def test_r2_newton_solve_ends_and_meets_the_bisection_oracle(share, spread):
+    # beta/n from 1e-3 to 1e7 and delta from 1e-3 to 10; a RuntimeWarning fails the test
+    rng = np.random.default_rng(5)
+    n = 25
+    delta = np.exp(rng.uniform(np.log(spread[0]), np.log(spread[1]), n))
+    params = SystemParams(alpha=80.0, beta=share * n, comm_size=0.0, n=n)
+    for cap in (100.0, 1e5):
+        box = RateBox(r1_lo=1.0, r1_hi=2.0, r2_lo=float(delta.max()), r2_hi=cap)
+        for clamp in (True, False):
+            rate, _ = equilibrium._argmax_r2(delta, params, box, clamp)
+            slope = lambda r: equilibrium._r2_slope(r, delta, params, clamp)  # noqa: E731
+            value = lambda r: equilibrium._r2_value(r, delta, params, clamp)  # noqa: E731
+            kinks = delta * np.exp(FRESHNESS_MAX * delta) if clamp else ()
+            best = scalar_search_value(slope, value, box.r2_lo, box.r2_hi, kinks)
+            assert value(rate) >= best - 1e-12 * max(1.0, abs(best)), (cap, clamp)
 
 
 # ---------------------------------------------------------------- verification
