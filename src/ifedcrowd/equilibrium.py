@@ -14,7 +14,7 @@ neighbouring kinks it is concave, so each segment holds at most one root,
 bracketed by the slope signs at its ends.  That root solves
 B/r - ln r = K for the segment's constants, and Newton's method from the
 segment's left end rises to it monotonically.  r1 is concave in neither
-objective, so it keeps a search: it scans the slope on a grid and keeps the
+objective, so it keeps a search: it reads the slope on a grid and keeps the
 best of the box edges, the clamp kinks where the slope jumps down, and the
 sign changes that can hold a maximum.  A sign change that leaves a negative
 slope rises, so it is a local minimum, and one whose sign first changes
@@ -25,6 +25,18 @@ c = (alpha/n) max t: past it every client's term (alpha/n - r/t_k) A_k has
 right slope at most -A_k/t_k < 0, since A_k >= ACCURACY_MIN.  So no slope is
 computed there, and at c <= r1_lo the slice falls across the whole box:
 r1_lo is its maximum, and nothing is scanned or valued.
+
+Below c the realized search first bounds, in the manner of Piyavskii and
+Shubert with a curvature bound in place of a Lipschitz constant.  The
+slice is valued at every 64th grid point and at the down-kinks, which cut
+the box into cells.  Inside a cell the slope jumps only up, and the
+slice's curvature is at least -M, M summed over the clients live in the
+cell, so the slice is at most max(V(a), V(b)) + M (b - a)^2/8 there.  A
+cell whose bound falls short of the best cell end by more than the final
+pick's tie snap cannot hold the pick, so only the grid points of the other
+cells are read.  Those are read on the same grid as a full scan, so the
+search returns the full scan's rate and source bit for bit whenever that
+is the global maximum.  The surrogate reads the whole grid.
 
 An r1 value or slope call larger than _BLOCK rates x clients entries takes
 exponentials over the live clients only.  With the clients sorted by
@@ -75,6 +87,7 @@ VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 # terms, each within half an ulp, with room to spare.
 _SLACK = 16 * np.finfo(float).eps
 _SCAN = 4097         # slope scan resolution per axis
+_CELL = 64           # scan points per coarse cell of the realized r1 search
 _SECTIONS = 64       # sections per bracket in each refine step
 _XTOL = 1e-12        # bracket width at which refinement stops
 _BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
@@ -428,45 +441,124 @@ def _kink_roots(
     return resolved
 
 
-def _search(slope, value, lo: float, hi: float, kinks=(), cut=math.inf) -> tuple[float, str]:
+def _r1_rise(gamma: np.ndarray, t: np.ndarray, share: float):
+    """How far the realized r1 slice can rise above its higher end, on each cell [a, b].
+
+    With g_k = gamma_k t_k, s = alpha/n and x_k = exp(r/g_k - 1), a live
+    client's term (s - r/t_k)(x_k - 1) has second derivative
+    x_k ((s - r/t_k)/g_k^2 - 2/(g_k t_k)), and x_k < 1 + ACCURACY_MAX while it
+    is live; a clamped client's term is linear.  So on [a, b], with r >= 0,
+    the slice's curvature is at least -M for
+    M = (1 + ACCURACY_MAX) sum (s/g_k^2 + b/(t_k g_k^2) + 2/(g_k t_k)) over the
+    clients live somewhere in [a, b].  Where the slope jumps only up, the
+    slice then lies below its chord plus M (x - a)(b - x)/2, so it is at
+    most max(V(a), V(b)) + M (b - a)^2/8.  Sorted by g, the clients live in
+    [a, b] are one contiguous run (`_r1_windowed`, padded the same way), so
+    suffix sums give each cell's M in O(log n), with no cells x clients
+    array.  Returns a function of the arrays of cell ends a, b giving
+    M (b - a)^2/8.  A client so small in g that its terms overflow makes
+    that infinite or NaN on the cells where it is live, and only there.
+    """
+    g = gamma * t
+    order = np.argsort(g, kind="stable")
+    g, t = g[order], t[order]
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / g
+        terms = np.stack([inv * (share * inv + 2.0 / t), inv * inv / t])
+    # suffix sums, so that the small terms of the large g are added first
+    tail = np.zeros((2, len(g) + 1))
+    tail[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+
+    def rise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        first = np.searchsorted(g, a / _C_OUT * (1.0 - _PAD))
+        stop = np.searchsorted(g, b / _C_IN * (1.0 + _PAD), side="right")
+        # inf - inf where an overflowed term is live; inf * 0 where b - a underflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            fixed, per_b = tail[:, first] - tail[:, stop]
+            return (1.0 + ACCURACY_MAX) / 8.0 * (fixed + b * per_b) * (b - a) ** 2
+
+    return rise
+
+
+def _search(
+    slope, value, lo: float, hi: float, kinks=(), cut=math.inf, rise=None
+) -> tuple[float, str]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
-    Scans the slope on a _SCAN-point grid and returns `_best` of the edges,
-    the in-box kinks and the sign changes that can hold a maximum, with the
-    winner's source.  Two rules drop the sign changes that cannot win:
+    Reads the slope on a _SCAN-point grid and returns `_best` of the edges,
+    the in-box kinks and the grid's sign changes that can hold a maximum,
+    with the winner's source.  Without ``rise`` the whole grid is read.
+    With it, cells that bounds rule out are skipped first:
 
-    - One that leaves a negative slope rises: `_refine` would narrow it to
-      where the slope turns from - to 0 or +, a local minimum, or to a
-      kink, which `_best` values anyway.  Dropped.
-    - One whose sign first leaves its left sign across a kink
-      (`_kink_roots`) has that kink as its root.  Dropped too.
+    - The cell ends are every _CELL-th grid point below ``cut`` (and the
+      first one at or past it), ``hi`` and the in-box ``kinks``, and the
+      objective is valued at each of them.
+    - ``kinks`` are where the slope jumps down; an upward jump is a convex
+      corner.  So ``rise(a, b)`` bounds how far the objective climbs above
+      max(V(a), V(b)) inside a cell [a, b] (`_r1_rise`).
+    - A cell whose bound is below the best end value less `_best`'s tie
+      snap, 1e-10 max(1, |best|), is dropped; a non-finite bound keeps its
+      cell.  The slope is read only at the grid points in or next to a kept
+      cell, and `_best` values only the kinks that end one.
 
-    Every other sign change is refined with `_refine`.  Its root is its
-    bracket's midpoint, or the exact kink where the slope jumps if the
-    bracket holds one (to within the bracket's width, since the clamp tests
-    round).  A degenerate box returns its edge.
+    A dropped cell holds only candidates more than the tie snap below the
+    best end value.  So whenever the full scan's answer is the global
+    maximum, it is at least that value, nothing in a dropped cell ties it,
+    and the kept cells, read on the same grid, give the same rate and
+    source.
+
+    Two rules drop the sign changes that cannot win.  One that leaves a
+    negative slope rises: `_refine` would narrow it to where the slope
+    turns from - to 0 or +, a local minimum, or to a kink, which `_best`
+    values anyway.  One whose sign first leaves its left sign across a
+    kink (`_kink_roots`) has that kink as its root.  Every other sign
+    change is refined with `_refine`.  Its root is its bracket's midpoint,
+    or the exact kink where the slope jumps if the bracket holds one (to
+    within the bracket's width, since the clamp tests round).  A degenerate
+    box returns its edge.
 
     ``cut`` is a rate past which the objective is known to fall strictly.
     The grid stays the same, but the slope is computed only at the grid
     points below the cut; the sign at the rest is taken as -1, their exact
     sign.  So every bracket is the one a full scan finds, and an error the
-    scan meets below the cut is still raised.  With cut = inf the whole grid
-    is scanned.
+    scan meets below the cut in a kept cell is still raised.
     """
     if hi <= lo:
         return lo, "edge"
     xs = np.linspace(lo, hi, _SCAN)
-    s = np.full(_SCAN, -1.0)
     below = int(np.searchsorted(xs, cut))
-    if below:
-        s[:below] = slope(xs[:below])
+    kinks = np.asarray(kinks, dtype=float)
+    kinks = kinks[(lo < kinks) & (kinks < hi)]
+    valued = kinks
+    scan = np.ones(_SCAN, dtype=bool)
+    if rise is not None:
+        last = min(-(-below // _CELL) * _CELL, _SCAN - 1)
+        ends = np.sort(np.concatenate([xs[: last + 1 : _CELL], kinks, [hi]]))
+        v = value(ends)
+        a, b = ends[:-1], ends[1:]
+        top = float(np.max(v))
+        bound = np.maximum(v[:-1], v[1:]) + rise(a, b)
+        keep = ~(bound < top - 1e-10 * max(1.0, abs(top)))
+        ends_kept = np.zeros(len(ends), dtype=bool)
+        ends_kept[:-1] = keep
+        ends_kept[1:] |= keep
+        valued = kinks[ends_kept[np.searchsorted(ends, kinks)]]
+        # each kept cell reads the grid from the point at or before a to the one at or past b
+        first = np.searchsorted(xs, a[keep], side="right") - 1
+        stop = np.searchsorted(xs, b[keep]) + 1
+        scan = np.zeros(_SCAN, dtype=bool)
+        for i, j in zip(first.tolist(), stop.tolist()):
+            scan[i:j] = True
+    read = scan.copy()
+    read[below:] = False
+    s = np.full(_SCAN, -1.0)
+    if read.any():
+        s[read] = slope(xs[read])
     bad = ~np.isfinite(s)
     if bad.any():
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
-    kinks = np.asarray(kinks, dtype=float)
-    kinks = kinks[(lo < kinks) & (kinks < hi)]
-    i = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
+    i = np.nonzero(scan[:-1] & scan[1:] & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
     i = i[~_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
     b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
     roots = 0.5 * (b_lo + b_hi)
@@ -474,7 +566,7 @@ def _search(slope, value, lo: float, hi: float, kinks=(), cut=math.inf) -> tuple
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    return _best(value, roots, lo, hi, kinks)
+    return _best(value, roots, lo, hi, valued)
 
 
 def _argmax_r1(
@@ -489,7 +581,7 @@ def _argmax_r1(
     `_search` computes no slope past c.  The surrogate's unclamped A_k may
     be negative, so it keeps c = inf.
     """
-    kinks, cut = (), math.inf
+    kinks, cut, rise = (), math.inf, None
     if clamp:
         share = params.alpha / params.n
         cut = share * float(t.max())
@@ -503,6 +595,7 @@ def _argmax_r1(
         kinks = np.concatenate(
             [gt[share < _C_IN * gamma] * _C_IN, gt[share > _C_OUT * gamma] * _C_OUT]
         )
+        rise = _r1_rise(gamma, t, share)
     return _search(
         lambda r: _r1_slope(r, gamma, t, params, clamp),
         lambda r: _r1_value(r, gamma, t, params, clamp),
@@ -510,6 +603,7 @@ def _argmax_r1(
         box.r1_hi,
         kinks,
         cut,
+        rise,
     )
 
 

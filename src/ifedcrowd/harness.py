@@ -42,7 +42,7 @@ from .game_core import (
     feasible_rate_box,
     population_utilities,
 )
-from .mechanisms import MechanismKind, select_rates
+from .mechanisms import MechanismKind, _check_box, select_rates
 
 _POP_TAG = 11
 _RATE_TAG = 13
@@ -252,11 +252,17 @@ def evaluate_cell(
             gamma, delta, t_min = _population_arrays(population)
             seed = rate_seed(config, run)
             for mech in mechanisms:
-                rates = select_rates(mech, population, params, box, rng_seed=seed)
-                accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates)
-                utilities, server = population_utilities(
-                    gamma, delta, t_min, accuracy, freshness, params, rates
-                )
+                if mech is MechanismKind.IFEDCROWD:  # the solve returns the utilities it played
+                    _check_box(box)
+                    result = compute_equilibrium(population, params, box)
+                    rates, utilities = result.rates, result.utilities
+                    server = result.server_utility
+                else:
+                    rates = select_rates(mech, population, params, box, rng_seed=seed)
+                    accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates)
+                    utilities, server = population_utilities(
+                        gamma, delta, t_min, accuracy, freshness, params, rates
+                    )
                 outcomes.append(
                     CellRun(
                         run_index=run,

@@ -32,6 +32,15 @@ class MechanismKind(Enum):
         return self.value
 
 
+def _check_box(box: RateBox) -> None:
+    """Raise ConfigError unless both rate intervals of the box are non-empty."""
+    if not (box.r1_lo < box.r1_hi and box.r2_lo < box.r2_hi):
+        raise ConfigError(
+            f"infeasible rate box: r1 [{box.r1_lo}, {box.r1_hi}], "
+            f"r2 [{box.r2_lo}, {box.r2_hi}]"
+        )
+
+
 def select_rates(
     kind: MechanismKind,
     profiles: Sequence[ClientProfile],
@@ -47,11 +56,7 @@ def select_rates(
     IFEDCROWD returns the solved equilibrium rates.  Deterministic given
     (kind, inputs, seed).
     """
-    if not (box.r1_lo < box.r1_hi and box.r2_lo < box.r2_hi):
-        raise ConfigError(
-            f"infeasible rate box: r1 [{box.r1_lo}, {box.r1_hi}], "
-            f"r2 [{box.r2_lo}, {box.r2_hi}]"
-        )
+    _check_box(box)
     if kind is MechanismKind.MAX:
         return RewardRates(r1=box.r1_hi, r2=box.r2_hi)
     if kind is MechanismKind.RANDOM:

@@ -267,10 +267,10 @@ def test_compute_equilibrium_identical_clients_symmetric():
     assert eq.rates.r1 == pytest.approx(2.348, abs=1e-3)
 
 
-def default_cell_runs():
-    """(population, params, box) of every run of every default sweep cell."""
+def default_cell_runs(base=ScenarioConfig()):
+    """(population, params, box) of every run of every sweep cell around ``base``."""
     for axis in harness.SWEEP_AXES:
-        spec = SweepSpec.for_axis(axis, ScenarioConfig())
+        spec = SweepSpec.for_axis(axis, base)
         for value in spec.values:
             config = spec.cell_config(value)
             for run in range(config.runs):
@@ -626,7 +626,9 @@ def test_clamped_r2_search_holds_no_rates_by_clients_array():
 @pytest.mark.parametrize("n", [10, 2000])
 def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     # an upward slope jump is a convex corner, never a maximum; each client
-    # has at most one downward kink, so at most n kinks are valued
+    # has at most one downward kink, so at most n kinks end a cell.  The cell
+    # ends (every _CELL-th grid point, hi and those kinks) are valued once,
+    # then `_best` values the roots, the edges and the kinks of kept cells
     if n == 10:
         config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
         pop = sample_population(config, 2)
@@ -652,7 +654,8 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     monkeypatch.setattr(equilibrium, "_refine", counted_refine)
     rate, _ = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
     monkeypatch.undo()
-    assert counts["rows"] <= counts["roots"] + 2 + n
+    cell_ends = (equilibrium._SCAN - 1) // equilibrium._CELL + 2 + n
+    assert counts["rows"] <= cell_ends + counts["roots"] + 2 + n
 
     # every kink, upward ones included, still picks the same rate
     gt = gamma * t
@@ -950,14 +953,15 @@ def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
     ]
     for pop, params, box in cases:
         assert r1_search_work(monkeypatch, pop, params, box) == ([], 0)
-    # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7:
-    # the whole grid is scanned
+    # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7,
+    # so no grid point is ruled out by it; the cell bounds rule out all but
+    # the few cells whose 21 grid points the first slope call reads
     config = ScenarioConfig(n=2000, alpha=40000.0)
     pop = sample_population(config, 0)
     box = feasible_rate_box(pop, config.r2_cap)
     assert config.alpha / config.n * pop.t_min.max() > box.r1_hi
     slopes, _ = r1_search_work(monkeypatch, pop, config.system_params, box)
-    assert slopes[0] == equilibrium._SCAN
+    assert slopes[0] == 21
 
 
 @pytest.mark.parametrize("n", [10, 2000])
@@ -989,8 +993,11 @@ def test_r1_cut_hides_no_error_of_the_full_scan(n):
             assert (eq.rates.r1.hex(), eq.r1_source) == (want[0].hex(), want[1])
 
 
-def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf):
-    """Oracle: the r1 search that refines every scan sign change, rising ones included."""
+def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+    """Oracle: the r1 search that refines every scan sign change, rising ones included.
+
+    It reads the whole grid, so it ignores the cell bound ``rise``.
+    """
     if hi <= lo:
         return lo, "edge"
     xs = np.linspace(lo, hi, equilibrium._SCAN)
@@ -1066,10 +1073,11 @@ def test_refining_only_what_can_win_differs_only_by_a_tied_local_minimum(scenari
 
 
 def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
-    # over the 180 default-sweep populations the r1 scans find 442 sign
-    # changes: 221 leave a negative slope (local minima) and 113 first leave
-    # their left sign across a down-kink, which `_best` values anyway; the
-    # other 108 are refined, and each r2 segment is solved in closed form
+    # over the 180 default-sweep populations a scan of the whole grid finds
+    # 442 sign changes: 221 leave a negative slope (local minima) and 113
+    # first leave their left sign across a down-kink, which `_best` values
+    # anyway; 108 are left, and 84 of them lie in cells the bounds keep.
+    # Those are refined, and each r2 segment is solved in closed form
     calls, brackets = [], []
     refine = equilibrium._refine
 
@@ -1085,7 +1093,7 @@ def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
         runs += 1
     assert runs == 180
     assert len(calls) == runs  # one per r1 search, none from r2
-    assert sum(calls) == 108
+    assert sum(calls) == 84
     assert all(sign >= 0 for sign in brackets)  # no refined bracket leaves a negative slope
 
 
@@ -1127,6 +1135,116 @@ def test_kink_check_walks_each_brackets_kinks_from_the_left():
     kinks = np.array([0.5, 2.5, 4.3, 4.6, 6.5])
     resolved = equilibrium._kink_roots(slope, a, b, np.ones(4), kinks)
     assert resolved.tolist() == [True, False, True, False]
+
+
+def r1_reading_every_cell(gamma, t, params, box):
+    """Oracle: the realized r1 search with no cell bound and no cut, which
+    reads the whole grid."""
+    return full_r1_search(gamma, t, params, box, equilibrium._r1_slope, equilibrium._r1_value)
+
+
+def assert_cells_keep_r1(gamma, t, params, box):
+    got = equilibrium._argmax_r1(gamma, t, params, box, True)
+    want = r1_reading_every_cell(gamma, t, params, box)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (params, got, want)
+
+
+def test_cell_bounds_keep_every_r1_rate_and_source():
+    # the default sweep, every cell of the sweep at seed 7919, and
+    # per-worker valuations alpha = 8n, beta = 5n at n = 100 and 2000
+    held_out = ScenarioConfig(seed=7919)
+    cases = [*default_cell_runs(), *default_cell_runs(held_out)]
+    assert len(cases) == 360
+    for n in (100, 2000):
+        config = ScenarioConfig(n=n, alpha=8.0 * n, beta=5.0 * n)
+        pop = sample_population(config, 0)
+        cases.append((pop, config.system_params, feasible_rate_box(pop, config.r2_cap)))
+    for pop, params, box in cases:
+        assert_cells_keep_r1(pop.gamma, pop.t_min, params, box)
+
+
+def rise_without_curvature(gamma, t, share):
+    """Mutant of `_r1_rise`: a cell's bound is max(V(a), V(b)) alone."""
+    return lambda a, b: np.zeros(len(a))
+
+
+def rise_of_clients_live_at_the_ends(gamma, t, share):
+    """Mutant of `_r1_rise`: M sums only the clients live at a cell's ends."""
+    g = gamma * t
+
+    def live(r):
+        return (g * equilibrium._C_IN <= r[:, None]) & (r[:, None] < g * equilibrium._C_OUT)
+
+    def rise(a, b):
+        terms = share / g**2 + b[:, None] / (t * g**2) + 2.0 / (g * t)
+        m = (1.0 + ACCURACY_MAX) * np.sum(terms * (live(a) | live(b)), axis=1)
+        return m * (b - a) ** 2 / 8.0
+
+    return rise
+
+
+def assert_mutant_moves_r1(mutant, gamma, t, alpha):
+    """The search keeps the oracle's r1, and with ``mutant`` it misses the
+    maximum, which lies strictly inside a coarse cell."""
+    gamma, t = np.array(gamma), np.array(t)
+    n = len(gamma)
+    params = SystemParams(alpha=alpha, beta=50.0, comm_size=0.0, n=n)
+    box = feasible_rate_box(game_core.Population(np.arange(n), gamma, np.ones(n), t), 100.0)
+    want = r1_reading_every_cell(gamma, t, params, box)
+    assert_cells_keep_r1(gamma, t, params, box)
+    coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)[:: equilibrium._CELL]
+    j = int(np.searchsorted(coarse, want[0]))
+    assert want[1] == "root" and coarse[j - 1] < want[0] < coarse[j]
+    with patch.object(equilibrium, "_r1_rise", mutant):
+        moved = equilibrium._argmax_r1(gamma, t, params, box, True)
+    assert moved[0] != want[0]
+    v_moved, v_want = equilibrium._r1_value(np.array([moved[0], want[0]]), gamma, t, params, True)
+    assert v_moved < v_want
+    return coarse[j - 1], coarse[j]
+
+
+def test_a_bound_without_its_curvature_term_misses_the_maximum():
+    # the maximum is a root between two coarse points, and both ends of
+    # its cell lie below the best cell end
+    gamma, t = [0.612, 0.43, 0.312], [0.038, 0.278, 0.077]
+    assert_mutant_moves_r1(rise_without_curvature, gamma, t, 3.0)
+
+
+def test_a_bump_narrower_than_a_coarse_cell_is_bounded_by_its_client():
+    # client 1 is live on [g (1 + ln 1.001), g (1 + ln 1.999)), g = 0.28, strictly
+    # inside the coarse cell about [0.27, 0.53], and its interior root is the
+    # maximum; client 0's cap kink, near 0.0017, is the best cell end.  At
+    # neither end of the cell is client 1 live, so a bound summed over the
+    # clients live at the ends misses its curvature and drops the cell
+    gamma, t = [1e-5, 0.6, 5.0], [100.0, 0.4667, 2.0]
+    a, b = assert_mutant_moves_r1(rise_of_clients_live_at_the_ends, gamma, t, 3.0)
+    g = gamma[1] * t[1]
+    assert a < g * equilibrium._C_IN < g * equilibrium._C_OUT < b
+
+
+def test_r1_searches_of_the_default_sweep_read_few_rates():
+    # a scan of the whole grid below the cut reads 610,088 slope rates over
+    # the 180 default-sweep populations and values 2,086; the cell bounds
+    # read 54,640 slopes and value 11,517, with the cell ends.  The ceilings
+    # are 10% of the full scan's slopes (12% over today's count) and 13%
+    # over today's values, so a return to the full scan fails here
+    rates = {"slope": 0, "value": 0}
+    slope, value = equilibrium._r1_slope, equilibrium._r1_value
+
+    def counted(name, helper):
+        def wrapper(r, *args):
+            rates[name] += np.size(r)
+            return helper(r, *args)
+
+        return wrapper
+
+    with patch.object(equilibrium, "_r1_slope", counted("slope", slope)), patch.object(
+        equilibrium, "_r1_value", counted("value", value)
+    ):
+        for pop, params, box in default_cell_runs():
+            compute_equilibrium(pop, params, box)
+    assert rates["slope"] <= 61_008
+    assert rates["value"] <= 13_000
 
 
 def bisect_r2_segments(delta, params, box, clamp):
