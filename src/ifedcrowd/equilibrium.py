@@ -14,29 +14,33 @@ neighbouring kinks it is concave, so each segment holds at most one root,
 bracketed by the slope signs at its ends.  That root solves
 B/r - ln r = K for the segment's constants, and Newton's method from the
 segment's left end rises to it monotonically.  r1 is concave in neither
-objective, so it keeps a search: it reads the slope on a grid and keeps the
-best of the box edges, the clamp kinks where the slope jumps down, and the
-sign changes that can hold a maximum.  A sign change that leaves a negative
-slope rises, so it is a local minimum, and one whose sign first changes
-across a kink has that kink as its root; the rest are narrowed together by
-multisection (one vectorized slope call per step).  Only what can win is
-refined.  On the realized objective the search stops at
-c = (alpha/n) max t: past it every client's term (alpha/n - r/t_k) A_k has
-right slope at most -A_k/t_k < 0, since A_k >= ACCURACY_MIN.  So no slope is
-computed there, and at c <= r1_lo the slice falls across the whole box:
-r1_lo is its maximum, and nothing is scanned or valued.
+objective, so it keeps a search.  It cuts the box into cells at 65 equally
+spaced points and at the clamp kinks where the slope jumps down, reads the
+slope on each cell's own points, and keeps the best of the box edges, the
+kinks and the sign changes that can hold a maximum.  A cell end at a kink
+is read just inside the cell, so a sign change across a kink is never a
+bracket: the kink is its root, and it is valued as a candidate.  A sign
+change that leaves a negative slope rises, so it is a local minimum; the
+rest are narrowed together by multisection (one vectorized slope call per
+step).  Only what can win is refined.  On the realized objective the search
+stops at c = (alpha/n) max t: past it every client's term
+(alpha/n - r/t_k) A_k has right slope at most -A_k/t_k < 0, since
+A_k >= ACCURACY_MIN.  So no slope is computed there, and at c <= r1_lo the
+slice falls across the whole box: r1_lo is its maximum, and nothing is read
+or valued.
 
-Below c the realized search first bounds, in the manner of Piyavskii and
-Shubert with a curvature bound in place of a Lipschitz constant.  The
-slice is valued at every 64th grid point and at the down-kinks, which cut
-the box into cells.  Inside a cell the slope jumps only up, and the
-slice's curvature is at least -M, M summed over the clients live in the
-cell, so the slice is at most max(V(a), V(b)) + M (b - a)^2/8 there.  A
-cell whose bound falls short of the best cell end by more than the final
-pick's tie snap cannot hold the pick, so only the grid points of the other
-cells are read.  Those are read on the same grid as a full scan, so the
-search returns the full scan's rate and source bit for bit whenever that
-is the global maximum.  The surrogate reads the whole grid.
+Below c the realized search first bounds the cells, in the manner of
+Piyavskii and Shubert with a curvature bound in place of a Lipschitz
+constant.  The slice is valued at every cell end.  Inside a cell the slope
+jumps only up, and the slice's curvature is at least -M, M summed over the
+clients live in the cell, so the slice is at most
+max(V(a), V(b)) + M (b - a)^2/8 there.  A cell whose bound falls short of
+the best cell end by more than the final pick's tie snap cannot hold the
+pick, so only the other cells are read.  A kept cell is read on the same
+points as when every cell is read, so the search returns that reading's
+rate and source bit for bit whenever it is the global maximum.  The
+surrogate has no kinks and no bound, and reads every cell of the same
+search.
 
 An r1 value or slope call larger than _BLOCK rates x clients entries takes
 exponentials over the live clients only.  With the clients sorted by
@@ -44,7 +48,7 @@ g_k = gamma_k t_k, client k is live on
 [g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate are
 one contiguous window of that order; the clamped clients on either side
 add constants from prefix sums of 1/t.  Rates are taken in blocks of at
-most _BLOCK entries, so memory is O(_BLOCK), not O(4097 n).  Each value or
+most _BLOCK entries, so memory is O(_BLOCK), not O(rates x n).  Each value or
 slope call allocates one scratch buffer, and every block writes its rates x
 clients temporaries into it in place.
 
@@ -59,13 +63,14 @@ deviation gains over its best response (`_deviation_bounds`).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .game_core import (
     ACCURACY_MAX,
     ACCURACY_MIN,
@@ -86,9 +91,8 @@ VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 # Relative rounding slack of a client's utility slope: a few roundings of its
 # terms, each within half an ulp, with room to spare.
 _SLACK = 16 * np.finfo(float).eps
-_SCAN = 4097         # slope scan resolution per axis
-_CELL = 64           # scan points per coarse cell of the realized r1 search
-_SECTIONS = 64       # sections per bracket in each refine step
+_CELLS = 64          # coarse cells of an r1 search
+_SECTIONS = 64       # sections per coarse cell read, and per bracket in each refine step
 _XTOL = 1e-12        # bracket width at which refinement stops
 _BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
 _PAD = 1e-9          # relative margin of an r1 live window
@@ -408,39 +412,6 @@ def _best(
     return rate, "kink" if rate in kinks else "root"
 
 
-def _kink_roots(
-    slope, a: np.ndarray, b: np.ndarray, sign_lo: np.ndarray, kinks: np.ndarray
-) -> np.ndarray:
-    """Which sign-change brackets [a_i, b_i] first leave their left sign across a kink.
-
-    Bracket i holds the sorted ``kinks`` in (a_i, b_i].  The slope is read in
-    one call at k - eps and k + eps for every held kink k, with
-    eps = max(_XTOL, ulp(k)), so that neither rounds to k.  Walking a
-    bracket's kinks from the left, the first kink where the sign is not
-    sign_lo on both sides decides: the bracket is resolved at that kink if
-    the sign is sign_lo just left of it and another sign just right of it.
-    Otherwise the sign left sign_lo away from a kink, or a read there was
-    not finite, and the bracket stays unresolved.
-    """
-    resolved = np.zeros(len(a), dtype=bool)
-    owner = np.searchsorted(b, kinks)  # the first bracket ending at or past each kink
-    held = owner < len(b)
-    held[held] = a[owner[held]] < kinks[held]
-    if not held.any():
-        return resolved
-    k, owner = kinks[held], owner[held]
-    eps = np.maximum(_XTOL, np.spacing(k))
-    s = slope(np.concatenate([k - eps, k + eps])).reshape(2, -1)
-    left, right = np.sign(s)
-    sign, finite = sign_lo[owner], np.isfinite(s).all(axis=0)
-    stays = finite & (left == sign) & (right == sign)
-    crosses = finite & (left == sign) & (right != sign)
-    decide = np.nonzero(~stays)[0]
-    brackets, first = np.unique(owner[decide], return_index=True)
-    resolved[brackets] = crosses[decide[first]]
-    return resolved
-
-
 def _r1_rise(gamma: np.ndarray, t: np.ndarray, share: float):
     """How far the realized r1 slice can rise above its higher end, on each cell [a, b].
 
@@ -485,81 +456,76 @@ def _search(
 ) -> tuple[float, str]:
     """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
 
-    Reads the slope on a _SCAN-point grid and returns `_best` of the edges,
-    the in-box kinks and the grid's sign changes that can hold a maximum,
-    with the winner's source.  Without ``rise`` the whole grid is read.
-    With it, cells that bounds rule out are skipped first:
+    The box is cut into cells at _CELLS + 1 equally spaced points, up to the
+    first one at or past ``cut``, at ``hi`` and at the in-box ``kinks``,
+    where the slope jumps down (an upward jump is a convex corner).  A cell
+    [a, b] with a >= ``cut`` is dropped: the objective is known to fall
+    strictly past the cut.  With ``rise``, the objective is valued at every
+    cell end, ``rise(a, b)`` bounds how far it climbs above max(V(a), V(b))
+    inside [a, b] (`_r1_rise`), and a cell whose bound is below the best end
+    value less `_best`'s tie snap, 1e-10 max(1, |best|), is dropped too; a
+    non-finite bound keeps its cell.  A dropped cell holds only candidates
+    more than the tie snap below the best end value, so it cannot hold the
+    pick.  Without ``rise`` every cell below the cut is kept.
 
-    - The cell ends are every _CELL-th grid point below ``cut`` (and the
-      first one at or past it), ``hi`` and the in-box ``kinks``, and the
-      objective is valued at each of them.
-    - ``kinks`` are where the slope jumps down; an upward jump is a convex
-      corner.  So ``rise(a, b)`` bounds how far the objective climbs above
-      max(V(a), V(b)) inside a cell [a, b] (`_r1_rise`).
-    - A cell whose bound is below the best end value less `_best`'s tie
-      snap, 1e-10 max(1, |best|), is dropped; a non-finite bound keeps its
-      cell.  The slope is read only at the grid points in or next to a kept
-      cell, and `_best` values only the kinks that end one.
-
-    A dropped cell holds only candidates more than the tie snap below the
-    best end value.  So whenever the full scan's answer is the global
-    maximum, it is at least that value, nothing in a dropped cell ties it,
-    and the kept cells, read on the same grid, give the same rate and
-    source.
-
-    Two rules drop the sign changes that cannot win.  One that leaves a
-    negative slope rises: `_refine` would narrow it to where the slope
-    turns from - to 0 or +, a local minimum, or to a kink, which `_best`
-    values anyway.  One whose sign first leaves its left sign across a
-    kink (`_kink_roots`) has that kink as its root.  Every other sign
+    The slope is read in one call at the ends of ceil((b - a)/h) equal
+    sections of every kept cell, h = (hi - lo)/(_CELLS _SECTIONS), except
+    that a cell end at a kink is read max(_XTOL, ulp) inside the cell.  So
+    no bracket between neighbouring reads holds a kink or ends on one, and
+    a sign change across a kink, which has that kink as its root, is no
+    bracket: `_best` values the kink.  Reads at or past the cut take the
+    sign -1, their exact sign, and a non-finite read raises.  A sign change
+    that leaves a negative slope rises: `_refine` would narrow it to where
+    the slope turns from - to 0 or +, a local minimum.  Every other sign
     change is refined with `_refine`.  Its root is its bracket's midpoint,
-    or the exact kink where the slope jumps if the bracket holds one (to
-    within the bracket's width, since the clamp tests round).  A degenerate
-    box returns its edge.
-
-    ``cut`` is a rate past which the objective is known to fall strictly.
-    The grid stays the same, but the slope is computed only at the grid
-    points below the cut; the sign at the rest is taken as -1, their exact
-    sign.  So every bracket is the one a full scan finds, and an error the
-    scan meets below the cut in a kept cell is still raised.
+    or a kink within the bracket's width of it.  `_best` picks among the
+    roots, the edges and the kinks that end a kept cell.  A degenerate box
+    returns its edge.
     """
     if hi <= lo:
         return lo, "edge"
-    xs = np.linspace(lo, hi, _SCAN)
-    below = int(np.searchsorted(xs, cut))
     kinks = np.asarray(kinks, dtype=float)
     kinks = kinks[(lo < kinks) & (kinks < hi)]
-    valued = kinks
-    scan = np.ones(_SCAN, dtype=bool)
+    coarse = np.linspace(lo, hi, _CELLS + 1)
+    coarse = coarse[: np.searchsorted(coarse, cut) + 1]
+    ends = np.sort(np.concatenate([coarse, kinks, [hi]]))
+    # not np.unique, whose first call imports numpy.ma
+    ends = ends[np.diff(ends, prepend=-np.inf) > 0]
+    at = np.searchsorted(ends, kinks)
+    at_kink = np.zeros(len(ends), dtype=bool)
+    at_kink[at] = True
+    a, b = ends[:-1], ends[1:]
+    keep = a < cut
     if rise is not None:
-        last = min(-(-below // _CELL) * _CELL, _SCAN - 1)
-        ends = np.sort(np.concatenate([xs[: last + 1 : _CELL], kinks, [hi]]))
         v = value(ends)
-        a, b = ends[:-1], ends[1:]
         top = float(np.max(v))
         bound = np.maximum(v[:-1], v[1:]) + rise(a, b)
-        keep = ~(bound < top - 1e-10 * max(1.0, abs(top)))
-        ends_kept = np.zeros(len(ends), dtype=bool)
-        ends_kept[:-1] = keep
-        ends_kept[1:] |= keep
-        valued = kinks[ends_kept[np.searchsorted(ends, kinks)]]
-        # each kept cell reads the grid from the point at or before a to the one at or past b
-        first = np.searchsorted(xs, a[keep], side="right") - 1
-        stop = np.searchsorted(xs, b[keep]) + 1
-        scan = np.zeros(_SCAN, dtype=bool)
-        for i, j in zip(first.tolist(), stop.tolist()):
-            scan[i:j] = True
-    read = scan.copy()
-    read[below:] = False
-    s = np.full(_SCAN, -1.0)
-    if read.any():
-        s[read] = slope(xs[read])
+        keep &= ~(bound < top - 1e-10 * max(1.0, abs(top)))
+    ends_kept = np.zeros(len(ends), dtype=bool)
+    ends_kept[:-1] = keep
+    ends_kept[1:] |= keep
+    valued = kinks[ends_kept[at]]
+    a, b, kink_a, kink_b = a[keep], b[keep], at_kink[:-1][keep], at_kink[1:][keep]
+    # cell i is read at a_i + (b_i - a_i) j/m_i, j = 0..m_i, each end stepped off a kink
+    m = np.maximum(np.ceil((b - a) / ((hi - lo) / (_CELLS * _SECTIONS))), 1.0)
+    cell = np.repeat(np.arange(len(a)), (m + 1).astype(int))
+    j = np.arange(len(cell)) - np.searchsorted(cell, cell)
+    xs = a[cell] + (b - a)[cell] * (j / m[cell])
+    first, last = j == 0, j == m[cell]
+    xs[last] = b[cell[last]]
+    step = (first & kink_a[cell]) | (last & kink_b[cell])
+    xs[step] += np.where(first[step], 1.0, -1.0) * np.maximum(_XTOL, np.spacing(xs[step]))
+    s = np.full(len(xs), -1.0)
+    below = xs < cut
+    if below.any():
+        s[below] = slope(xs[below])
     bad = ~np.isfinite(s)
     if bad.any():
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
-    i = np.nonzero(scan[:-1] & scan[1:] & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
-    i = i[~_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
+    i = np.nonzero(
+        (cell[:-1] == cell[1:]) & (xs[:-1] < xs[1:]) & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0)
+    )[0]
     b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
@@ -858,7 +824,7 @@ class ServerEquilibriumReport:
     """Worst rate deviation found against the solved rates."""
 
     worst_violation: float
-    worst_rates: tuple[float, float] | None
+    worst_rates: tuple[float, float]
     grid_points: int
     axis_points: int
     passed: bool
@@ -877,8 +843,15 @@ def verify_server_equilibrium(
     fixed-strategies inequality is vacuous here: utility is strictly
     decreasing in the rates once strategies are frozen, so only the
     response-substituted comparison is informative).  Runs a grid_n x grid_n
-    joint grid plus denser single-axis sweeps through the solved point.
+    joint grid plus denser single-axis sweeps through the solved point;
+    ``grid_n`` must be an integer of at least 1.
     """
+    try:
+        grid_n = operator.index(grid_n)
+    except TypeError:
+        raise DomainError(f"grid_n must be an integer, got {grid_n!r}") from None
+    if grid_n < 1:
+        raise DomainError(f"grid_n must be at least 1, got {grid_n}")
     gamma, delta, t = _population_arrays(profiles)
     sums = _freshness_sums(delta)
     part1 = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731

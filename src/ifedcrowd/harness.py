@@ -103,18 +103,13 @@ class ScenarioConfig:
         )
 
 
-_INT_KEYS = {"n", "runs", "seed", "rounds"}
-_FLOAT_KEYS = {
-    "alpha",
-    "beta",
-    "comm_size",
-    "gamma_lo",
-    "gamma_hi",
-    "delta_lo",
-    "delta_hi",
-    "tmin_lo",
-    "tmin_hi",
-    "r2_cap",
+_HINTS = get_type_hints(ScenarioConfig)
+_PAIRS = tuple(name for name, hint in _HINTS.items() if hint == tuple[float, float])
+# every config-file key and the type of its value; a pair field gives two keys
+_KEYS = {
+    key: float if name in _PAIRS else hint
+    for name, hint in _HINTS.items()
+    for key in ((f"{name}_lo", f"{name}_hi") if name in _PAIRS else (name,))
 }
 
 
@@ -132,23 +127,24 @@ def parse_config(text: str) -> ScenarioConfig:
         val = val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
+        kind = _KEYS.get(key)
+        if kind is int:
             try:
                 values[key] = int(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} expects an integer, got {val!r}")
-        elif key in _FLOAT_KEYS:
+        elif kind is float:
             try:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} expects a number, got {val!r}")
-        elif key == "mechanism":
+        elif kind is MechanismKind:
             values[key] = MechanismKind.from_token(val)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     kwargs: dict[str, object] = {}
-    for name in ("gamma", "delta", "tmin"):
+    for name in _PAIRS:
         lo_key, hi_key = f"{name}_lo", f"{name}_hi"
         if (lo_key in values) != (hi_key in values):
             raise ConfigError(f"{lo_key} and {hi_key} must be given together")

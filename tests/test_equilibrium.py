@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ifedcrowd import (
     ClientProfile,
+    DomainError,
     NumericError,
     RateBox,
     RewardRates,
@@ -43,6 +44,7 @@ SINGLE = [ClientProfile(id=0, gamma=2.0, delta=1.0, t_min=1.0)]
 PARAMS_1 = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=1)
 THIRTY = [ClientProfile(id=k, gamma=2.0, delta=1.0, t_min=1.0) for k in range(30)]
 PARAMS_30 = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=30)
+SCAN = 4097  # points of the dense grid the oracles read
 
 
 def bisect(f, lo, hi, width=1e-12):
@@ -434,7 +436,7 @@ def test_r1_at_accuracy_cap_kink_is_the_exact_kink():
 
 def scalar_search_value(slope, value, lo, hi, kinks):
     """Oracle: best value over the scan's sign changes, each bisected on its own."""
-    xs = np.linspace(lo, hi, equilibrium._SCAN)
+    xs = np.linspace(lo, hi, SCAN)
     signs = np.sign(slope(xs))
     candidates = [lo, hi, *(k for k in kinks if lo < k < hi)]
     for i in np.nonzero(signs[:-1] != signs[1:])[0]:
@@ -627,7 +629,7 @@ def test_clamped_r2_search_holds_no_rates_by_clients_array():
 def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     # an upward slope jump is a convex corner, never a maximum; each client
     # has at most one downward kink, so at most n kinks end a cell.  The cell
-    # ends (every _CELL-th grid point, hi and those kinks) are valued once,
+    # ends (the _CELLS + 1 coarse points, hi and those kinks) are valued once,
     # then `_best` values the roots, the edges and the kinks of kept cells
     if n == 10:
         config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
@@ -654,7 +656,7 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     monkeypatch.setattr(equilibrium, "_refine", counted_refine)
     rate, _ = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
     monkeypatch.undo()
-    cell_ends = (equilibrium._SCAN - 1) // equilibrium._CELL + 2 + n
+    cell_ends = equilibrium._CELLS + 2 + n
     assert counts["rows"] <= cell_ends + counts["roots"] + 2 + n
 
     # every kink, upward ones included, still picks the same rate
@@ -673,9 +675,9 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
 
 
 def test_refinement_slope_call_budget(monkeypatch):
-    # the default workers=10 cell, run 2, has 14 r1 sign changes; 7 can hold
-    # a maximum and are refined together, so r1 costs one scan, one kink
-    # check and a handful of refine steps, not dozens of calls per sign
+    # the default workers=10 cell, run 2: the sign changes of the kept cells
+    # that can hold a maximum are refined together, so r1 costs one read of
+    # those cells and a handful of refine steps, not dozens of calls per sign
     # change; r2 is solved from prefix sums and never calls the slope helper
     calls = {"r1": 0, "r2": 0}
 
@@ -806,7 +808,7 @@ def test_windowed_r1_helpers_match_dense_oracle_at_scale_size():
     rates = rng.permutation(
         np.concatenate(
             [
-                np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN),
+                np.linspace(box.r1_lo, box.r1_hi, SCAN),
                 r1_test_rates(rng, gamma[:300], t[:300], spread=0),
             ]
         )
@@ -863,7 +865,7 @@ def down_kinks(gamma, t, params):
 
 
 def full_r1_search(gamma, t, params, box, slope, value):
-    """The r1 search with no cut: every grid slope and every candidate valued."""
+    """The r1 search with no cut and no cell bound: every cell read and every kink valued."""
     return equilibrium._search(
         lambda r: slope(r, gamma, t, params, True),
         lambda r: value(r, gamma, t, params, True),
@@ -891,7 +893,7 @@ def assert_r1_cut_is_exact(gamma, t, params, box):
     assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
     # past the cut every computed scan slope is negative, the sign the search assumes
     cut = params.alpha / params.n * float(t.max())
-    xs = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
+    xs = np.linspace(box.r1_lo, box.r1_hi, SCAN)
     past = xs[xs >= cut]
     if past.size:
         assert np.all(equilibrium._r1_slope(past, gamma, t, params, True) < 0)
@@ -954,14 +956,14 @@ def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
     for pop, params, box in cases:
         assert r1_search_work(monkeypatch, pop, params, box) == ([], 0)
     # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7,
-    # so no grid point is ruled out by it; the cell bounds rule out all but
-    # the few cells whose 21 grid points the first slope call reads
+    # so no cell is ruled out by it; the cell bounds rule out all but the
+    # few cells whose 24 points the first slope call reads
     config = ScenarioConfig(n=2000, alpha=40000.0)
     pop = sample_population(config, 0)
     box = feasible_rate_box(pop, config.r2_cap)
     assert config.alpha / config.n * pop.t_min.max() > box.r1_hi
     slopes, _ = r1_search_work(monkeypatch, pop, config.system_params, box)
-    assert slopes[0] == 21
+    assert slopes[0] == 24
 
 
 @pytest.mark.parametrize("n", [10, 2000])
@@ -993,27 +995,60 @@ def test_r1_cut_hides_no_error_of_the_full_scan(n):
             assert (eq.rates.r1.hex(), eq.r1_source) == (want[0].hex(), want[1])
 
 
-def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
-    """Oracle: the r1 search that refines every scan sign change, rising ones included.
+def in_box(kinks, lo, hi):
+    kinks = np.asarray(kinks, dtype=float)
+    return kinks[(lo < kinks) & (kinks < hi)]
 
-    It reads the whole grid, so it ignores the cell bound ``rise``.
+
+def cell_reads(lo, hi, kinks, cut=math.inf):
+    """Oracle: where `_search` reads the slope of each cell below ``cut``,
+    every cell kept, as arrays of cell indices and rates.
+
+    The cells end at the _CELLS + 1 coarse points up to the first one at or
+    past the cut, at hi and at the in-box kinks.  Cell i is read at the ends
+    of ceil(width / h) equal sections, h = (hi - lo)/(_CELLS _SECTIONS), an
+    end at a kink max(_XTOL, ulp) inside the cell.
+    """
+    kinks = in_box(kinks, lo, hi)
+    coarse = np.linspace(lo, hi, equilibrium._CELLS + 1).tolist()
+    ends = sorted({*coarse[: int(np.searchsorted(coarse, cut)) + 1], *kinks.tolist(), hi})
+    h = (hi - lo) / (equilibrium._CELLS * equilibrium._SECTIONS)
+    cells, rates = [], []
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        if a >= cut:
+            break
+        m = max(math.ceil((b - a) / h), 1)
+        pts = [a + (b - a) * (j / m) for j in range(m)] + [b]
+        for j, inward in ((0, 1.0), (m, -1.0)):
+            if pts[j] in kinks:
+                pts[j] += inward * max(equilibrium._XTOL, float(np.spacing(pts[j])))
+        cells += [i] * (m + 1)
+        rates += pts
+    return np.array(cells), np.array(rates)
+
+
+def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+    """Oracle: the r1 search that refines every sign change inside a cell,
+    rising ones included.
+
+    It reads every cell below the cut, so it ignores the cell bound
+    ``rise``, and it values every in-box kink.
     """
     if hi <= lo:
         return lo, "edge"
-    xs = np.linspace(lo, hi, equilibrium._SCAN)
-    s = np.full(equilibrium._SCAN, -1.0)
-    below = int(np.searchsorted(xs, cut))
-    if below:
-        s[:below] = slope(xs[:below])
+    kinks = in_box(kinks, lo, hi)
+    cells, xs = cell_reads(lo, hi, kinks, cut)
+    s = np.full(len(xs), -1.0)
+    below = xs < cut
+    if below.any():
+        s[below] = slope(xs[below])
     bad = ~np.isfinite(s)
     if bad.any():
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
-    i = np.nonzero(signs[:-1] != signs[1:])[0]
+    i = np.nonzero((cells[:-1] == cells[1:]) & (xs[:-1] < xs[1:]) & (signs[:-1] != signs[1:]))[0]
     b_lo, b_hi = equilibrium._refine(slope, xs[i], xs[i + 1], signs[i])
     roots = 0.5 * (b_lo + b_hi)
-    kinks = np.asarray(kinks, dtype=float)
-    kinks = kinks[(lo < kinks) & (kinks < hi)]
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
@@ -1064,20 +1099,22 @@ def test_refining_only_what_can_win_differs_only_by_a_tied_local_minimum(scenari
             continue
         # the oracle picked the root of a sign change leaving a negative slope,
         # a local minimum, that tied the new pick within `_best`'s snap
-        xs = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)
-        j = int(np.searchsorted(xs, want[0])) - 1
-        left, right = np.sign(equilibrium._r1_slope(xs[j : j + 2], gamma, t, params, clamp))
-        assert want[1] == "root" and left < 0 <= right
+        kinks = down_kinks(gamma, t, params) if clamp else ()
+        cells, xs = cell_reads(box.r1_lo, box.r1_hi, kinks)
+        j = np.nonzero((cells[:-1] == cells[1:]) & (xs[:-1] <= want[0]) & (want[0] <= xs[1:]))[0]
+        ends = np.concatenate([xs[j], xs[j + 1]])
+        left, right = np.sign(equilibrium._r1_slope(ends, gamma, t, params, clamp)).reshape(2, -1)
+        assert want[1] == "root" and np.any((left < 0) & (0 <= right))
         v_got, v_want = equilibrium._r1_value(np.array([got[0], want[0]]), gamma, t, params, clamp)
         assert v_got >= v_want - 1e-10 * max(1.0, abs(v_want))
 
 
 def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
-    # over the 180 default-sweep populations a scan of the whole grid finds
-    # 442 sign changes: 221 leave a negative slope (local minima) and 113
-    # first leave their left sign across a down-kink, which `_best` values
-    # anyway; 108 are left, and 84 of them lie in cells the bounds keep.
-    # Those are refined, and each r2 segment is solved in closed form
+    # over the 180 default-sweep populations the reads of every cell find
+    # 329 sign changes inside cells (a change across a kink is none): 221
+    # leave a negative slope (local minima) and the other 108 can hold a
+    # maximum; 84 of those lie in cells the bounds keep.  Those are refined,
+    # and each r2 segment is solved in closed form
     calls, brackets = [], []
     refine = equilibrium._refine
 
@@ -1097,18 +1134,32 @@ def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
     assert all(sign >= 0 for sign in brackets)  # no refined bracket leaves a negative slope
 
 
-def test_kink_check_steps_off_kinks_where_xtol_is_below_half_an_ulp():
-    # kinks at 2e4 and more: k +- _XTOL rounds to k, so the check reads the
-    # slope at least one ulp either side; brackets resolved there keep every
-    # rate bit for bit
-    resolved = []
-    kink_roots = equilibrium._kink_roots
+@pytest.mark.parametrize("rise", [None, lambda a, b: np.zeros(len(a))])
+def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(monkeypatch, rise):
+    # the slope is +1 left of the kink and -1 right of it, and the kink lies
+    # strictly inside a coarse cell; it ends two cells, each read with one
+    # sign throughout, so no bracket is refined and `_best` values the kink
+    kink = 0.3 + 1e-3 / 7
+    refined = []
+    refine = equilibrium._refine
 
-    def counted(*args):
-        out = kink_roots(*args)
-        resolved.append(int(out.sum()))
-        return out
+    def counted(slope, lo, hi, sign_lo):
+        refined.append(len(lo))
+        return refine(slope, lo, hi, sign_lo)
 
+    monkeypatch.setattr(equilibrium, "_refine", counted)
+    coarse = np.linspace(0.0, 1.0, equilibrium._CELLS + 1)
+    assert kink not in coarse
+    slope = lambda r: np.where(r < kink, 1.0, -1.0)  # noqa: E731
+    value = lambda r: -np.abs(r - kink)  # noqa: E731
+    assert equilibrium._search(slope, value, 0.0, 1.0, [kink], rise=rise) == (kink, "kink")
+    assert refined == [0]
+
+
+def test_reads_step_off_kinks_where_xtol_is_below_half_an_ulp():
+    # kinks at 2e4 and more: k +- _XTOL rounds to k, so a cell end at a kink
+    # is read at least one ulp inside its cell, and no read lands on a kink
+    stepped = 0
     for seed in range(4):
         rng = np.random.default_rng(seed)
         gamma, t = rng.uniform(2e4, 6e4, 12), rng.uniform(1.0, 3.0, 12)
@@ -1118,28 +1169,200 @@ def test_kink_check_steps_off_kinks_where_xtol_is_below_half_an_ulp():
         box = feasible_rate_box(game_core.Population(np.arange(12), gamma, np.ones(12), t), 100.0)
         for ratio in (1.2, 1.5, 2.0, 3.0):
             params = SystemParams(alpha=12 * ratio * gamma.mean(), beta=50.0, comm_size=0.0, n=12)
-            with patch.object(equilibrium, "_kink_roots", counted):
+            reads = []
+            slope = equilibrium._r1_slope
+            with patch.object(
+                equilibrium, "_r1_slope", lambda r, *args: reads.append(r) or slope(r, *args)
+            ):
                 equilibrium._argmax_r1(gamma, t, params, box, True)
+            down = in_box(down_kinks(gamma, t, params), box.r1_lo, box.r1_hi)
+            if reads:
+                gap = np.abs(reads[0][:, None] - down)
+                near = gap < 1e-6
+                assert np.all(~near | (gap >= np.spacing(down)))
+                stepped += int(near.sum())
             assert_same_r1(gamma, t, params, box, True)
-    assert sum(resolved) >= 8
+            assert_near_the_parent_search(gamma, t, params, box, True)
+    assert stepped >= 8
 
 
-def test_kink_check_walks_each_brackets_kinks_from_the_left():
-    # bracket 0 falls across its kink; bracket 1 reads -inf right of its
-    # kink, so it stays unresolved; bracket 2 keeps its sign across its first
-    # kink and falls across its second; bracket 3 falls before its kink
-    edges = np.array([0.5, 2.0, 2.5, 4.0, 4.6, 6.0, 6.2])
-    signs = np.array([1.0, -1.0, 1.0, -np.inf, 1.0, -1.0, 1.0, -1.0])
-    slope = lambda r: signs[np.searchsorted(edges, r, side="right")]  # noqa: E731
-    a, b = np.array([0.0, 2.0, 4.0, 6.0]), np.array([1.0, 3.0, 5.0, 7.0])
-    kinks = np.array([0.5, 2.5, 4.3, 4.6, 6.5])
-    resolved = equilibrium._kink_roots(slope, a, b, np.ones(4), kinks)
-    assert resolved.tolist() == [True, False, True, False]
+def parent_kink_roots(slope, a, b, sign_lo, kinks):
+    """Which grid brackets [a_i, b_i] first leave their left sign across one
+    of the sorted ``kinks``, read at k -+ max(_XTOL, ulp(k))."""
+    resolved = np.zeros(len(a), dtype=bool)
+    owner = np.searchsorted(b, kinks)
+    held = owner < len(b)
+    held[held] = a[owner[held]] < kinks[held]
+    if not held.any():
+        return resolved
+    k, owner = kinks[held], owner[held]
+    eps = np.maximum(equilibrium._XTOL, np.spacing(k))
+    s = slope(np.concatenate([k - eps, k + eps])).reshape(2, -1)
+    left, right = np.sign(s)
+    sign, finite = sign_lo[owner], np.isfinite(s).all(axis=0)
+    stays = finite & (left == sign) & (right == sign)
+    crosses = finite & (left == sign) & (right != sign)
+    decide = np.nonzero(~stays)[0]
+    brackets, first = np.unique(owner[decide], return_index=True)
+    resolved[brackets] = crosses[decide[first]]
+    return resolved
+
+
+def parent_search(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+    """Reference: the r1 search as it read the slope on one SCAN-point grid.
+
+    Cells end at every 64th grid point below the cut, hi and the in-box
+    kinks; the kept cells are read on the grid, and a grid bracket that
+    holds a kink is resolved by `parent_kink_roots` in a second slope call.
+    """
+    if hi <= lo:
+        return lo, "edge"
+    xs = np.linspace(lo, hi, SCAN)
+    below = int(np.searchsorted(xs, cut))
+    kinks = in_box(kinks, lo, hi)
+    valued = kinks
+    scan = np.ones(SCAN, dtype=bool)
+    if rise is not None:
+        last = min(-(-below // 64) * 64, SCAN - 1)
+        ends = np.sort(np.concatenate([xs[: last + 1 : 64], kinks, [hi]]))
+        v = value(ends)
+        a, b = ends[:-1], ends[1:]
+        top = float(np.max(v))
+        keep = ~(np.maximum(v[:-1], v[1:]) + rise(a, b) < top - 1e-10 * max(1.0, abs(top)))
+        ends_kept = np.zeros(len(ends), dtype=bool)
+        ends_kept[:-1] = keep
+        ends_kept[1:] |= keep
+        valued = kinks[ends_kept[np.searchsorted(ends, kinks)]]
+        first = np.searchsorted(xs, a[keep], side="right") - 1
+        stop = np.searchsorted(xs, b[keep]) + 1
+        scan = np.zeros(SCAN, dtype=bool)
+        for i, j in zip(first.tolist(), stop.tolist()):
+            scan[i:j] = True
+    read = scan.copy()
+    read[below:] = False
+    s = np.full(SCAN, -1.0)
+    if read.any():
+        s[read] = slope(xs[read])
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
+    signs = np.sign(s)
+    i = np.nonzero(scan[:-1] & scan[1:] & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
+    i = i[~parent_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
+    b_lo, b_hi = equilibrium._refine(slope, xs[i], xs[i + 1], signs[i])
+    roots = 0.5 * (b_lo + b_hi)
+    if kinks.size:
+        w = (b_hi - b_lo)[:, None]
+        held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
+        roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
+    return equilibrium._best(value, roots, lo, hi, valued)
+
+
+def assert_near_the_parent_search(gamma, t, params, box, clamp, move=None):
+    """`_argmax_r1` gives the grid search's source, a rate within
+    2 max(_XTOL, ulp) of its rate (or ``move``), and no lower a value less
+    `_best`'s tie snap."""
+    got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    with patch.object(equilibrium, "_search", parent_search):
+        want = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    assert got[1] == want[1], (params, clamp, got, want)
+    if move is None:
+        move = 2.0 * max(equilibrium._XTOL, float(np.spacing(want[0])))
+    assert abs(got[0] - want[0]) <= move, (params, clamp, got, want)
+    v_got, v_want = equilibrium._r1_value(np.array([got[0], want[0]]), gamma, t, params, clamp)
+    assert v_got >= v_want - 1e-10 * max(1.0, abs(v_want))
+
+
+def test_cell_reads_stay_near_the_grid_search_on_fixed_populations():
+    # the default sweep, the sweep at seed 7919 and per-worker valuations
+    # alpha = 8n, beta = 5n at n = 100, 2000 and 10^4, in both clamp modes
+    cases = [*default_cell_runs(), *default_cell_runs(ScenarioConfig(seed=7919))]
+    for n in (100, 2000, 10**4):
+        config = ScenarioConfig(n=n, alpha=8.0 * n, beta=5.0 * n)
+        pop = sample_population(config, 0)
+        cases.append((pop, config.system_params, feasible_rate_box(pop, config.r2_cap)))
+    assert len(cases) == 363
+    for pop, params, box in cases:
+        for clamp in (True, False):
+            assert_near_the_parent_search(pop.gamma, pop.t_min, params, box, clamp)
+
+
+@settings(max_examples=100)
+@given(heterogeneous_scenarios())
+def test_cell_reads_stay_near_the_grid_search(scenario):
+    pop, params = scenario
+    box = feasible_rate_box(pop, 100.0)
+    gamma, _, t = game_core._population_arrays(pop)
+    for clamp in (False, True):
+        assert_near_the_parent_search(gamma, t, params, box, clamp)
+
+
+def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monkeypatch):
+    # a down-kink within one read step of a coarse point, of another
+    # client's kink, or of its twin's (the same kink) makes a cell narrower
+    # than a read step, and a read stepped off a kink may pass the next
+    # read; such a pair is no bracket, and the pick stays the grid search's
+    refine = equilibrium._refine
+    slope = equilibrium._r1_slope
+
+    def checked(slope, lo, hi, sign_lo):
+        assert np.all(lo < hi)
+        return refine(slope, lo, hi, sign_lo)
+
+    def first_reads(r, *args):
+        reads.append(r)
+        return slope(r, *args)
+
+    # a slope that changes sign at a coarse point, 0.5, with a kink half an
+    # _XTOL right of it: the reads of the cell between them cross, and their
+    # sign change is no bracket
+    monkeypatch.setattr(equilibrium, "_refine", checked)
+    step_slope = lambda r: np.where(r >= 0.5, 1.0, -1.0)  # noqa: E731
+    valley = lambda r: np.abs(r - 0.5)  # noqa: E731
+    assert equilibrium._search(step_slope, valley, 0.0, 1.0, [0.5 + 5e-13]) == (0.0, "edge")
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(3)
+    gamma, t = rng.uniform(0.5, 3.0, 6), rng.uniform(0.5, 2.0, 6)
+    base = game_core.Population(np.arange(6), gamma, np.ones(6), t)
+    box = feasible_rate_box(base, 100.0)
+    coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._CELLS + 1)
+    step = (box.r1_hi - box.r1_lo) / (equilibrium._CELLS * equilibrium._SECTIONS)
+    g = gamma * t
+    inner = coarse[(coarse > 1.01 * equilibrium._C_IN * g.min()) & (coarse < g.max())]
+    offsets = [0.0, 1e-15, 4e-13, 1e-12, 1.5e-12, 3e-12, 0.5 * step, 0.99 * step]
+    searches = crossed = 0
+    for x in inner[:: max(len(inner) // 4, 1)]:
+        for share in (0.5 * g.mean(), 2.0 * g.mean()):
+            for near, other in itertools.product([-1e-12, *offsets], [None, *offsets]):
+                # a client whose entry kink, a down-kink, lies near a coarse point
+                g_new = [(x + near) / equilibrium._C_IN]
+                if other is not None:  # and a second one just right of it, or its twin
+                    g_new.append(g_new[0] + other / equilibrium._C_IN)
+                t_new = [gk / (2.0 * share) for gk in g_new]
+                pop_g = np.concatenate([g, g_new])
+                pop_t = np.concatenate([t, t_new])
+                n = len(pop_g)
+                params = SystemParams(alpha=share * n, beta=50.0, comm_size=0.0, n=n)
+                gam = pop_g / pop_t
+                assert feasible_rate_box(
+                    game_core.Population(np.arange(n), gam, np.ones(n), pop_t), 100.0
+                ) == box
+                reads = []
+                monkeypatch.setattr(equilibrium, "_refine", checked)
+                monkeypatch.setattr(equilibrium, "_r1_slope", first_reads)
+                equilibrium._argmax_r1(gam, pop_t, params, box, True)
+                monkeypatch.undo()
+                if reads:
+                    crossed += bool(np.any(np.diff(reads[0]) < 0))
+                assert_near_the_parent_search(gam, pop_t, params, box, True, move=1e-11)
+                searches += 1
+    assert searches >= 300 and crossed > 0
 
 
 def r1_reading_every_cell(gamma, t, params, box):
     """Oracle: the realized r1 search with no cell bound and no cut, which
-    reads the whole grid."""
+    reads every cell."""
     return full_r1_search(gamma, t, params, box, equilibrium._r1_slope, equilibrium._r1_value)
 
 
@@ -1192,7 +1415,7 @@ def assert_mutant_moves_r1(mutant, gamma, t, alpha):
     box = feasible_rate_box(game_core.Population(np.arange(n), gamma, np.ones(n), t), 100.0)
     want = r1_reading_every_cell(gamma, t, params, box)
     assert_cells_keep_r1(gamma, t, params, box)
-    coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._SCAN)[:: equilibrium._CELL]
+    coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._CELLS + 1)
     j = int(np.searchsorted(coarse, want[0]))
     assert want[1] == "root" and coarse[j - 1] < want[0] < coarse[j]
     with patch.object(equilibrium, "_r1_rise", mutant):
@@ -1223,17 +1446,21 @@ def test_a_bump_narrower_than_a_coarse_cell_is_bounded_by_its_client():
 
 
 def test_r1_searches_of_the_default_sweep_read_few_rates():
-    # a scan of the whole grid below the cut reads 610,088 slope rates over
-    # the 180 default-sweep populations and values 2,086; the cell bounds
-    # read 54,640 slopes and value 11,517, with the cell ends.  The ceilings
-    # are 10% of the full scan's slopes (12% over today's count) and 13%
-    # over today's values, so a return to the full scan fails here
+    # reading every cell below the cut takes 584,357 slope rates over the
+    # 180 default-sweep populations; the cell bounds read 54,998 slopes in
+    # 624 calls and value 11,432 rates, with the cell ends.  The ceilings
+    # are about 10% of the full read's slopes (11% over today's count), 14%
+    # over today's values and 4% over today's calls, so a return to the full
+    # read, or a second slope call per search (711 calls with the separate
+    # kink check), fails here
     rates = {"slope": 0, "value": 0}
+    calls = {"slope": 0, "value": 0}
     slope, value = equilibrium._r1_slope, equilibrium._r1_value
 
     def counted(name, helper):
         def wrapper(r, *args):
             rates[name] += np.size(r)
+            calls[name] += 1
             return helper(r, *args)
 
         return wrapper
@@ -1245,6 +1472,7 @@ def test_r1_searches_of_the_default_sweep_read_few_rates():
             compute_equilibrium(pop, params, box)
     assert rates["slope"] <= 61_008
     assert rates["value"] <= 13_000
+    assert calls["slope"] <= 650
 
 
 def bisect_r2_segments(delta, params, box, clamp):
@@ -1709,6 +1937,25 @@ def test_verify_server_degenerate_box_vacuous():
     report = verify_server_equilibrium(SINGLE, PARAMS_1, rates, box)
     assert report.passed
     assert report.worst_violation <= 0.0
+
+
+@pytest.mark.parametrize(
+    "grid_n, message",
+    [
+        (0, "at least 1, got 0"),
+        (-3, "at least 1, got -3"),
+        (2.5, "an integer, got 2.5"),
+        ("50", "an integer, got '50'"),
+    ],
+)
+def test_verify_server_refuses_a_grid_without_points(grid_n, message):
+    box = feasible_rate_box(THIRTY, 100.0)
+    rates = RewardRates(r1=box.r1_lo, r2=box.r2_lo)
+    with pytest.raises(DomainError, match=message):
+        verify_server_equilibrium(THIRTY, PARAMS_30, rates, box, grid_n=grid_n)
+    # one point per axis is a grid, and a numpy integer is an integer
+    report = verify_server_equilibrium(THIRTY, PARAMS_30, rates, box, grid_n=np.int64(1))
+    assert (report.grid_points, report.axis_points) == (1, 8)
 
 
 def test_solve_r1_low_edge_when_derivative_negative_throughout():
