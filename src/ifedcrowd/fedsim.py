@@ -13,6 +13,10 @@ values in (0, 1) literal quantities.  The loss is quadratic, so a client
 keeps its samples only as the statistics X^T X, X^T y, y^T y and N: each
 round's new rows are folded in and dropped, a merge is a d x d addition, and
 every training step costs O(d^2) however many rounds the dataset spans.
+
+Client k's state is held at position k (`SimState`), and one `collect_data`
+call schedules every client's samples as array expressions; drawing them,
+merging, training and settling run client by client.
 """
 
 from __future__ import annotations
@@ -102,96 +106,60 @@ class ClientDataset:
         )
 
 
-@dataclass(frozen=True)
-class CollectionState:
-    """Generation time of the newest sample plus the cadence between samples."""
-
-    last_generation_time: float
-    collection_interval: float
-
-    def __post_init__(self):
-        if not self.collection_interval > 0:
-            raise DomainError("collection_interval must be positive")
-
-
-@dataclass(frozen=True)
-class ClientTask:
-    """The client's private data distribution: y = w . x + noise."""
-
-    true_weights: np.ndarray
-    noise_std: float
-
-    def sample(self, rng: np.random.Generator, count: int) -> ClientDataset:
-        x = rng.standard_normal((count, len(self.true_weights)))
-        noise = self.noise_std * rng.standard_normal(count) if self.noise_std > 0 else 0.0
-        return ClientDataset.from_rows(x, x @ self.true_weights + noise)
-
-
-@dataclass(frozen=True)
-class CollectionResult:
-    delta: ClientDataset
-    state: CollectionState
-    achieved_freshness: float
-    shortfall: bool
-
-
 def collect_data(
-    state: CollectionState,
-    strategy: Strategy,
-    upload_time: float,
-    task: ClientTask,
-    rng: np.random.Generator,
+    last_sample: np.ndarray,
+    freshness: np.ndarray,
+    upload_time: np.ndarray,
     round_start: float,
+    interval: float,
     latency: float = 0.0,
-) -> CollectionResult:
-    """Generate this round's samples so upload-time freshness hits the target.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Schedule every client's samples this round so upload-time freshness hits its target.
 
-    Routine samples arrive every collection_interval, counted from the later
-    of the newest sample and round_start; when the freshness target is
-    positive the last sample is scheduled exactly 1/F before upload
-    (collection runs continuously, so that moment may predate the round
-    start); with a zero target they stop 1/FRESHNESS_MAX before upload.  The
-    collection latency bounds how fresh a sample can be; a shortfall is
-    flagged only when latency makes the target unreachable, i.e. the
-    achieved freshness falls below the target.
+    Client k took its newest sample at ``last_sample[k]`` (-inf before any)
+    and uploads at ``upload_time[k]``.  Routine samples arrive every
+    ``interval``, counted from the later of the newest sample and
+    round_start; when the freshness target is positive the last sample is
+    scheduled exactly 1/F before upload (collection runs continuously, so
+    that moment may predate the round start); with a zero target they stop
+    1/FRESHNESS_MAX before upload.  The collection latency bounds how fresh
+    a sample can be; a shortfall is flagged only when latency makes the
+    target unreachable, i.e. the achieved freshness falls below the target.
+
+    Returns, per client, the sample count, the newest sample's time, the
+    achieved freshness (0 with no sample yet) and the shortfall flag.
     """
-    if strategy.freshness < 0:
+    last_sample, freshness, upload_time = (
+        np.asarray(v, dtype=float) for v in (last_sample, freshness, upload_time)
+    )
+    if np.any(freshness < 0):
         raise DomainError("freshness target must be non-negative")
-    if strategy.freshness > 0:
-        age_target = max(1.0 / strategy.freshness, latency, _MIN_AGE)
-    else:
-        age_target = max(latency, 1.0 / FRESHNESS_MAX)
-    final_time = upload_time - age_target
+    if not (interval > 0 and math.isfinite(interval)):
+        raise DomainError(f"collection_interval must be positive and finite, got {interval}")
+    positive = freshness > 0
+    with np.errstate(divide="ignore"):
+        age_target = np.where(positive, np.maximum(1.0 / freshness, _MIN_AGE), 1.0 / FRESHNESS_MAX)
+    final_time = upload_time - np.maximum(age_target, latency)
+    cadence_start = np.maximum(last_sample, round_start)
 
-    cadence_start = max(state.last_generation_time, round_start)
-
-    if (final_time - cadence_start) / state.collection_interval > 1e6:
+    window = final_time - cadence_start
+    if np.any(window / interval > 1e6):
         raise DomainError(
             "collection_interval is too small for the round window "
-            f"({state.collection_interval} over {final_time - cadence_start:.3g})"
+            f"({interval} over {window.max():.3g})"
         )
     # routine samples at cadence_start + j * interval for j = 1..count
-    count = max(0, math.floor((final_time + 1e-12 - cadence_start) / state.collection_interval))
-    last = cadence_start + count * state.collection_interval if count else state.last_generation_time
-    if (
-        strategy.freshness > 0
-        and final_time > state.last_generation_time
-        and (not count or last < final_time - 1e-12)
-    ):
-        count += 1
-        last = final_time
-
-    if math.isfinite(last):
-        achieved = 1.0 / max(upload_time - last, _MIN_AGE)
-    else:
-        achieved = 0.0  # no samples collected yet
-    shortfall = strategy.freshness > 0 and achieved < strategy.freshness * (1 - 1e-12)
-    return CollectionResult(
-        delta=task.sample(rng, count),
-        state=CollectionState(last, state.collection_interval),
-        achieved_freshness=float(achieved),
-        shortfall=shortfall,
+    count = np.maximum(0.0, np.floor((final_time + 1e-12 - cadence_start) / interval))
+    last = np.where(count > 0, cadence_start + count * interval, last_sample)
+    scheduled = (
+        positive & (final_time > last_sample) & ((count == 0) | (last < final_time - 1e-12))
     )
+    count += scheduled
+    last = np.where(scheduled, final_time, last)
+
+    achieved = np.where(np.isfinite(last), 1.0 / np.maximum(upload_time - last, _MIN_AGE), 0.0)
+    shortfall = positive & (achieved < freshness * (1 - 1e-12))
+    return count.astype(np.int64), last, achieved, shortfall
 
 
 @dataclass(frozen=True)
@@ -365,36 +333,40 @@ class RoundConfig:
 
 @dataclass
 class SimState:
-    """Mutable cross-round state owned by the simulation driver."""
+    """Mutable cross-round state that `run_round` reads and advances.
+
+    Client k of the population is held at position k: its samples as the
+    statistics ``datasets[k]``, the generation time of its newest sample as
+    ``last_sample[k]`` (-inf before any) and its private task y = w . x +
+    noise as the weights ``true_weights[k]``.
+    """
 
     server_model: ModelParams
-    datasets: dict[int, ClientDataset]
-    collection: dict[int, CollectionState]
-    tasks: dict[int, ClientTask]
+    datasets: list[ClientDataset]
+    last_sample: np.ndarray
+    true_weights: np.ndarray
     clock: float = 0.0
 
 
 def init_state(
     population: Sequence[ClientProfile], config: RoundConfig, run_seed: int
 ) -> SimState:
-    """Fresh simulation state; client tasks are derived from (run_seed, client id)."""
-    tasks = {}
-    for p in population:
+    """Fresh simulation state for ``population``, client k at position k.
+
+    Client k's true weights are drawn from its own stream, seeded by
+    (run_seed, client id).  No client holds a sample yet; each may schedule
+    its first one before the first round starts (collection runs
+    continuously).
+    """
+    true_weights = np.empty((len(population), config.dim))
+    for row, p in zip(true_weights, population):
         rng = np.random.default_rng(np.random.SeedSequence((run_seed, p.id, _TASK_TAG)))
-        tasks[p.id] = ClientTask(
-            true_weights=rng.standard_normal(config.dim), noise_std=config.noise_std
-        )
+        row[:] = rng.standard_normal(config.dim)
     return SimState(
         server_model=ModelParams(np.zeros(config.dim)),
-        datasets={p.id: ClientDataset.empty(config.dim) for p in population},
-        collection={
-            # no samples exist yet; clients may schedule their first sample
-            # before the first round starts (collection runs continuously)
-            p.id: CollectionState(-math.inf, config.collection_interval)
-            for p in population
-        },
-        tasks=tasks,
-        clock=0.0,
+        datasets=[ClientDataset.empty(config.dim) for _ in population],
+        last_sample=np.full(len(population), -math.inf),
+        true_weights=true_weights,
     )
 
 
@@ -467,44 +439,62 @@ def run_round(
 ) -> RoundReport:
     """Execute one full round at the announced rates: collect, train, aggregate, settle.
 
-    Every client targets its best response to ``rates``.  A client whose
-    training fails is recorded and excluded; aggregation weights renormalize
-    over the survivors.  Payouts always evaluate the reward formula on the
-    achieved strategy, bit-for-bit the same computation the game module
-    exposes.
+    Every client targets its best response to ``rates``.  The targets, the
+    realized completion and upload times and every client's collection are
+    computed for the whole population at once; each client then draws its
+    new samples from its own (run_seed, round_index, client id) stream,
+    merges them and trains.  A client whose training fails is recorded and
+    excluded; aggregation weights renormalize over the survivors.  Payouts
+    always evaluate the reward formula on the achieved strategy,
+    bit-for-bit the same computation the game module exposes.
+
+    ``state`` must hold this population, client k at position k.  It is
+    written only once the round has settled, so a round that raises leaves
+    it as it was.
     """
     if not population:
         raise DomainError("run_round needs a non-empty population")
+    if len(state.datasets) != len(population):
+        raise DomainError(
+            f"the state holds {len(state.datasets)} clients "
+            f"but the population has {len(population)}"
+        )
 
     round_start = state.clock
+    gamma, delta, t_min = _population_arrays(population)
+    responses = best_responses(gamma, delta, t_min, rates)
+    t_real = t_min + config.completion_jitter
+    wall_clock = float(t_real.max())
+    counts, last_sample, freshness, freshness_shortfall = collect_data(
+        state.last_sample,
+        responses[1],
+        round_start + t_real,
+        round_start,
+        config.collection_interval,
+        latency=config.collection_latency,
+    )
+
+    accuracy, target_freshness, accuracy_clamped, freshness_clamped = (
+        v.tolist() for v in responses
+    )
+    t_real, counts, freshness, freshness_shortfall = (
+        v.tolist() for v in (t_real, counts, freshness, freshness_shortfall)
+    )
+    dim = state.true_weights.shape[1]
     records: list[ClientRoundRecord] = []
     models: list[ModelParams] = []
-    wall_clock = 0.0
-
-    responses = best_responses(*_population_arrays(population), rates)
-    for profile, accuracy, freshness, accuracy_clamped, freshness_clamped in zip(
-        population, *(v.tolist() for v in responses)
-    ):
-        target = Strategy(accuracy, freshness, profile.t_min)
-        t_real = profile.t_min + config.completion_jitter
-        upload_time = round_start + t_real
-        wall_clock = max(wall_clock, t_real)
-
+    datasets: list[ClientDataset] = []
+    for k, profile in enumerate(population):
+        target = Strategy(accuracy[k], target_freshness[k], profile.t_min)
         rng = np.random.default_rng(
             np.random.SeedSequence((run_seed, round_index, profile.id, _COLLECT_TAG))
         )
-        coll = collect_data(
-            state.collection[profile.id],
-            target,
-            upload_time,
-            state.tasks[profile.id],
-            rng,
-            round_start,
-            latency=config.collection_latency,
+        x = rng.standard_normal((counts[k], dim))
+        noise = config.noise_std * rng.standard_normal(counts[k]) if config.noise_std > 0 else 0.0
+        dataset = state.datasets[k].merged(
+            ClientDataset.from_rows(x, x @ state.true_weights[k] + noise)
         )
-        state.collection[profile.id] = coll.state
-        dataset = state.datasets[profile.id].merged(coll.delta)
-        state.datasets[profile.id] = dataset
+        datasets.append(dataset)
 
         # a failed client is recorded and excluded: nothing achieved, nothing paid
         achieved, payout, utility, iterations, error = None, 0.0, 0.0, 0, None
@@ -519,7 +509,7 @@ def run_round(
         except DomainError as exc:
             error = str(exc)
         else:
-            achieved = Strategy(trained.achieved_accuracy, coll.achieved_freshness, t_real)
+            achieved = Strategy(trained.achieved_accuracy, freshness[k], t_real[k])
             payout = client_reward(rates, achieved)
             utility = payout - total_cost(profile, achieved, params.comm_size).total
             iterations = trained.iterations
@@ -531,12 +521,12 @@ def run_round(
                 achieved=achieved,
                 payout=payout,
                 utility=utility,
-                accuracy_clamped=accuracy_clamped,
-                freshness_clamped=freshness_clamped,
+                accuracy_clamped=accuracy_clamped[k],
+                freshness_clamped=freshness_clamped[k],
                 accuracy_shortfall=(
                     achieved is None or achieved.accuracy < target.accuracy * (1 - 1e-12)
                 ),
-                freshness_shortfall=coll.shortfall,
+                freshness_shortfall=freshness_shortfall[k],
                 iterations=iterations,
                 dataset_size=dataset.size,
                 failed=achieved is None,
@@ -545,8 +535,9 @@ def run_round(
         )
 
     survivors = [r for r in records if not r.failed]
+    server_model = state.server_model
     if survivors:
-        state.server_model = aggregate(models, [float(r.dataset_size) for r in survivors])
+        server_model = aggregate(models, [float(r.dataset_size) for r in survivors])
         realized_params = SystemParams(
             alpha=params.alpha,
             beta=params.beta,
@@ -556,13 +547,16 @@ def run_round(
         realized_utility = server_utility(realized_params, rates, [r.achieved for r in survivors])
     else:
         realized_utility = float("nan")
+    state.server_model = server_model
+    state.datasets = datasets
+    state.last_sample = last_sample
     state.clock = round_start + wall_clock
 
     return RoundReport(
         round_index=round_index,
         rates=rates,
         clients=tuple(records),
-        server_model=tuple(float(v) for v in state.server_model.weights),
+        server_model=tuple(float(v) for v in server_model.weights),
         server_utility=realized_utility,
         wall_clock=wall_clock,
         n_failed=len(records) - len(survivors),

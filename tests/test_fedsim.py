@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +12,13 @@ from ifedcrowd import (
     ACCURACY_MAX,
     ClientDataset,
     ClientProfile,
-    ClientTask,
-    CollectionState,
     ConfigError,
     DomainError,
     FRESHNESS_MAX,
     MechanismKind,
     ModelParams,
+    Population,
     RoundConfig,
-    Strategy,
     SystemParams,
     TrainResult,
     aggregate,
@@ -37,11 +36,6 @@ from ifedcrowd import (
 )
 from ifedcrowd import fedsim
 from ifedcrowd.harness import ScenarioConfig, run_simulation
-
-
-def make_task(dim=4, noise=0.0, seed=0):
-    rng = np.random.default_rng(seed)
-    return ClientTask(true_weights=rng.standard_normal(dim), noise_std=noise)
 
 
 def make_dataset(n=100, dim=10, noise=0.1, seed=1):
@@ -77,93 +71,138 @@ def test_model_params_validation():
 
 # ---------------------------------------------------------------- collection
 
+def collect_one(last, freshness, upload_time, interval, round_start=0.0, latency=0.0):
+    """One client's collection: its count, newest sample time, freshness and flag."""
+    result = collect_data([last], [freshness], [upload_time], round_start, interval, latency)
+    return tuple(v.item() for v in result)
+
+
 def test_collect_schedules_final_sample_for_target():
-    state = CollectionState(last_generation_time=0.0, collection_interval=1.0)
-    strategy = Strategy(accuracy=0.5, freshness=0.5, completion_time=10.0)
-    res = collect_data(
-        state, strategy, 10.0, make_task(), np.random.default_rng(0), round_start=0.0
-    )
-    assert res.state.last_generation_time == pytest.approx(8.0)
-    assert res.achieved_freshness == pytest.approx(0.5)
-    assert not res.shortfall
+    _, last, achieved, shortfall = collect_one(0.0, 0.5, 10.0, interval=1.0)
+    assert last == pytest.approx(8.0)
+    assert achieved == pytest.approx(0.5)
+    assert not shortfall
 
 
 def test_collect_without_target_uses_last_cadence_sample():
-    state = CollectionState(last_generation_time=0.0, collection_interval=1.0)
-    strategy = Strategy(accuracy=0.5, freshness=0.0, completion_time=10.0)
-    res = collect_data(
-        state, strategy, 10.0, make_task(), np.random.default_rng(0), round_start=0.0
-    )
-    assert res.state.last_generation_time == pytest.approx(9.0)
-    assert res.achieved_freshness == pytest.approx(1.0)
-    assert not res.shortfall
+    _, last, achieved, shortfall = collect_one(0.0, 0.0, 10.0, interval=1.0)
+    assert last == pytest.approx(9.0)
+    assert achieved == pytest.approx(1.0)
+    assert not shortfall
 
 
 def test_collect_without_target_keeps_freshness_within_cap():
     # the cadence sample at 9.5 lies 0.05 before upload, so it would make
     # the achieved freshness 20 > FRESHNESS_MAX; the last one taken is 9.0
-    state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
-    strategy = Strategy(accuracy=0.5, freshness=0.0, completion_time=9.55)
-    res = collect_data(
-        state, strategy, 9.55, make_task(), np.random.default_rng(0), round_start=0.0
-    )
-    assert res.delta.size == 18
-    assert res.state.last_generation_time == 9.0
-    assert res.achieved_freshness == pytest.approx(1.0 / 0.55)
-    assert not res.shortfall
+    count, last, achieved, shortfall = collect_one(0.0, 0.0, 9.55, interval=0.5)
+    assert count == 18
+    assert last == 9.0
+    assert achieved == pytest.approx(1.0 / 0.55)
+    assert not shortfall
 
 
 def test_collect_latency_shortfall():
-    state = CollectionState(last_generation_time=0.0, collection_interval=5.0)
-    strategy = Strategy(accuracy=0.5, freshness=2.0, completion_time=1.0)
-    res = collect_data(
-        state,
-        strategy,
-        1.0,
-        make_task(),
-        np.random.default_rng(0),
-        round_start=0.0,
-        latency=0.6,
-    )
-    assert res.achieved_freshness == pytest.approx(1.0 / 0.6)
-    assert res.shortfall
+    _, _, achieved, shortfall = collect_one(0.0, 2.0, 1.0, interval=5.0, latency=0.6)
+    assert achieved == pytest.approx(1.0 / 0.6)
+    assert shortfall
 
 
 def test_collect_stale_target_reaches_before_round_start():
     # the scheduled sample may predate the round window: collection never stops
-    state = CollectionState(last_generation_time=-math.inf, collection_interval=0.25)
-    strategy = Strategy(accuracy=0.5, freshness=0.9, completion_time=1.0)
-    res = collect_data(
-        state, strategy, 1.0, make_task(), np.random.default_rng(0), round_start=0.0
-    )
-    assert res.achieved_freshness == pytest.approx(0.9)
-    assert res.state.last_generation_time == pytest.approx(1.0 - 1.0 / 0.9)
-    assert not res.shortfall
+    _, last, achieved, shortfall = collect_one(-math.inf, 0.9, 1.0, interval=0.25)
+    assert achieved == pytest.approx(0.9)
+    assert last == pytest.approx(1.0 - 1.0 / 0.9)
+    assert not shortfall
 
 
 def test_collect_count_and_state_advance():
+    counts, last, _, _ = collect_data(
+        last_sample=[0.0, 0.0, 7.5],
+        freshness=[0.25, 0.3, 0.3],
+        upload_time=[8.0, 8.0, 8.0],
+        round_start=0.0,
+        interval=0.5,
+    )
     # cadence samples at 0.5, 1.0, ..., 4.0 = 8 - 1/0.25, the target's last sample
-    state = CollectionState(last_generation_time=0.0, collection_interval=0.5)
-    strategy = Strategy(accuracy=0.5, freshness=0.25, completion_time=8.0)
-    res = collect_data(
-        state, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
-    )
-    assert res.delta.size == 8
-    assert res.state.last_generation_time == 4.0
+    assert counts[0] == 8
+    assert last[0] == 4.0
     # off the cadence, the scheduled sample is one more after the last routine one
-    strategy = Strategy(accuracy=0.5, freshness=0.3, completion_time=8.0)
-    res = collect_data(
-        state, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
-    )
-    assert res.delta.size == 10  # 0.5, ..., 4.5, then 8 - 1/0.3
-    assert res.state.last_generation_time == pytest.approx(8.0 - 1.0 / 0.3)
+    assert counts[1] == 10  # 0.5, ..., 4.5, then 8 - 1/0.3
+    assert last[1] == pytest.approx(8.0 - 1.0 / 0.3)
     # a target older than the last sample adds nothing
-    late = CollectionState(last_generation_time=7.5, collection_interval=0.5)
-    res = collect_data(
-        late, strategy, 8.0, make_task(), np.random.default_rng(1), round_start=0.0
+    assert counts[2] == 0
+    assert last[2] == 7.5
+
+
+def scalar_collect(last, freshness, upload_time, round_start, interval, latency):
+    """The collection rule for one client, as it was first written, with Python scalars."""
+    if freshness > 0:
+        age_target = max(1.0 / freshness, latency, fedsim._MIN_AGE)
+    else:
+        age_target = max(latency, 1.0 / FRESHNESS_MAX)
+    final_time = upload_time - age_target
+    cadence_start = max(last, round_start)
+    count = max(0, math.floor((final_time + 1e-12 - cadence_start) / interval))
+    new_last = cadence_start + count * interval if count else last
+    if freshness > 0 and final_time > last and (not count or new_last < final_time - 1e-12):
+        count += 1
+        new_last = final_time
+    if math.isfinite(new_last):
+        achieved = 1.0 / max(upload_time - new_last, fedsim._MIN_AGE)
+    else:
+        achieved = 0.0
+    shortfall = freshness > 0 and achieved < freshness * (1 - 1e-12)
+    return count, new_last, achieved, shortfall
+
+
+collecting_client = st.tuples(
+    st.one_of(st.just(-math.inf), st.floats(-6.0, 6.0)),  # newest sample so far
+    st.one_of(st.just(0.0), st.floats(1e-3, FRESHNESS_MAX)),  # freshness target
+    st.floats(1e-3, 5.0),  # time from round start to upload
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clients=st.lists(collecting_client, min_size=1, max_size=8),
+    round_start=st.floats(0.0, 5.0),
+    interval=st.floats(0.01, 2.0),
+    latency=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_collect_matches_the_scalar_rule_bit_for_bit(clients, round_start, interval, latency):
+    last, freshness, elapsed = (list(v) for v in zip(*clients))
+    upload_time = [round_start + t for t in elapsed]
+    counts, new_last, achieved, shortfall = collect_data(
+        last, freshness, upload_time, round_start, interval, latency
     )
-    assert res.delta.size == 0
-    assert res.state.last_generation_time == 7.5
+    assert counts.dtype == np.int64 and shortfall.dtype == bool
+    for k in range(len(clients)):
+        want = scalar_collect(
+            last[k], freshness[k], upload_time[k], round_start, interval, latency
+        )
+        assert counts[k].item() == want[0]
+        assert new_last[k].item().hex() == want[1].hex()
+        assert achieved[k].item().hex() == want[2].hex()
+        assert shortfall[k].item() is want[3]
+
+
+def test_collect_rejects_a_negative_target():
+    with pytest.raises(DomainError, match="freshness target must be non-negative"):
+        collect_data([0.0, 0.0], [0.5, -0.1], [2.0, 2.0], 0.0, 0.25)
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.25, math.nan, math.inf])
+def test_collect_rejects_a_bad_interval(interval):
+    with pytest.raises(DomainError, match="collection_interval must be positive and finite"):
+        collect_data([0.0], [0.5], [2.0], 0.0, interval)
+
+
+def test_collect_rejects_an_interval_too_small_for_the_window():
+    # one client's window alone is enough to refuse the whole call
+    with pytest.raises(DomainError, match="collection_interval is too small"):
+        collect_data([0.0, -math.inf], [0.5, 0.5], [1.0, 3.0], 0.0, 5e-7)
+    counts, _, _, _ = collect_data([0.0, -math.inf], [0.5, 0.5], [1.0, 3.0], 0.0, 1e-6)
+    assert counts.tolist() == [0, 1_000_000]
 
 
 # ------------------------------------------------------------------ training
@@ -775,7 +814,6 @@ def test_client_dataset_merges_statistics_in_fixed_memory():
 
     # so a client's dataset holds the same bytes however many rounds it ran
     population, params, rates, round_config, state = default_round_setup(seed=29, noise=0.1)
-    first = population[0].id
     nbytes, sizes = set(), []
     for index in range(50):
         run_round(
@@ -787,10 +825,138 @@ def test_client_dataset_merges_statistics_in_fixed_memory():
             run_seed=29,
             round_index=index,
         )
-        nbytes.add(dataset_nbytes(state.datasets[first]))
-        sizes.append(state.datasets[first].size)
+        nbytes.add(dataset_nbytes(state.datasets[0]))
+        sizes.append(state.datasets[0].size)
     assert sizes[-1] > sizes[0] > 0
     assert nbytes == {dataset_nbytes(ClientDataset.empty(round_config.dim))}
+
+
+def test_run_round_rejects_a_state_built_for_another_population():
+    population, params, rates, round_config, _ = default_round_setup()
+    for other in (population[:5], [*population, *population[:2]]):
+        state = init_state(other, round_config, run_seed=3)
+        with pytest.raises(
+            DomainError, match=f"holds {len(other)} clients but the population has 10"
+        ):
+            run_round(population, params, rates, round_config, state, run_seed=3)
+        assert state.clock == 0.0
+
+
+def snapshot(state):
+    return (
+        [d.size for d in state.datasets],
+        state.last_sample.tolist(),
+        state.server_model.weights.tolist(),
+        state.clock,
+    )
+
+
+def test_a_round_that_raises_in_collection_leaves_the_state_as_it_was():
+    # clients 7 and 9's round windows hold more than 10^6 cadence samples and
+    # the other eight hold 341,279 to 987,036: none of those may be merged
+    population, params, rates, _, _ = default_round_setup(seed=1, kind=MechanismKind.MAX)
+    tiny = RoundConfig(collection_interval=2.2e-6)
+    state = init_state(population, tiny, run_seed=1)
+    before = snapshot(state)
+    with pytest.raises(DomainError, match="collection_interval is too small"):
+        run_round(population, params, rates, tiny, state, run_seed=1)
+    assert snapshot(state) == before == ([0] * 10, [-math.inf] * 10, [0.0] * 8, 0.0)
+
+
+def test_a_round_that_raises_in_settlement_leaves_the_state_as_it_was(monkeypatch):
+    population, params, rates, round_config, state = default_round_setup(seed=3, noise=0.1)
+    _, _, _, _, twin = default_round_setup(seed=3, noise=0.1)
+    for s in (state, twin):
+        run_round(population, params, rates, round_config, s, run_seed=3, round_index=0)
+    before = snapshot(state)
+
+    real_cost = fedsim.total_cost
+    calls = []
+
+    def cost(*args):
+        calls.append(args)
+        if len(calls) == 8:
+            raise DomainError("injected settlement failure")
+        return real_cost(*args)
+
+    monkeypatch.setattr(fedsim, "total_cost", cost)
+    with pytest.raises(DomainError, match="injected settlement failure"):
+        run_round(population, params, rates, round_config, state, run_seed=3, round_index=1)
+    monkeypatch.setattr(fedsim, "total_cost", real_cost)
+    assert snapshot(state) == before
+
+    # so a retried round collects once, as if the failed attempt never ran
+    retried = run_round(population, params, rates, round_config, state, run_seed=3, round_index=1)
+    assert retried == run_round(
+        population, params, rates, round_config, twin, run_seed=3, round_index=1
+    )
+    assert snapshot(state) == snapshot(twin)
+
+
+def test_clients_sharing_an_id_keep_their_own_state(monkeypatch):
+    population = Population([0, 0, 1], [1.0, 2.0, 3.0], [1.0, 1.5, 2.0], [1.0, 2.0, 3.0])
+    params = SystemParams(alpha=80.0, beta=50.0, comm_size=0.0, n=3)
+    box = feasible_rate_box(population, ScenarioConfig().r2_cap)
+    rates = select_rates(MechanismKind.MAX, population, params, box, rng_seed=0)
+    config = RoundConfig()
+    state = init_state(population, config, run_seed=1)
+    real_collect = fedsim.collect_data
+    counts = []
+
+    def collect(*args, **kwargs):
+        result = real_collect(*args, **kwargs)
+        counts.append(result[0])
+        return result
+
+    monkeypatch.setattr(fedsim, "collect_data", collect)
+    for index in range(3):
+        report = run_round(population, params, rates, config, state, 1, index)
+        assert [r.dataset_size for r in report.clients] == sum(counts).tolist()
+    assert counts[0][0] != counts[0][1]  # one id, two collection clocks
+
+
+GOLDEN_SIMULATION = Path(__file__).parent / "data" / "simulate_default.jsonl"
+
+
+def golden_scenarios():
+    """20 default rounds, then 5 rounds in which one client fails every round."""
+    return [
+        ScenarioConfig(rounds=20),
+        dataclasses.replace(ScenarioConfig(), beta=1.0, tmin=(0.01, 0.05), rounds=5),
+    ]
+
+
+def assert_json_close(got, want, where="$"):
+    """Floats agree to 1e-12 relative; every other value, key and type exactly."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and not math.isnan(want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    elif isinstance(want, float):
+        assert math.isnan(got), where
+    else:
+        assert got == want, where
+
+
+def test_simulation_reports_match_the_golden_jsonl():
+    # each line as `ifedcrowd simulate` writes it: json.dumps(report.to_dict())
+    lines = [
+        json.dumps(report.to_dict())
+        for config in golden_scenarios()
+        for report in run_simulation(config)
+    ]
+    golden = GOLDEN_SIMULATION.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(golden) == 25
+    assert sum(json.loads(line)["n_failed"] for line in golden[20:]) == 5
+    for index, (line, want) in enumerate(zip(lines, golden)):
+        assert_json_close(json.loads(line), json.loads(want), f"line {index}")
 
 
 def test_completion_jitter_shifts_realized_times():
