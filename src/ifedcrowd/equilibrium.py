@@ -42,15 +42,32 @@ rate and source bit for bit whenever it is the global maximum.  The
 surrogate has no kinks and no bound, and reads every cell of the same
 search.
 
-An r1 value or slope call larger than _BLOCK rates x clients entries takes
-exponentials over the live clients only.  With the clients sorted by
-g_k = gamma_k t_k, client k is live on
+The solvers work on a stack of P populations of n clients each, one row
+per population: a sweep cell solves all its runs in one pass
+(`_equilibria`), and `compute_equilibrium` is the stack of one.  Each stage
+(the r1 cells, their bounds and reads, the refinement, the pick, the r2
+segments and their Newton steps, the best responses) runs once for the
+whole stack, on flat arrays whose entries carry their population's index,
+grouped by population.  A stage fails only the populations whose reads are
+not finite, with the error a solve of its own would raise.  The rule that
+keeps the stack exact is that a population sees the arithmetic of its own
+solve, bit for bit: the same rates in the same order in every value and
+slope call, the same choice between one block and the live windows below,
+and every sum over clients taken by that population's own product (or sum)
+over exactly its own rows.  A product's rounding depends on how many rows
+it is given, so the stack shares only elementwise work and bookkeeping
+(gathers, sorts, masks, the refine loop, the group maxima), never a sum.
+
+An r1 value or slope call larger than _BLOCK rates x clients entries for
+one population takes exponentials over the live clients only.  With the
+clients sorted by g_k = gamma_k t_k, client k is live on
 [g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate are
 one contiguous window of that order; the clamped clients on either side
 add constants from prefix sums of 1/t.  Rates are taken in blocks of at
-most _BLOCK entries, so memory is O(_BLOCK), not O(rates x n).  Each value or
-slope call allocates one scratch buffer, and every block writes its rates x
-clients temporaries into it in place.
+most _BLOCK entries, so memory is O(_BLOCK), not O(rates x n), and the
+smaller populations of a stack share blocks of at most _BLOCK entries.
+Each value or slope call allocates one scratch buffer, and every block
+writes its rates x clients temporaries into it in place.
 
 Maximizing the realized objective is what keeps the equilibrium rates
 undominated by any in-box rate pair once clamping binds, including for
@@ -70,7 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, IFedCrowdError, NumericError
 from .game_core import (
     ACCURACY_MAX,
     ACCURACY_MIN,
@@ -81,10 +98,11 @@ from .game_core import (
     Strategy,
     SystemParams,
     _population_arrays,
+    _responses,
+    _utilities,
     best_response,
     best_responses,
     client_utility,
-    population_utilities,
 )
 
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
@@ -100,8 +118,31 @@ _PAD = 1e-9          # relative margin of an r1 live window
 _C_IN, _C_OUT = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
 
 
+def _find(rows: np.ndarray, x: np.ndarray, pop: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(rows[pop[i]], x[i], side) for every i; each row of ``rows`` is sorted.
+
+    Numpy orders complex numbers by real part, then by imaginary part, so
+    the keys p + i*v lay the rows end to end in one sorted array, and one
+    search serves every population of a stack.
+    """
+    if len(rows) == 1:
+        return np.searchsorted(rows[0], x, side)
+    keys = np.empty(rows.shape, dtype=complex)
+    keys.real, keys.imag = np.arange(len(rows))[:, None], rows
+    wanted = np.empty(len(x), dtype=complex)
+    wanted.real, wanted.imag = pop, x
+    return np.searchsorted(keys.ravel(), wanted, side) - pop * rows.shape[1]
+
+
+def _starts(pop: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the grouped ``pop`` begins."""
+    new = np.ones(len(pop), dtype=bool)
+    np.not_equal(pop[1:], pop[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two float buffers and a bool buffer of ``entries`` each, for `_r1_block`.
+    """Two float buffers and a bool buffer of ``entries`` each, for `_r1_terms`.
 
     They share one allocation, so the allocator gets back one block it can
     hand out whole to the next call.
@@ -110,38 +151,47 @@ def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return buf[:entries], buf[entries : 2 * entries], buf[2 * entries :].view(bool)[:entries]
 
 
-def _r1_block(
-    r: np.ndarray,
-    g: np.ndarray,
-    t: np.ndarray,
-    share: float,
-    clamp: bool,
-    slope: bool,
-    scratch: tuple[np.ndarray, ...],
-):
-    """The r1 slice (or its slope) at rates r over the clients (g_k = gamma_k t_k, t_k) alone.
+def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch):
+    """x = exp(r/g_k - 1) and the accuracy responses x - 1, one row per rate of r.
 
-    Its rates x clients temporaries are views of the `_scratch` buffers,
-    which hold at least len(r) * len(g) entries each.  ``share`` is alpha/n.
+    ``g`` holds g_k = gamma_k t_k, either one row of clients for every rate
+    or a row per rate.  The responses are clamped with ``clamp``, and then
+    for a ``slope`` x is zeroed wherever its response is clamped, since a
+    clamped response has zero slope.  Both are views of the `_scratch`
+    buffers, which hold at least len(r) * n entries each.
     """
-    shape = (len(r), len(g))
+    shape = (len(r), g.shape[-1])
     x, a, dead = (buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
-    # an overflowed response clips to the cap; the slope's products may hold inf*0
-    with np.errstate(over="ignore", invalid="ignore" if slope else None):
-        np.divide(r[:, None], g, out=x)
-        np.subtract(x, 1.0, out=x)
-        np.exp(x, out=x)
-        np.subtract(x, 1.0, out=a)
-        if clamp:
-            if slope:  # a clamped response has zero slope
-                np.less(a, ACCURACY_MIN, out=dead)
-                np.copyto(x, 0.0, where=dead)
-                np.greater_equal(a, ACCURACY_MAX, out=dead)
-                np.copyto(x, 0.0, where=dead)
-            np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+    np.divide(r[:, None], g, out=x)
+    np.subtract(x, 1.0, out=x)
+    np.exp(x, out=x)
+    np.subtract(x, 1.0, out=a)
+    if clamp:
         if slope:
-            return x @ (share / g) - r * (x @ (1.0 / (t * g))) - a @ (1.0 / t)
-        return share * a.sum(axis=1) - r * (a @ (1.0 / t))
+            np.less(a, ACCURACY_MIN, out=dead)
+            np.copyto(x, 0.0, where=dead)
+            np.greater_equal(a, ACCURACY_MAX, out=dead)
+            np.copyto(x, 0.0, where=dead)
+        np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+    return x, a
+
+
+def _r1_weights(g: np.ndarray, t: np.ndarray, share: float, slope: bool) -> np.ndarray:
+    """The clients' weights in `_r1_rows`, stacked on the second-to-last axis.
+
+    They are alpha/(n g_k), 1/(t_k g_k) and 1/t_k for a slope, and 1/t_k
+    alone for a value.
+    """
+    if slope:
+        return np.stack([share / g, 1.0 / (t * g), 1.0 / t], axis=-2)
+    return (1.0 / t)[..., None, :]
+
+
+def _r1_rows(r: np.ndarray, x: np.ndarray, a: np.ndarray, w: np.ndarray, share: float, slope):
+    """The r1 slice (or its slope) at rates r from their `_r1_terms` and `_r1_weights`."""
+    if slope:
+        return x @ w[0] - r * (x @ w[1]) - a @ w[2]
+    return share * a.sum(axis=1) - r * (a @ w[0])
 
 
 def _r1_windowed(
@@ -164,7 +214,7 @@ def _r1_windowed(
     and exponentials are taken over each block's window only.  A window is
     padded by the relative margin _PAD, so every client outside it clamps
     whatever the rounding of its exponential, and inside it the clamp test
-    is the exact one of `_r1_block`.  Every block reuses ``scratch``.
+    is the exact one of `_r1_terms`.  Every block reuses ``scratch``.
     Returns the results in the order of r.
     """
     order = np.argsort(g, kind="stable")
@@ -183,7 +233,8 @@ def _r1_windowed(
         j = i + max(int(rows), 1)
         lo, hi = first[i], stop[j - 1]
         rb = rs[i:j]
-        part = _r1_block(rb, g[lo:hi], t[lo:hi], share, True, slope, scratch)
+        x, a = _r1_terms(rb, g[lo:hi], True, slope, scratch)
+        part = _r1_rows(rb, x, a, _r1_weights(g[lo:hi], t[lo:hi], share, slope), share, slope)
         # the clamped clients outside the window add sum a_k/t_k to the
         # payment rate and, to the value only, sum a_k to the benefit
         paid = ACCURACY_MAX * cum[lo] + ACCURACY_MIN * (cum[n] - cum[hi])
@@ -196,54 +247,80 @@ def _r1_windowed(
     return out
 
 
-def _r1_parts(
-    r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, slope: bool
-):
+def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=None):
     """`_r1_value` (or, with ``slope``, `_r1_slope`) at every rate of r1, in its order.
 
-    A call of at most _BLOCK rates x clients entries is one `_r1_block` over
-    every client.  A larger clamped call goes through `_r1_windowed`, and a
-    larger unclamped one, where every client is live, is split into blocks
-    of rates over every client.  The blocks share one `_scratch`, allocated
-    here: no block holds more than max(_BLOCK, n) entries.
+    Each population's rates are computed as in a call of their own.  At
+    most _BLOCK rates x clients entries are one block over every client.  A
+    larger clamped call goes through `_r1_windowed`, and a larger unclamped
+    one, where every client is live, is split into blocks of rates over
+    every client.  Populations of at most _BLOCK entries share a block with
+    their neighbours while the block stays within _BLOCK entries; its
+    exponentials are taken once, and `_r1_rows` sums each population's own
+    rows.  The blocks share one `_scratch`, allocated here: no block holds
+    more than max(_BLOCK, n) entries.
     """
     r = np.atleast_1d(np.asarray(r1, dtype=float))
+    if pop is None:
+        gamma, t, bounds = gamma[None], t[None], [0, len(r)]
+    else:
+        bounds = np.searchsorted(pop, np.arange(len(gamma) + 1)).tolist()
     g = gamma * t
     share = params.alpha / params.n
-    entries = len(r) * len(g)
-    scratch = _scratch(min(entries, max(_BLOCK, len(g))))
-    if entries <= _BLOCK:
-        out = _r1_block(r, g, t, share, clamp, slope, scratch)
-    elif clamp:
-        out = _r1_windowed(r, g, t, share, slope, scratch)
-    else:
-        step = max(_BLOCK // len(g), 1)
-        out = np.concatenate(
-            [
-                _r1_block(r[i : i + step], g, t, share, False, slope, scratch)
-                for i in range(0, len(r), step)
-            ]
-        )
+    n = g.shape[1]
+    scratch = _scratch(min(len(r) * n, max(_BLOCK, n)))
+    out = np.empty(len(r))
+    # an overflowed response clips to the cap; the slope's products may hold inf*0
+    with np.errstate(over="ignore", invalid="ignore" if slope else None):
+        p = 0
+        while p < len(g):
+            s, e = bounds[p], bounds[p + 1]
+            if (e - s) * n > _BLOCK:
+                if clamp:
+                    out[s:e] = _r1_windowed(r[s:e], g[p], t[p], share, slope, scratch)
+                else:
+                    w = _r1_weights(g[p], t[p], share, slope)
+                    step = max(_BLOCK // n, 1)
+                    for i in range(s, e, step):
+                        rb = r[i : min(i + step, e)]
+                        x, a = _r1_terms(rb, g[p], False, slope, scratch)
+                        out[i : i + len(rb)] = _r1_rows(rb, x, a, w, share, slope)
+                p += 1
+                continue
+            q = p + 1
+            while q < len(g) and (bounds[q + 1] - s) * n <= _BLOCK:
+                q += 1
+            rb = r[s : bounds[q]]
+            rows = g[p] if q == p + 1 else np.repeat(g[p:q], np.diff(bounds[p : q + 1]), axis=0)
+            x, a = _r1_terms(rb, rows, clamp, slope, scratch)
+            w = _r1_weights(g[p:q], t[p:q], share, slope)
+            for k in range(p, q):
+                i, j = bounds[k] - s, bounds[k + 1] - s
+                if j > i:
+                    out[s + i : s + j] = _r1_rows(rb[i:j], x[i:j], a[i:j], w[k - p], share, slope)
+            p = q
     return out if np.ndim(r1) else float(out[0])
 
 
-def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
+def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, pop=None):
     """r1-dependent slice of the server utility: sum_k (alpha/n - r1/t_k) A_k(r1).
 
     A_k is the accuracy response exp(r1/(gamma_k t_k) - 1) - 1, clamped into
     [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
-    1-D array of rates and returns the same shape.
+    1-D array of rates and returns the same shape.  With ``pop``, gamma and
+    t hold a stack of populations, one per row, and rate i is taken in
+    population pop[i], pop nondecreasing.
     """
-    return _r1_parts(r1, gamma, t, params, clamp, slope=False)
+    return _r1_parts(r1, gamma, t, params, clamp, False, pop)
 
 
-def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool):
+def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, pop=None):
     """Right derivative of `_r1_value` in r1, with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1)/(gamma_k t_k).
 
     A clamped response has zero slope.  A client counts as unclamped on
     [ACCURACY_MIN, ACCURACY_MAX), where its response rises just right of r1.
     """
-    return _r1_parts(r1, gamma, t, params, clamp, slope=True)
+    return _r1_parts(r1, gamma, t, params, clamp, True, pop)
 
 
 def _freshness_sums(delta: np.ndarray):
@@ -253,28 +330,40 @@ def _freshness_sums(delta: np.ndarray):
     delta_k exp(FRESHNESS_MAX delta_k).  Both kinks rise with delta_k, so the
     clients live at any rate are one contiguous run of the delta order, and
     their sums of 1/delta and ln(delta)/delta are differences of prefix sums.
+    A stack of populations, one per row, gets the same row by row.
     """
-    d = np.sort(delta)
+    d = np.sort(delta, axis=-1)
     with np.errstate(over="ignore"):  # a cap that overflows is never reached
         cap = d * np.exp(FRESHNESS_MAX * d)
-    p1 = np.concatenate(([0.0], np.cumsum(1.0 / d)))
-    p2 = np.concatenate(([0.0], np.cumsum(np.log(d) / d)))
+    zero = np.zeros(d.shape[:-1] + (1,))
+    p1 = np.concatenate([zero, np.cumsum(1.0 / d, axis=-1)], axis=-1)
+    p2 = np.concatenate([zero, np.cumsum(np.log(d) / d, axis=-1)], axis=-1)
     return d, cap, p1, p2
 
 
-def _live_sums(r, sums, clamp: bool):
+def _live_sums(r, sums, clamp: bool, pop=None):
     """(S1, S2, m) at rates r: S1 = sum 1/delta_k and S2 = sum ln(delta_k)/delta_k
     over the live clients, m = the number capped at FRESHNESS_MAX.
 
     A client is live on [delta_k, cap_k), where its response rises just right
     of r; unclamped, every client is live.  Two binary searches per rate.
+    With ``pop``, ``sums`` are a stack's, and rate i is taken in population
+    pop[i].
     """
+    if pop is not None and len(sums[0]) == 1:  # a stack of one is its one row
+        sums, pop = [row[0] for row in sums], None
     d, cap, p1, p2 = sums
+    if pop is None:
+        if not clamp:
+            return p1[-1], p2[-1], 0
+        i = np.searchsorted(d, r, side="right")
+        j = np.searchsorted(cap, r, side="right")
+        return p1[i] - p1[j], p2[i] - p2[j], j
     if not clamp:
-        return p1[-1], p2[-1], 0
-    i = np.searchsorted(d, r, side="right")
-    j = np.searchsorted(cap, r, side="right")
-    return p1[i] - p1[j], p2[i] - p2[j], j
+        return p1[pop, -1], p2[pop, -1], 0
+    i = _find(d, r, pop, "right")
+    j = _find(cap, r, pop, "right")
+    return p1[pop, i] - p1[pop, j], p2[pop, i] - p2[pop, j], j
 
 
 def _r2_parts(r, live, params: SystemParams):
@@ -367,13 +456,15 @@ def leader_objective(
     )
 
 
-def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
+def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, pop: np.ndarray):
     """Narrow every slope sign change [lo_i, hi_i] at once; return the final brackets.
 
-    Each step evaluates the slope once, at the _SECTIONS - 1 interior points
-    of every open bracket, and keeps the first section whose right end has a
-    sign other than sign_lo (a zero counts as the other side).  A bracket
-    closes at _XTOL width or when no float lies strictly inside it.
+    Bracket i lies in population pop[i], pop nondecreasing, and ``slope`` is
+    called as slope(rates, pop).  Each step evaluates the slope once, at the
+    _SECTIONS - 1 interior points of every open bracket, and keeps the first
+    section whose right end has a sign other than sign_lo (a zero counts as
+    the other side).  A bracket closes at _XTOL width or when no float lies
+    strictly inside it.
     """
     lo, hi = lo.copy(), hi.copy()
     frac = np.arange(1, _SECTIONS) / _SECTIONS
@@ -385,7 +476,8 @@ def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
             return lo, hi
         a, b = lo[open_], hi[open_]
         pts = a[:, None] + (b - a)[:, None] * frac
-        flip = np.sign(slope(pts.ravel())).reshape(pts.shape) != sign_lo[open_, None]
+        s = slope(pts.ravel(), np.repeat(pop[open_], _SECTIONS - 1))
+        flip = np.sign(s).reshape(pts.shape) != sign_lo[open_, None]
         k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
         ends = np.column_stack([a, pts, b])
         rows = np.arange(len(a))
@@ -393,23 +485,48 @@ def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray):
 
 
 def _best(
-    value, roots: np.ndarray, lo: float, hi: float, kinks: np.ndarray
-) -> tuple[float, str]:
-    """The best by value of the roots, the edges and the kinks, plus its source.
+    value,
+    roots: np.ndarray,
+    root_pop: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    kinks: np.ndarray,
+    kink_pop: np.ndarray,
+    pops: np.ndarray,
+) -> list[tuple[float, str]]:
+    """Each population's best by value of its roots, its edges and its kinks, plus its source.
 
-    The source is "edge" for a box edge, "kink" for one of ``kinks`` (a root
-    snapped onto a kink counts as one) and "root" otherwise.  Candidates
-    within 1e-10 relative of the best tie toward the earliest, so a root is
-    preferred over an edge or kink that beats it only by floating-point dust.
+    One pick is made for each population of ``pops``, which is increasing;
+    the roots and kinks are those of its populations, grouped by population.
+    One value(rates, pop) call reads every population's candidates, each in
+    the order roots, lo_p, hi_p, kinks.
+    The source is "edge" for a box edge, "kink" for one of the kinks (a
+    root snapped onto a kink counts as one) and "root" otherwise.
+    Candidates within 1e-10 relative of the best tie toward the earliest,
+    so a root is preferred over an edge or kink that beats it only by
+    floating-point dust.
     """
-    candidates = [*roots.tolist(), lo, hi, *kinks.tolist()]
-    values = value(np.array(candidates))
-    best = float(np.max(values))
-    snap = 1e-10 * max(1.0, abs(best))
-    rate = candidates[int(np.nonzero(values >= best - snap)[0][0])]
-    if rate in (lo, hi):
-        return rate, "edge"
-    return rate, "kink" if rate in kinks else "root"
+    rates = np.concatenate([roots, lo[pops], hi[pops], kinks])
+    pop = np.concatenate([root_pop, pops, pops, kink_pop])
+    order = np.argsort(pop, kind="stable")
+    rates, pop = rates[order], pop[order]
+    values = value(rates, pop)
+    starts = np.searchsorted(pop, pops)
+    best = np.maximum.reduceat(values, starts)
+    snap = 1e-10 * np.maximum(1.0, np.abs(best))
+    slot = np.searchsorted(pops, pop)
+    ties = np.where(values >= (best - snap)[slot], np.arange(len(values)), len(values))
+    # no tie at all (a NaN best) indexes past the end and raises, as it always has
+    rate = rates[np.minimum.reduceat(ties, starts)]
+    kink = np.zeros(len(pops), dtype=bool)
+    if kinks.size:
+        kink_slot = np.searchsorted(pops, kink_pop)
+        kink[kink_slot[kinks == rate[kink_slot]]] = True
+    edge = (rate == lo[pops]) | (rate == hi[pops])
+    return [
+        (x, "edge" if at_edge else "kink" if at_kink else "root")
+        for x, at_edge, at_kink in zip(rate.tolist(), edge.tolist(), kink.tolist())
+    ]
 
 
 def _r1_rise(gamma: np.ndarray, t: np.ndarray, share: float):
@@ -426,42 +543,64 @@ def _r1_rise(gamma: np.ndarray, t: np.ndarray, share: float):
     most max(V(a), V(b)) + M (b - a)^2/8.  Sorted by g, the clients live in
     [a, b] are one contiguous run (`_r1_windowed`, padded the same way), so
     suffix sums give each cell's M in O(log n), with no cells x clients
-    array.  Returns a function of the arrays of cell ends a, b giving
-    M (b - a)^2/8.  A client so small in g that its terms overflow makes
-    that infinite or NaN on the cells where it is live, and only there.
+    array.  gamma and t hold a stack of populations, one per row.  Returns
+    a function of the arrays of cell ends a, b and of their populations
+    giving M (b - a)^2/8.  A client so small in g that its terms overflow
+    makes that infinite or NaN on the cells where it is live, and only there.
     """
     g = gamma * t
-    order = np.argsort(g, kind="stable")
-    g, t = g[order], t[order]
+    order = np.argsort(g, axis=1, kind="stable")
+    g, t = np.take_along_axis(g, order, axis=1), np.take_along_axis(t, order, axis=1)
     with np.errstate(over="ignore", divide="ignore"):
         inv = 1.0 / g
-        terms = np.stack([inv * (share * inv + 2.0 / t), inv * inv / t])
+        terms = np.stack([inv * (share * inv + 2.0 / t), inv * inv / t], axis=1)
     # suffix sums, so that the small terms of the large g are added first
-    tail = np.zeros((2, len(g) + 1))
-    tail[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    tail = np.zeros(terms.shape[:2] + (g.shape[1] + 1,))
+    tail[:, :, :-1] = np.cumsum(terms[:, :, ::-1], axis=2)[:, :, ::-1]
 
-    def rise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        first = np.searchsorted(g, a / _C_OUT * (1.0 - _PAD))
-        stop = np.searchsorted(g, b / _C_IN * (1.0 + _PAD), side="right")
+    def rise(a: np.ndarray, b: np.ndarray, pop: np.ndarray) -> np.ndarray:
+        first = _find(g, a / _C_OUT * (1.0 - _PAD), pop, "left")
+        stop = _find(g, b / _C_IN * (1.0 + _PAD), pop, "right")
         # inf - inf where an overflowed term is live; inf * 0 where b - a underflows
         with np.errstate(over="ignore", invalid="ignore"):
-            fixed, per_b = tail[:, first] - tail[:, stop]
+            fixed, per_b = (tail[pop, :, first] - tail[pop, :, stop]).T
             return (1.0 + ACCURACY_MAX) / 8.0 * (fixed + b * per_b) * (b - a) ** 2
 
     return rise
 
 
-def _search(
-    slope, value, lo: float, hi: float, kinks=(), cut=math.inf, rise=None
-) -> tuple[float, str]:
-    """Global maximizer of a piecewise-smooth axis objective on [lo, hi].
+def _coarse(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.linspace(lo_p, hi_p, _CELLS + 1) as row p, for every p, rounded as linspace rounds."""
+    j = np.arange(_CELLS + 1)
+    width = (hi - lo)[:, None]
+    step = width / _CELLS
+    # linspace scales j/_CELLS by the width where the step underflows to 0
+    points = np.where(step == 0, j / _CELLS * width, j * step) + lo[:, None]
+    points[:, -1] = hi
+    return points
 
-    The box is cut into cells at _CELLS + 1 equally spaced points, up to the
-    first one at or past ``cut``, at ``hi`` and at the in-box ``kinks``,
-    where the slope jumps down (an upward jump is a convex corner).  A cell
-    [a, b] with a >= ``cut`` is dropped: the objective is known to fall
-    strictly past the cut.  With ``rise``, the objective is valued at every
-    cell end, ``rise(a, b)`` bounds how far it climbs above max(V(a), V(b))
+
+def _search(
+    slope,
+    value,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    kinks: np.ndarray,
+    kink_pop: np.ndarray,
+    cut: np.ndarray,
+    rise=None,
+) -> list:
+    """Global maximizer of a piecewise-smooth axis objective on [lo_p, hi_p], for each population p.
+
+    ``slope``, ``value`` and ``rise`` take their rates (or cells) with the
+    population of each, grouped; ``kinks`` are grouped by their populations
+    ``kink_pop``, and ``cut`` holds one cut per population.  The box is cut
+    into cells at _CELLS + 1 equally spaced points, up to the first one at
+    or past ``cut``, at ``hi`` and at the in-box ``kinks``, where the slope
+    jumps down (an upward jump is a convex corner).  A cell [a, b] with
+    a >= ``cut`` is dropped: the objective is known to fall strictly past
+    the cut.  With ``rise``, the objective is valued at every cell end,
+    ``rise(a, b, pop)`` bounds how far it climbs above max(V(a), V(b))
     inside [a, b] (`_r1_rise`), and a cell whose bound is below the best end
     value less `_best`'s tie snap, 1e-10 max(1, |best|), is dropped too; a
     non-finite bound keeps its cell.  A dropped cell holds only candidates
@@ -474,40 +613,60 @@ def _search(
     no bracket between neighbouring reads holds a kink or ends on one, and
     a sign change across a kink, which has that kink as its root, is no
     bracket: `_best` values the kink.  Reads at or past the cut take the
-    sign -1, their exact sign, and a non-finite read raises.  A sign change
-    that leaves a negative slope rises: `_refine` would narrow it to where
-    the slope turns from - to 0 or +, a local minimum.  Every other sign
-    change is refined with `_refine`.  Its root is its bracket's midpoint,
-    or a kink within the bracket's width of it.  `_best` picks among the
-    roots, the edges and the kinks that end a kept cell.  A degenerate box
-    returns its edge.
+    sign -1, their exact sign, and a non-finite read fails its population.
+    A sign change that leaves a negative slope rises: `_refine` would narrow
+    it to where the slope turns from - to 0 or +, a local minimum.  Every
+    other sign change is refined with `_refine`.  Its root is its bracket's
+    midpoint, or a kink within the bracket's width of it.  `_best` picks
+    among the roots, the edges and the kinks that end a kept cell.  A
+    degenerate box returns its edge.
+
+    Returns (rate, source) for each population, or the NumericError of its
+    first non-finite read.
     """
-    if hi <= lo:
-        return lo, "edge"
-    kinks = np.asarray(kinks, dtype=float)
-    kinks = kinks[(lo < kinks) & (kinks < hi)]
-    coarse = np.linspace(lo, hi, _CELLS + 1)
-    coarse = coarse[: np.searchsorted(coarse, cut) + 1]
-    ends = np.sort(np.concatenate([coarse, kinks, [hi]]))
+    out: list = [(float(x), "edge") for x in lo]
+    live = hi > lo
+    if not live.any():
+        return out
+    inside = live[kink_pop] & (lo[kink_pop] < kinks) & (kinks < hi[kink_pop])
+    kinks, kink_pop = kinks[inside], kink_pop[inside]
+    coarse = _coarse(lo, hi)
+    below_cut = np.sum(coarse < cut[:, None], axis=1)
+    coarse_kept = live[:, None] & (np.arange(_CELLS + 1) <= below_cut[:, None])
+    points = np.concatenate([coarse[coarse_kept], kinks, hi[live]])
+    point_pop = np.concatenate([np.nonzero(coarse_kept)[0], kink_pop, np.flatnonzero(live)])
+    order = np.lexsort((points, point_pop))
+    points, point_pop = points[order], point_pop[order]
     # not np.unique, whose first call imports numpy.ma
-    ends = ends[np.diff(ends, prepend=-np.inf) > 0]
-    at = np.searchsorted(ends, kinks)
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = (points[1:] > points[:-1]) | (point_pop[1:] != point_pop[:-1])
+    ends, pop = points[new], point_pop[new]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    n_coarse = int(coarse_kept.sum())
+    at = rank[n_coarse : n_coarse + len(kinks)]  # the end at each kink
     at_kink = np.zeros(len(ends), dtype=bool)
     at_kink[at] = True
-    a, b = ends[:-1], ends[1:]
-    keep = a < cut
+    left = np.flatnonzero(pop[:-1] == pop[1:])
+    a, b, cell_pop = ends[left], ends[left + 1], pop[left]
+    keep = a < cut[cell_pop]
     if rise is not None:
-        v = value(ends)
-        top = float(np.max(v))
-        bound = np.maximum(v[:-1], v[1:]) + rise(a, b)
-        keep &= ~(bound < top - 1e-10 * max(1.0, abs(top)))
+        v = value(ends, pop)
+        top = np.full(len(lo), np.nan)
+        starts = _starts(pop)
+        top[pop[starts]] = np.maximum.reduceat(v, starts)
+        floor = top - 1e-10 * np.maximum(1.0, np.abs(top))
+        bound = np.maximum(v[left], v[left + 1]) + rise(a, b, cell_pop)
+        keep &= ~(bound < floor[cell_pop])
     ends_kept = np.zeros(len(ends), dtype=bool)
-    ends_kept[:-1] = keep
-    ends_kept[1:] |= keep
-    valued = kinks[ends_kept[at]]
-    a, b, kink_a, kink_b = a[keep], b[keep], at_kink[:-1][keep], at_kink[1:][keep]
+    ends_kept[left[keep]] = True
+    ends_kept[left[keep] + 1] = True
+    valued = ends_kept[at]
+    kink_a, kink_b = at_kink[left][keep], at_kink[left + 1][keep]
+    a, b, cell_pop = a[keep], b[keep], cell_pop[keep]
     # cell i is read at a_i + (b_i - a_i) j/m_i, j = 0..m_i, each end stepped off a kink
-    m = np.maximum(np.ceil((b - a) / ((hi - lo) / (_CELLS * _SECTIONS))), 1.0)
+    h = (hi - lo) / (_CELLS * _SECTIONS)
+    m = np.maximum(np.ceil((b - a) / h[cell_pop]), 1.0)
     cell = np.repeat(np.arange(len(a)), (m + 1).astype(int))
     j = np.arange(len(cell)) - np.searchsorted(cell, cell)
     xs = a[cell] + (b - a)[cell] * (j / m[cell])
@@ -515,68 +674,98 @@ def _search(
     xs[last] = b[cell[last]]
     step = (first & kink_a[cell]) | (last & kink_b[cell])
     xs[step] += np.where(first[step], 1.0, -1.0) * np.maximum(_XTOL, np.spacing(xs[step]))
+    xs_pop = cell_pop[cell]
     s = np.full(len(xs), -1.0)
-    below = xs < cut
+    below = xs < cut[xs_pop]
     if below.any():
-        s[below] = slope(xs[below])
-    bad = ~np.isfinite(s)
-    if bad.any():
-        raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
+        s[below] = slope(xs[below], xs_pop[below])
+    failed = np.zeros(len(lo), dtype=bool)
+    bad = np.flatnonzero(~np.isfinite(s))
+    for i in bad[_starts(xs_pop[bad])].tolist() if bad.size else ():
+        failed[xs_pop[i]] = True
+        out[xs_pop[i]] = NumericError(f"derivative not finite at rate {xs[i]}")
     signs = np.sign(s)
-    i = np.nonzero(
-        (cell[:-1] == cell[1:]) & (xs[:-1] < xs[1:]) & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0)
-    )[0]
-    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i])
+    i = np.flatnonzero(
+        (cell[:-1] == cell[1:])
+        & (xs[:-1] < xs[1:])
+        & (signs[:-1] != signs[1:])
+        & (signs[:-1] >= 0)
+        & ~failed[xs_pop[:-1]]
+    )
+    bracket_pop = xs_pop[i]
+    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i], bracket_pop)
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
-        held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
+        held = (
+            (bracket_pop[:, None] == kink_pop)
+            & (b_lo[:, None] - w <= kinks)
+            & (kinks <= b_hi[:, None] + w)
+        )
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    return _best(value, roots, lo, hi, valued)
+    pops = np.flatnonzero(live & ~failed)
+    if pops.size:
+        shown = valued & ~failed[kink_pop]
+        picks = _best(value, roots, bracket_pop, lo, hi, kinks[shown], kink_pop[shown], pops)
+        for p, pick in zip(pops.tolist(), picks):
+            out[p] = pick
+    return out
 
 
 def _argmax_r1(
-    gamma: np.ndarray, t: np.ndarray, params: SystemParams, box: RateBox, clamp: bool
-) -> tuple[float, str]:
-    """Global maximizer of the r1 slice on the box, and its source.
+    gamma: np.ndarray, t: np.ndarray, params: SystemParams, boxes: Sequence[RateBox], clamp: bool
+) -> list:
+    """Global maximizer of the r1 slice on each box, and its source, for a stack of populations.
 
     Client k's realized term (alpha/n - r/t_k) A_k(r) has right slope
     -A_k/t_k + (alpha/n - r/t_k) A_k'(r), with A_k' >= 0 and
     A_k >= ACCURACY_MIN > 0.  So past c = (alpha/n) max t every term, and the
     slice, strictly falls: at c <= r1_lo the maximum is r1_lo, and otherwise
     `_search` computes no slope past c.  The surrogate's unclamped A_k may
-    be negative, so it keeps c = inf.
+    be negative, so it keeps c = inf.  gamma and t hold one population per
+    row, with its box in ``boxes``; returns `_search`'s result for each.
     """
-    kinks, cut, rise = (), math.inf, None
+    lo = np.array([box.r1_lo for box in boxes], dtype=float)
+    hi = np.array([box.r1_hi for box in boxes], dtype=float)
+    out: list = [(float(x), "edge") for x in lo]
+    todo = np.arange(len(lo))
+    cut = np.full(len(lo), math.inf)
+    kinks, kink_pop, rise = np.empty(0), np.empty(0, dtype=np.intp), None
     if clamp:
         share = params.alpha / params.n
-        cut = share * float(t.max())
-        if cut <= box.r1_lo:
-            return box.r1_lo, "edge"
+        cut = share * t.max(axis=1)
+        todo = np.flatnonzero(~(cut <= lo))
+        if not todo.size:
+            return out
+        gamma, t, lo, hi, cut = gamma[todo], t[todo], lo[todo], hi[todo], cut[todo]
         # An accuracy response enters the clamp rectangle at gt*_C_IN and leaves
         # it at gt*_C_OUT, where the client's slope term jumps by a positive
         # multiple of alpha/n - _C_IN*gamma and of _C_OUT*gamma - alpha/n.  Only a
         # kink where the slope jumps down can be a maximum: at most one per client.
         gt = gamma * t
-        kinks = np.concatenate(
-            [gt[share < _C_IN * gamma] * _C_IN, gt[share > _C_OUT * gamma] * _C_OUT]
-        )
+        down = np.concatenate([share < _C_IN * gamma, share > _C_OUT * gamma], axis=1)
+        kinks = np.concatenate([gt * _C_IN, gt * _C_OUT], axis=1)[down]
+        kink_pop = np.nonzero(down)[0]
         rise = _r1_rise(gamma, t, share)
-    return _search(
-        lambda r: _r1_slope(r, gamma, t, params, clamp),
-        lambda r: _r1_value(r, gamma, t, params, clamp),
-        box.r1_lo,
-        box.r1_hi,
+    found = _search(
+        lambda r, pop: _r1_slope(r, gamma, t, params, clamp, pop),
+        lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop),
+        lo,
+        hi,
         kinks,
+        kink_pop,
         cut,
         rise,
     )
+    for p, result in zip(todo.tolist(), found):
+        out[p] = result
+    return out
 
 
 def _argmax_r2(
-    delta: np.ndarray, params: SystemParams, box: RateBox, clamp: bool
-) -> tuple[float, str]:
-    """Exact maximizer of the r2 slice on the box, one concave segment at a time.
+    delta: np.ndarray, params: SystemParams, boxes: Sequence[RateBox], clamp: bool
+) -> list:
+    """Exact maximizer of the r2 slice on each box, one concave segment at a time.
 
     Between neighbouring in-box clamp kinks the live set and the capped count
     are fixed, so V(r) = (beta/n - r)(S1 ln r - S2 + FRESHNESS_MAX m) has
@@ -589,26 +778,43 @@ def _argmax_r2(
     end, where h > 0, rises monotonically to r* and never overshoots it.
     All inner segments are iterated at once, each iterate clipped to its
     segment's right end, until no iterate rises: a rising sequence of floats
-    below a bound ends.  The unclamped surrogate is one segment with every
-    client live.
+    below a bound ends.  An iterate that has stopped stays where it is, so
+    the segments of a whole stack are iterated together.  The unclamped
+    surrogate is one segment with every client live.  delta holds one
+    population per row, with its box in ``boxes``; returns (rate, source)
+    for each, or the NumericError of a non-finite segment slope.
     """
-    lo, hi = box.r2_lo, box.r2_hi
-    if hi <= lo:
-        return lo, "edge"
+    lo = np.array([box.r2_lo for box in boxes], dtype=float)
+    hi = np.array([box.r2_hi for box in boxes], dtype=float)
+    out: list = [(float(x), "edge") for x in lo]
+    live = np.flatnonzero(hi > lo)
+    if not live.size:
+        return out
     sums = _freshness_sums(delta)
-    kinks = np.concatenate(sums[:2]) if clamp else np.empty(0)
-    kinks = np.sort(kinks[(lo < kinks) & (kinks < hi)])
-    ends = np.concatenate(([lo], kinks, [hi]))
-    a, b = ends[:-1], ends[1:]
-    live = _live_sums(a, sums, clamp)  # the segment's live set, read just right of a
-    _, s_a = _r2_parts(a, live, params)
-    _, s_b = _r2_parts(b, live, params)  # the left limit of the slope at b
-    bad = ~(np.isfinite(s_a) & np.isfinite(s_b))
-    if bad.any():
-        raise NumericError(f"derivative not finite at rate {a[bad][0]}")
-    inner = (s_a > 0) & (s_b < 0)
-    r, end = a[inner], b[inner]
-    s1, s2, m = _live_sums(r, sums, clamp)
+    kinks, kink_pop = np.empty(0), np.empty(0, dtype=np.intp)
+    if clamp:
+        both = np.concatenate(sums[:2], axis=1)
+        inside = (lo[:, None] < both) & (both < hi[:, None])
+        kinks, kink_pop = both[inside], np.repeat(np.arange(len(lo)), inside.sum(axis=1))
+        order = np.lexsort((kinks, kink_pop))
+        kinks, kink_pop = kinks[order], kink_pop[order]
+    # each population's segments run from lo through its sorted kinks to hi
+    end_pop = np.concatenate([live, kink_pop, live])
+    order = np.argsort(end_pop, kind="stable")
+    ends, end_pop = np.concatenate([lo[live], kinks, hi[live]])[order], end_pop[order]
+    left = np.flatnonzero(end_pop[:-1] == end_pop[1:])
+    a, b, pop = ends[left], ends[left + 1], end_pop[left]
+    segment = _live_sums(a, sums, clamp, pop)  # the segment's live set, read just right of a
+    _, s_a = _r2_parts(a, segment, params)
+    _, s_b = _r2_parts(b, segment, params)  # the left limit of the slope at b
+    failed = np.zeros(len(lo), dtype=bool)
+    bad = np.flatnonzero(~(np.isfinite(s_a) & np.isfinite(s_b)))
+    for i in bad[_starts(pop[bad])].tolist() if bad.size else ():
+        failed[pop[i]] = True
+        out[pop[i]] = NumericError(f"derivative not finite at rate {a[i]}")
+    inner = (s_a > 0) & (s_b < 0) & ~failed[pop]
+    r, end, root_pop = a[inner], b[inner], pop[inner]
+    s1, s2, m = _live_sums(r, sums, clamp, root_pop)
     share = params.beta / params.n
     k = 1.0 + (FRESHNESS_MAX * m - s2) / s1
     while True:
@@ -619,7 +825,29 @@ def _argmax_r2(
         if not rises.any():
             break
         r = np.where(rises, nxt, r)
-    return _best(lambda x: _r2_parts(x, _live_sums(x, sums, clamp), params)[0], r, lo, hi, kinks)
+    pops = live[~failed[live]]
+    if pops.size:
+        keep = ~failed[kink_pop]
+        picks = _best(
+            lambda x, p: _r2_parts(x, _live_sums(x, sums, clamp, p), params)[0],
+            r,
+            root_pop,
+            lo,
+            hi,
+            kinks[keep],
+            kink_pop[keep],
+            pops,
+        )
+        for p, pick in zip(pops.tolist(), picks):
+            out[p] = pick
+    return out
+
+
+def _solved(result):
+    """A stack solver's result for one population, with its error raised."""
+    if isinstance(result, IFedCrowdError):
+        raise result
+    return result
 
 
 def solve_r1(
@@ -631,7 +859,8 @@ def solve_r1(
     the box edges and the better edge is returned instead.
     """
     gamma, _, t = _population_arrays(profiles)
-    r1, source = _argmax_r1(gamma, t, params, box, clamp=False)
+    (found,) = _argmax_r1(gamma[None], t[None], params, [box], clamp=False)
+    r1, source = _solved(found)
     return r1, source != "root"
 
 
@@ -640,7 +869,8 @@ def solve_r2(
 ) -> tuple[float, bool]:
     """Maximizer in r2 of the substituted (unclamped) utility within the box."""
     _, delta, _ = _population_arrays(profiles)
-    r2, source = _argmax_r2(delta, params, box, clamp=False)
+    (found,) = _argmax_r2(delta[None], params, [box], clamp=False)
+    r2, source = _solved(found)
     return r2, source != "root"
 
 
@@ -685,6 +915,58 @@ class EquilibriumResult:
         return tuple(self.utilities.tolist())
 
 
+def _equilibria(
+    gamma: np.ndarray,
+    delta: np.ndarray,
+    t: np.ndarray,
+    params: SystemParams,
+    boxes: Sequence[RateBox],
+) -> list:
+    """`compute_equilibrium` for every population of a stack, in one pass.
+
+    gamma, delta and t hold one population of params.n clients per row,
+    with its box in ``boxes``.  Returns each population's EquilibriumResult,
+    or the error its own solve raises: a non-finite r1 read stops it before
+    r2 is solved, as in a solve of its own.  The best responses and
+    utilities of the solved populations are taken in one pass, each
+    population's rates broadcast over its row.
+    """
+    out = _argmax_r1(gamma, t, params, boxes, clamp=True)
+    ok = [p for p, found in enumerate(out) if not isinstance(found, IFedCrowdError)]
+    solving = delta if len(ok) == len(delta) else delta[ok]
+    for p, found in zip(ok, _argmax_r2(solving, params, [boxes[p] for p in ok], clamp=True)):
+        if isinstance(found, IFedCrowdError):
+            out[p] = found
+            continue
+        (r1_star, r1_source), (r2_star, r2_source) = out[p], found
+        try:
+            out[p] = RewardRates(r1=r1_star, r2=r2_star), r1_source, r2_source
+        except DomainError as exc:
+            out[p] = exc
+    ok = [p for p in ok if not isinstance(out[p], IFedCrowdError)]
+    if not ok:
+        return out
+    if len(ok) < len(gamma):
+        gamma, delta, t = gamma[ok], delta[ok], t[ok]
+    r1 = np.array([[out[p][0].r1] for p in ok])
+    r2 = np.array([[out[p][0].r2] for p in ok])
+    accuracy, freshness, _, _ = _responses(gamma, delta, t, r1, r2)
+    utilities, server = _utilities(gamma, delta, t, accuracy, freshness, params, r1, r2)
+    for i, p in enumerate(ok):
+        rates, r1_source, r2_source = out[p]
+        out[p] = EquilibriumResult(
+            rates,
+            accuracy[i],
+            freshness[i],
+            t[i],
+            utilities[i],
+            float(server[i]),
+            r1_source,
+            r2_source,
+        )
+    return out
+
+
 def compute_equilibrium(
     profiles: Sequence[ClientProfile], params: SystemParams, box: RateBox
 ) -> EquilibriumResult:
@@ -692,20 +974,12 @@ def compute_equilibrium(
 
     Each rate maximizes the realized objective (clamped responses) over its
     box interval, so the reported rates dominate every in-box rate pair under
-    actual client behaviour, not just under the smooth surrogate.
+    actual client behaviour, not just under the smooth surrogate.  This is
+    `_equilibria` on a stack of one population.
     """
     gamma, delta, t = _population_arrays(profiles)
-    r1_star, r1_source = _argmax_r1(gamma, t, params, box, clamp=True)
-    r2_star, r2_source = _argmax_r2(delta, params, box, clamp=True)
-
-    rates = RewardRates(r1=r1_star, r2=r2_star)
-    accuracy, freshness, _, _ = best_responses(gamma, delta, t, rates)
-    utilities, server = population_utilities(
-        gamma, delta, t, accuracy, freshness, params, rates
-    )
-    return EquilibriumResult(
-        rates, accuracy, freshness, t, utilities, server, r1_source, r2_source
-    )
+    (result,) = _equilibria(gamma[None], delta[None], t[None], params, [box])
+    return _solved(result)
 
 
 @dataclass(frozen=True)

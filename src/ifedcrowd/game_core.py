@@ -269,10 +269,14 @@ def client_utility(
     return client_reward(rates, strategy) - total_cost(profile, strategy, comm_size).total
 
 
-def _server_value(params: SystemParams, accuracy, freshness, completion_time, reward) -> float:
-    """The publisher-profit formula over arrays of strategy values and payouts."""
-    benefit = np.sum(params.alpha * accuracy + params.beta * freshness) / params.n
-    return float(benefit - np.max(completion_time) - np.sum(reward))
+def _server_value(params: SystemParams, accuracy, freshness, completion_time, reward):
+    """The publisher-profit formula over arrays of strategy values and payouts.
+
+    Each row of a stack of populations gets its own value; a row's sums
+    round as the sums of that row alone.
+    """
+    benefit = np.sum(params.alpha * accuracy + params.beta * freshness, axis=-1) / params.n
+    return benefit - np.max(completion_time, axis=-1) - np.sum(reward, axis=-1)
 
 
 def server_utility(
@@ -292,7 +296,7 @@ def server_utility(
             f"expected {params.n} strategies, got {len(strategies)}"
         )
     a, f, t = np.array([(s.accuracy, s.freshness, s.completion_time) for s in strategies]).T
-    return _server_value(params, a, f, t, rates.r1 * a / t + rates.r2 * f)
+    return float(_server_value(params, a, f, t, rates.r1 * a / t + rates.r2 * f))
 
 
 def _population_arrays(profiles: Sequence[ClientProfile]) -> tuple[np.ndarray, ...]:
@@ -317,9 +321,15 @@ def best_responses(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarray,
     utility is separately concave in accuracy and freshness, the clamped
     point remains optimal over the clamped rectangle.
     """
+    return _responses(gamma, delta, t_min, rates.r1, rates.r2)
+
+
+def _responses(gamma, delta, t_min, r1, r2) -> tuple[np.ndarray, ...]:
+    """`best_responses` at rates r1 and r2, numbers or arrays that broadcast
+    against the clients' arrays: one rate per row of a stack of populations."""
     with np.errstate(over="ignore"):
-        a_raw = np.exp(rates.r1 / (gamma * t_min) - 1.0) - 1.0
-    f_raw = np.log(rates.r2 / delta) / delta
+        a_raw = np.exp(r1 / (gamma * t_min) - 1.0) - 1.0
+    f_raw = np.log(r2 / delta) / delta
     accuracy = np.clip(a_raw, ACCURACY_MIN, ACCURACY_MAX)
     freshness = np.clip(f_raw, 0.0, FRESHNESS_MAX)
     return accuracy, freshness, accuracy != a_raw, freshness != f_raw
@@ -332,7 +342,16 @@ def population_utilities(
 
     Client k plays (accuracy[k], freshness[k], t_min[k]), e.g. `best_responses`.
     """
-    reward = rates.r1 * accuracy / t_min + rates.r2 * freshness
+    utilities, server = _utilities(
+        gamma, delta, t_min, accuracy, freshness, params, rates.r1, rates.r2
+    )
+    return utilities, float(server)
+
+
+def _utilities(gamma, delta, t_min, accuracy, freshness, params: SystemParams, r1, r2):
+    """`population_utilities` at rates r1 and r2 given as in `_responses`;
+    a stack of populations gets one server utility per row."""
+    reward = r1 * accuracy / t_min + r2 * freshness
     cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + np.exp(delta * freshness)
     utilities = reward - (cost + params.comm_size)
     return utilities, _server_value(params, accuracy, freshness, t_min, reward)

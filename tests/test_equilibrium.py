@@ -280,6 +280,50 @@ def default_cell_runs(base=ScenarioConfig()):
                 yield pop, config.system_params, feasible_rate_box(pop, config.r2_cap)
 
 
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def stacks_to_solve():
+    """(params, populations, boxes) of stacks that share their params."""
+    for axis in harness.SWEEP_AXES:
+        spec = SweepSpec.for_axis(axis, ScenarioConfig())
+        for value in spec.values:
+            config = spec.cell_config(value)
+            pops = [sample_population(config, run) for run in range(config.runs)]
+            yield config.system_params, pops, [feasible_rate_box(p, config.r2_cap) for p in pops]
+    # per-worker valuations at n = 300: reads of more than _BLOCK entries
+    config = ScenarioConfig(n=300, alpha=2400.0, beta=1500.0, runs=4)
+    pops = [sample_population(config, run) for run in range(config.runs)]
+    yield config.system_params, pops, [feasible_rate_box(p, config.r2_cap) for p in pops]
+    # completion times 1 to 10^4 times the default: boxes of very different
+    # widths, whose refine brackets close after different numbers of steps
+    rng = np.random.default_rng(11)
+    pops = []
+    for p in range(12):
+        gamma, t = rng.uniform(1.0, 5.0, 12), 10.0 ** (p % 5) * rng.uniform(1.0, 3.0, 12)
+        pops.append(game_core.Population(np.arange(12), gamma, rng.uniform(1.0, 2.0, 12), t))
+    params = SystemParams(alpha=96.0, beta=60.0, comm_size=0.0, n=12)
+    yield params, pops, [feasible_rate_box(p, 1e6) for p in pops]
+
+
+def test_a_stack_solves_each_population_as_its_own_solve_does():
+    # each default sweep cell solved as one stack of its runs, and the
+    # stacks above: every population's rates, sources, responses and
+    # utilities equal those of its own solve bit for bit
+    solved = 0
+    for params, pops, boxes in stacks_to_solve():
+        stack = [np.stack([getattr(pop, k) for pop in pops]) for k in ("gamma", "delta", "t_min")]
+        for pop, box, got in zip(pops, boxes, equilibrium._equilibria(*stack, params, boxes)):
+            want = compute_equilibrium(pop, params, box)
+            assert (got.r1_source, got.r2_source) == (want.r1_source, want.r2_source)
+            for name in ("accuracy", "freshness", "completion_time", "utilities", "server_utility"):
+                assert same_bits(getattr(got, name), getattr(want, name)), (params, name)
+            assert same_bits([got.rates.r1, got.rates.r2], [want.rates.r1, want.rates.r2])
+            solved += 1
+    assert solved == 196
+
+
 def test_compute_equilibrium_source_names_the_winner():
     rng = np.random.default_rng(31)
     cases = []
@@ -434,6 +478,103 @@ def test_r1_at_accuracy_cap_kink_is_the_exact_kink():
     assert u_star >= u_kink
 
 
+# The solvers take a stack of populations (`_search`, `_refine`, `_best`,
+# `_argmax_r1`, `_argmax_r2`).  These adapters give the tests below their
+# one-population form: plain slope and value functions of the rates, scalar
+# box ends, and the error raised rather than returned.
+
+def stack_form(fn):
+    """A one-population slope, value or rise function, taking and ignoring the populations."""
+    return lambda *args: fn(*args[:-1])
+
+
+def solved(found):
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def argmax_r1(gamma, t, params, box, clamp):
+    """`_argmax_r1` on a stack of one population."""
+    stack = np.asarray(gamma, dtype=float)[None], np.asarray(t, dtype=float)[None]
+    (found,) = equilibrium._argmax_r1(*stack, params, [box], clamp)
+    return solved(found)
+
+
+def argmax_r2(delta, params, box, clamp):
+    """`_argmax_r2` on a stack of one population."""
+    (found,) = equilibrium._argmax_r2(np.asarray(delta, dtype=float)[None], params, [box], clamp)
+    return solved(found)
+
+
+def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+    """`_search` on one population."""
+    kinks = np.asarray(kinks, dtype=float)
+    (found,) = equilibrium._search(
+        stack_form(slope),
+        stack_form(value),
+        np.array([lo]),
+        np.array([hi]),
+        kinks,
+        np.zeros(len(kinks), dtype=np.intp),
+        np.array([cut]),
+        None if rise is None else stack_form(rise),
+    )
+    return solved(found)
+
+
+def refine1(slope, lo, hi, sign_lo):
+    """`_refine` on brackets of one population."""
+    return equilibrium._refine(stack_form(slope), lo, hi, sign_lo, np.zeros(len(lo), dtype=np.intp))
+
+
+def best1(value, roots, lo, hi, kinks):
+    """`_best` of one population."""
+    roots, kinks = np.asarray(roots, dtype=float), np.asarray(kinks, dtype=float)
+    zeros = np.zeros(len(roots) + len(kinks), dtype=np.intp)
+    (pick,) = equilibrium._best(
+        stack_form(value),
+        roots,
+        zeros[: len(roots)],
+        np.array([lo]),
+        np.array([hi]),
+        kinks,
+        zeros[len(roots) :],
+        np.array([0]),
+    )
+    return pick
+
+
+def in_population(fn, p):
+    """A stack's slope, value or rise function, restricted to population p."""
+    return lambda *args: fn(*args, np.full(len(args[0]), p))
+
+
+def per_population(search):
+    """A search of one population, such as `parent_search`, in the stack form of `_search`."""
+
+    def stacked(slope, value, lo, hi, kinks, kink_pop, cut, rise=None):
+        found = []
+        for p in range(len(lo)):
+            try:
+                found.append(
+                    search(
+                        in_population(slope, p),
+                        in_population(value, p),
+                        float(lo[p]),
+                        float(hi[p]),
+                        kinks[kink_pop == p],
+                        float(cut[p]),
+                        None if rise is None else in_population(rise, p),
+                    )
+                )
+            except NumericError as exc:
+                found.append(exc)
+        return found
+
+    return stacked
+
+
 def scalar_search_value(slope, value, lo, hi, kinks):
     """Oracle: best value over the scan's sign changes, each bisected on its own."""
     xs = np.linspace(lo, hi, SCAN)
@@ -488,7 +629,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
     for clamp in (False, True):
         axes = (
             (
-                lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp),
+                lambda: argmax_r1(gamma, t, params, box, clamp),
                 lambda r: equilibrium._r1_slope(r, gamma, t, params, clamp),
                 lambda r: equilibrium._r1_value(r, gamma, t, params, clamp),
                 box.r1_lo,
@@ -496,7 +637,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
                 r1_kinks,
             ),
             (
-                lambda: equilibrium._argmax_r2(delta, params, box, clamp),
+                lambda: argmax_r2(delta, params, box, clamp),
                 lambda r: equilibrium._r2_slope(r, delta, params, clamp),
                 lambda r: equilibrium._r2_value(r, delta, params, clamp),
                 box.r2_lo,
@@ -543,7 +684,7 @@ def test_clamped_r2_with_in_box_kinks_is_exact(scenario):
     delta = np.array([p.delta for p in pop])
     kinks = delta * np.exp(FRESHNESS_MAX * delta)
     kinks = kinks[(box.r2_lo < kinks) & (kinks < box.r2_hi)]
-    rate, _ = equilibrium._argmax_r2(delta, params, box, clamp=True)
+    rate, _ = argmax_r2(delta, params, box, clamp=True)
     grid = np.concatenate([np.linspace(box.r2_lo, box.r2_hi, 20001), kinks])
     _, u_star = realized_axis_values(pop, params, box.r1_lo, rate)
     _, u_grid = realized_axis_values(pop, params, box.r1_lo, grid)
@@ -617,7 +758,7 @@ def test_clamped_r2_search_holds_no_rates_by_clients_array():
     delta = np.array([p.delta for p in pop])
     tracemalloc.start()
     try:
-        rate, source = equilibrium._argmax_r2(delta, params, box, clamp=True)
+        rate, source = argmax_r2(delta, params, box, clamp=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -654,7 +795,7 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     t = np.array([p.t_min for p in pop])
     monkeypatch.setattr(equilibrium, "_r1_value", counted_value)
     monkeypatch.setattr(equilibrium, "_refine", counted_refine)
-    rate, _ = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
+    rate, _ = argmax_r1(gamma, t, params, box, clamp=True)
     monkeypatch.undo()
     cell_ends = equilibrium._CELLS + 2 + n
     assert counts["rows"] <= cell_ends + counts["roots"] + 2 + n
@@ -664,7 +805,7 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
     every_kink = np.concatenate(
         [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
     )
-    full, _ = equilibrium._search(
+    full, _ = search1(
         lambda r: equilibrium._r1_slope(r, gamma, t, params, True),
         lambda r: equilibrium._r1_value(r, gamma, t, params, True),
         box.r1_lo,
@@ -717,7 +858,7 @@ def test_r1_search_and_verification_memory_stay_within_absolute_budgets():
     gamma = np.array([p.gamma for p in pop])
     t = np.array([p.t_min for p in pop])
     params = config.system_params
-    search = lambda: equilibrium._argmax_r1(gamma, t, params, box, clamp=True)  # noqa: E731
+    search = lambda: argmax_r1(gamma, t, params, box, clamp=True)  # noqa: E731
     assert peak_bytes(search) <= 8 * 2**20
     assert peak_bytes(lambda: harness.verify_scenario(ScenarioConfig(n=10**4))) <= 64 * 2**20
 
@@ -841,14 +982,14 @@ def test_r1_search_matches_the_dense_search_bit_for_bit():
                 gt[share > equilibrium._C_OUT * gamma] * equilibrium._C_OUT,
             ]
         )
-        want = equilibrium._search(
+        want = search1(
             lambda r: dense_r1(r, gamma, t, params, True, slope=True)[0],
             lambda r: dense_r1(r, gamma, t, params, True, slope=False)[0],
             box.r1_lo,
             box.r1_hi,
             kinks,
         )
-        got = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
+        got = argmax_r1(gamma, t, params, box, clamp=True)
         assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
 
 
@@ -866,7 +1007,7 @@ def down_kinks(gamma, t, params):
 
 def full_r1_search(gamma, t, params, box, slope, value):
     """The r1 search with no cut and no cell bound: every cell read and every kink valued."""
-    return equilibrium._search(
+    return search1(
         lambda r: slope(r, gamma, t, params, True),
         lambda r: value(r, gamma, t, params, True),
         box.r1_lo,
@@ -889,7 +1030,7 @@ def assert_r1_cut_is_exact(gamma, t, params, box):
     # the cut changes no rate or source of the full search
     dense = lambda slope: lambda r, *args: dense_r1(r, *args, slope=slope)[0]  # noqa: E731
     want = full_r1_search(gamma, t, params, box, dense(True), dense(False))
-    got = equilibrium._argmax_r1(gamma, t, params, box, clamp=True)
+    got = argmax_r1(gamma, t, params, box, clamp=True)
     assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
     # past the cut every computed scan slope is negative, the sign the search assumes
     cut = params.alpha / params.n * float(t.max())
@@ -1047,23 +1188,23 @@ def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
     i = np.nonzero((cells[:-1] == cells[1:]) & (xs[:-1] < xs[1:]) & (signs[:-1] != signs[1:]))[0]
-    b_lo, b_hi = equilibrium._refine(slope, xs[i], xs[i + 1], signs[i])
+    b_lo, b_hi = refine1(slope, xs[i], xs[i + 1], signs[i])
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    return equilibrium._best(value, roots, lo, hi, kinks)
+    return best1(value, roots, lo, hi, kinks)
 
 
 def r1_refining_every_sign_change(gamma, t, params, box, clamp):
     """`_argmax_r1` with the oracle search in place of `_search`."""
-    with patch.object(equilibrium, "_search", refine_every_sign_change):
-        return equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    with patch.object(equilibrium, "_search", per_population(refine_every_sign_change)):
+        return argmax_r1(gamma, t, params, box, clamp)
 
 
 def assert_same_r1(gamma, t, params, box, clamp):
-    got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    got = argmax_r1(gamma, t, params, box, clamp)
     want = r1_refining_every_sign_change(gamma, t, params, box, clamp)
     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (params, clamp, got, want)
 
@@ -1093,7 +1234,7 @@ def test_refining_only_what_can_win_differs_only_by_a_tied_local_minimum(scenari
     box = feasible_rate_box(pop, 100.0)
     gamma, _, t = game_core._population_arrays(pop)
     for clamp in (False, True):
-        got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+        got = argmax_r1(gamma, t, params, box, clamp)
         want = r1_refining_every_sign_change(gamma, t, params, box, clamp)
         if (got[0].hex(), got[1]) == (want[0].hex(), want[1]):
             continue
@@ -1118,10 +1259,10 @@ def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
     calls, brackets = [], []
     refine = equilibrium._refine
 
-    def counted(slope, lo, hi, sign_lo):
+    def counted(slope, lo, hi, sign_lo, pop):
         calls.append(len(lo))
         brackets.extend(sign_lo.tolist())
-        return refine(slope, lo, hi, sign_lo)
+        return refine(slope, lo, hi, sign_lo, pop)
 
     monkeypatch.setattr(equilibrium, "_refine", counted)
     runs = 0
@@ -1143,16 +1284,16 @@ def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(mon
     refined = []
     refine = equilibrium._refine
 
-    def counted(slope, lo, hi, sign_lo):
+    def counted(slope, lo, hi, sign_lo, pop):
         refined.append(len(lo))
-        return refine(slope, lo, hi, sign_lo)
+        return refine(slope, lo, hi, sign_lo, pop)
 
     monkeypatch.setattr(equilibrium, "_refine", counted)
     coarse = np.linspace(0.0, 1.0, equilibrium._CELLS + 1)
     assert kink not in coarse
     slope = lambda r: np.where(r < kink, 1.0, -1.0)  # noqa: E731
     value = lambda r: -np.abs(r - kink)  # noqa: E731
-    assert equilibrium._search(slope, value, 0.0, 1.0, [kink], rise=rise) == (kink, "kink")
+    assert search1(slope, value, 0.0, 1.0, [kink], rise=rise) == (kink, "kink")
     assert refined == [0]
 
 
@@ -1174,7 +1315,7 @@ def test_reads_step_off_kinks_where_xtol_is_below_half_an_ulp():
             with patch.object(
                 equilibrium, "_r1_slope", lambda r, *args: reads.append(r) or slope(r, *args)
             ):
-                equilibrium._argmax_r1(gamma, t, params, box, True)
+                argmax_r1(gamma, t, params, box, True)
             down = in_box(down_kinks(gamma, t, params), box.r1_lo, box.r1_hi)
             if reads:
                 gap = np.abs(reads[0][:, None] - down)
@@ -1249,22 +1390,22 @@ def parent_search(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
     signs = np.sign(s)
     i = np.nonzero(scan[:-1] & scan[1:] & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
     i = i[~parent_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
-    b_lo, b_hi = equilibrium._refine(slope, xs[i], xs[i + 1], signs[i])
+    b_lo, b_hi = refine1(slope, xs[i], xs[i + 1], signs[i])
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
         held = (b_lo[:, None] - w <= kinks) & (kinks <= b_hi[:, None] + w)
         roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    return equilibrium._best(value, roots, lo, hi, valued)
+    return best1(value, roots, lo, hi, valued)
 
 
 def assert_near_the_parent_search(gamma, t, params, box, clamp, move=None):
     """`_argmax_r1` gives the grid search's source, a rate within
     2 max(_XTOL, ulp) of its rate (or ``move``), and no lower a value less
     `_best`'s tie snap."""
-    got = equilibrium._argmax_r1(gamma, t, params, box, clamp)
-    with patch.object(equilibrium, "_search", parent_search):
-        want = equilibrium._argmax_r1(gamma, t, params, box, clamp)
+    got = argmax_r1(gamma, t, params, box, clamp)
+    with patch.object(equilibrium, "_search", per_population(parent_search)):
+        want = argmax_r1(gamma, t, params, box, clamp)
     assert got[1] == want[1], (params, clamp, got, want)
     if move is None:
         move = 2.0 * max(equilibrium._XTOL, float(np.spacing(want[0])))
@@ -1305,9 +1446,9 @@ def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monk
     refine = equilibrium._refine
     slope = equilibrium._r1_slope
 
-    def checked(slope, lo, hi, sign_lo):
+    def checked(slope, lo, hi, sign_lo, pop):
         assert np.all(lo < hi)
-        return refine(slope, lo, hi, sign_lo)
+        return refine(slope, lo, hi, sign_lo, pop)
 
     def first_reads(r, *args):
         reads.append(r)
@@ -1319,7 +1460,7 @@ def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monk
     monkeypatch.setattr(equilibrium, "_refine", checked)
     step_slope = lambda r: np.where(r >= 0.5, 1.0, -1.0)  # noqa: E731
     valley = lambda r: np.abs(r - 0.5)  # noqa: E731
-    assert equilibrium._search(step_slope, valley, 0.0, 1.0, [0.5 + 5e-13]) == (0.0, "edge")
+    assert search1(step_slope, valley, 0.0, 1.0, [0.5 + 5e-13]) == (0.0, "edge")
     monkeypatch.undo()
 
     rng = np.random.default_rng(3)
@@ -1351,7 +1492,7 @@ def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monk
                 reads = []
                 monkeypatch.setattr(equilibrium, "_refine", checked)
                 monkeypatch.setattr(equilibrium, "_r1_slope", first_reads)
-                equilibrium._argmax_r1(gam, pop_t, params, box, True)
+                argmax_r1(gam, pop_t, params, box, True)
                 monkeypatch.undo()
                 if reads:
                     crossed += bool(np.any(np.diff(reads[0]) < 0))
@@ -1367,7 +1508,7 @@ def r1_reading_every_cell(gamma, t, params, box):
 
 
 def assert_cells_keep_r1(gamma, t, params, box):
-    got = equilibrium._argmax_r1(gamma, t, params, box, True)
+    got = argmax_r1(gamma, t, params, box, True)
     want = r1_reading_every_cell(gamma, t, params, box)
     assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (params, got, want)
 
@@ -1388,7 +1529,7 @@ def test_cell_bounds_keep_every_r1_rate_and_source():
 
 def rise_without_curvature(gamma, t, share):
     """Mutant of `_r1_rise`: a cell's bound is max(V(a), V(b)) alone."""
-    return lambda a, b: np.zeros(len(a))
+    return lambda a, b, pop: np.zeros(len(a))
 
 
 def rise_of_clients_live_at_the_ends(gamma, t, share):
@@ -1398,7 +1539,7 @@ def rise_of_clients_live_at_the_ends(gamma, t, share):
     def live(r):
         return (g * equilibrium._C_IN <= r[:, None]) & (r[:, None] < g * equilibrium._C_OUT)
 
-    def rise(a, b):
+    def rise(a, b, pop):
         terms = share / g**2 + b[:, None] / (t * g**2) + 2.0 / (g * t)
         m = (1.0 + ACCURACY_MAX) * np.sum(terms * (live(a) | live(b)), axis=1)
         return m * (b - a) ** 2 / 8.0
@@ -1419,7 +1560,7 @@ def assert_mutant_moves_r1(mutant, gamma, t, alpha):
     j = int(np.searchsorted(coarse, want[0]))
     assert want[1] == "root" and coarse[j - 1] < want[0] < coarse[j]
     with patch.object(equilibrium, "_r1_rise", mutant):
-        moved = equilibrium._argmax_r1(gamma, t, params, box, True)
+        moved = argmax_r1(gamma, t, params, box, True)
     assert moved[0] != want[0]
     v_moved, v_want = equilibrium._r1_value(np.array([moved[0], want[0]]), gamma, t, params, True)
     assert v_moved < v_want
@@ -1491,10 +1632,8 @@ def bisect_r2_segments(delta, params, box, clamp):
     def parts(r):
         return equilibrium._r2_parts(r, equilibrium._live_sums(r, sums, clamp), params)
 
-    b_lo, b_hi = equilibrium._refine(
-        lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum()))
-    )
-    return equilibrium._best(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
+    b_lo, b_hi = refine1(lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum())))
+    return best1(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
 
 
 def r2_root_ulps(delta, params, rate):
@@ -1525,7 +1664,7 @@ def test_r2_closed_form_root_is_within_an_ulp_of_the_exact_root(n, beta, delta, 
     config = ScenarioConfig(n=n, beta=beta, delta=delta)
     pop = sample_population(config, run)
     params, box = config.system_params, feasible_rate_box(pop, config.r2_cap)
-    rate, source = equilibrium._argmax_r2(pop.delta, params, box, clamp=True)
+    rate, source = argmax_r2(pop.delta, params, box, clamp=True)
     bisected, bisected_source = bisect_r2_segments(pop.delta, params, box, clamp=True)
     assert source == bisected_source == "root"
     assert abs(rate - bisected) <= 1e-12 * bisected
@@ -1536,7 +1675,7 @@ def test_r2_closed_form_root_is_within_an_ulp_of_the_exact_root(n, beta, delta, 
 def test_r2_closed_form_moves_no_source_on_the_default_sweep():
     for pop, params, box in default_cell_runs():
         for clamp in (True, False):
-            rate, source = equilibrium._argmax_r2(pop.delta, params, box, clamp)
+            rate, source = argmax_r2(pop.delta, params, box, clamp)
             bisected, bisected_source = bisect_r2_segments(pop.delta, params, box, clamp)
             assert source == bisected_source
             assert abs(rate - bisected) <= 1e-12 * bisected
@@ -1553,7 +1692,7 @@ def test_r2_newton_solve_ends_and_meets_the_bisection_oracle(share, spread):
     for cap in (100.0, 1e5):
         box = RateBox(r1_lo=1.0, r1_hi=2.0, r2_lo=float(delta.max()), r2_hi=cap)
         for clamp in (True, False):
-            rate, _ = equilibrium._argmax_r2(delta, params, box, clamp)
+            rate, _ = argmax_r2(delta, params, box, clamp)
             slope = lambda r: equilibrium._r2_slope(r, delta, params, clamp)  # noqa: E731
             value = lambda r: equilibrium._r2_value(r, delta, params, clamp)  # noqa: E731
             kinks = delta * np.exp(FRESHNESS_MAX * delta) if clamp else ()

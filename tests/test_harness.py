@@ -16,6 +16,7 @@ from ifedcrowd import (
     ConfigError,
     DomainError,
     MechanismKind,
+    NumericError,
     Population,
     RoundConfig,
     ScenarioConfig,
@@ -36,6 +37,7 @@ from ifedcrowd import (
     verify_server_equilibrium,
 )
 from ifedcrowd import ClientProfile, game_core, harness
+from ifedcrowd.equilibrium import VERIFY_TOL
 from ifedcrowd.harness import table_to_csv, table_to_json
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_default.csv"
@@ -702,6 +704,103 @@ def test_cell_with_tiny_gamma_survives_accuracy_overflow():
     outcomes, failures = evaluate_cell(config, list(MechanismKind))
     assert failures == []
     assert len(outcomes) == 150
+
+
+def test_a_run_with_an_empty_box_fails_alone():
+    # n = 2 with delta in [4, 6] and r2_cap = 5: runs 1, 2, 4 and 6 draw a
+    # largest delta past the cap, so their r2 intervals are empty
+    config = ScenarioConfig(n=2, delta=(4.0, 6.0), r2_cap=5.0, runs=8, seed=3)
+    outcomes, failures = evaluate_cell(config, list(MechanismKind))
+    assert failures == [
+        f"run {run}: r2_cap=5.0 must exceed the largest delta {delta}: empty r2 interval"
+        for run, delta in (
+            (1, 5.4639038947530985),
+            (2, 5.5603250394836286),
+            (4, 5.9206958371916265),
+            (6, 5.587786870710911),
+        )
+    ]
+    assert [(o.run_index, o.mechanism) for o in outcomes] == [
+        (run, mech) for run in (0, 3, 5, 7) for mech in MechanismKind
+    ]
+
+
+def test_a_run_whose_solve_fails_fails_alone(monkeypatch):
+    # a subnormal gamma*t makes run 4's r1 slope overflow; that run fails with
+    # the error of its own solve, after the mechanism played before it, and
+    # every other run keeps the outcomes of the cell without it
+    config = ScenarioConfig()
+    mechanisms = [MechanismKind.RANDOM, MechanismKind.IFEDCROWD, MechanismKind.MAX]
+    clean, _ = evaluate_cell(config, mechanisms)
+    sample = harness.sample_population
+
+    def tiny_gamma_in_run_4(config, run):
+        pop = sample(config, run)
+        if run != 4:
+            return pop
+        gamma = pop.gamma.copy()
+        gamma[0] = 1e-310
+        return Population(pop.ids, gamma, pop.delta, pop.t_min)
+
+    pop = tiny_gamma_in_run_4(config, 4)
+    with pytest.raises(NumericError, match="derivative not finite") as alone:
+        compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
+    monkeypatch.setattr(harness, "sample_population", tiny_gamma_in_run_4)
+    outcomes, failures = evaluate_cell(config, mechanisms)
+    assert failures == [f"run 4: {alone.value}"]
+    assert [(o.run_index, o.mechanism) for o in outcomes if o.run_index == 4] == [
+        (4, MechanismKind.RANDOM)
+    ]
+    assert [o for o in outcomes if o.run_index != 4] == [o for o in clean if o.run_index != 4]
+
+
+def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
+    # the default workers=10 cell: its ten solves one by one make 46 r1 slope
+    # and 20 r1 value calls, the costliest run 7 and 2; solved together, the
+    # cell makes no more calls than that run
+    from ifedcrowd import equilibrium
+
+    config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
+    calls = {"slope": 0, "value": 0}
+
+    def counted(name, helper):
+        def wrapper(*args):
+            calls[name] += 1
+            return helper(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "_r1_slope", counted("slope", equilibrium._r1_slope))
+    monkeypatch.setattr(equilibrium, "_r1_value", counted("value", equilibrium._r1_value))
+    per_run = []
+    for run in range(config.runs):
+        pop = sample_population(config, run)
+        compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
+        per_run.append((calls["slope"], calls["value"]))
+        calls.update(slope=0, value=0)
+    assert tuple(map(sum, zip(*per_run))) == (46, 20)
+    assert max(per_run) == (7, 2)
+    outcomes, failures = evaluate_cell(config, list(MechanismKind))
+    assert len(outcomes) == 30 and not failures
+    assert calls["slope"] <= 7 and calls["value"] <= 2
+
+
+def test_pinned_fuzz_config_verifies():
+    # a fuzz config that once failed the 1e-9 contract: alpha ~ 6e6, gamma
+    # ~ 1e-12 and t_min ~ 1e-4, so the r1 box sits near 1e-13
+    config = ScenarioConfig(
+        n=3,
+        alpha=6172564.30773397,
+        beta=134.000065039774,
+        gamma=(1.6285538380743923e-12, 8.748586912244195e-11),
+        delta=(6.736945767318462, 8.267449019119113),
+        tmin=(3.1502369769572876e-05, 0.00010024722204509243),
+        r2_cap=97477.44489754959,
+        seed=173,
+    )
+    summary = harness.verify_scenario(config)
+    assert summary.ok
+    assert summary.server_report.worst_violation <= VERIFY_TOL
 
 
 def test_verify_scenario_with_large_delta_emits_no_overflow():
