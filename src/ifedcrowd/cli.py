@@ -63,7 +63,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     emit(table, args.format, args.out)
     for failure in table.failures:
         print(f"cell failure: {failure}", file=sys.stderr)
-    return 0
+    return 1 if table.failures else 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

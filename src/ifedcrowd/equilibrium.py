@@ -98,11 +98,10 @@ from .game_core import (
     Strategy,
     SystemParams,
     _population_arrays,
-    _responses,
-    _utilities,
     best_response,
     best_responses,
     client_utility,
+    population_utilities,
 )
 
 VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
@@ -151,17 +150,20 @@ def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return buf[:entries], buf[entries : 2 * entries], buf[2 * entries :].view(bool)[:entries]
 
 
-def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch):
+def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch, rows=None):
     """x = exp(r/g_k - 1) and the accuracy responses x - 1, one row per rate of r.
 
-    ``g`` holds g_k = gamma_k t_k, either one row of clients for every rate
-    or a row per rate.  The responses are clamped with ``clamp``, and then
-    for a ``slope`` x is zeroed wherever its response is clamped, since a
-    clamped response has zero slope.  Both are views of the `_scratch`
-    buffers, which hold at least len(r) * n entries each.
+    ``g`` holds g_k = gamma_k t_k, one row of clients for every rate, or
+    with ``rows`` a stack of rows, row rows[i] for rate i, gathered straight
+    into x.  The responses are clamped with ``clamp``, and then for a
+    ``slope`` x is zeroed wherever its response is clamped, since a clamped
+    response has zero slope.  Both are views of the `_scratch` buffers,
+    which hold at least len(r) * n entries each.
     """
     shape = (len(r), g.shape[-1])
     x, a, dead = (buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
+    if rows is not None:
+        g = np.take(g, rows, axis=0, out=x, mode="clip")  # "raise" would buffer the gather
     np.divide(r[:, None], g, out=x)
     np.subtract(x, 1.0, out=x)
     np.exp(x, out=x)
@@ -291,8 +293,8 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
             while q < len(g) and (bounds[q + 1] - s) * n <= _BLOCK:
                 q += 1
             rb = r[s : bounds[q]]
-            rows = g[p] if q == p + 1 else np.repeat(g[p:q], np.diff(bounds[p : q + 1]), axis=0)
-            x, a = _r1_terms(rb, rows, clamp, slope, scratch)
+            rows = None if q == p + 1 else pop[s : bounds[q]]
+            x, a = _r1_terms(rb, g[p] if rows is None else g, clamp, slope, scratch, rows)
             w = _r1_weights(g[p:q], t[p:q], share, slope)
             for k in range(p, q):
                 i, j = bounds[k] - s, bounds[k + 1] - s
@@ -950,8 +952,10 @@ def _equilibria(
         gamma, delta, t = gamma[ok], delta[ok], t[ok]
     r1 = np.array([[out[p][0].r1] for p in ok])
     r2 = np.array([[out[p][0].r2] for p in ok])
-    accuracy, freshness, _, _ = _responses(gamma, delta, t, r1, r2)
-    utilities, server = _utilities(gamma, delta, t, accuracy, freshness, params, r1, r2)
+    accuracy, freshness, _, _ = best_responses(gamma, delta, t, r1, r2)
+    utilities, _, server = population_utilities(
+        gamma, delta, t, accuracy, freshness, params, r1, r2
+    )
     for i, p in enumerate(ok):
         rates, r1_source, r2_source = out[p]
         out[p] = EquilibriumResult(
@@ -1033,7 +1037,7 @@ def _deviation_bounds(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarr
     term once more per unit of delta F, which its argument's rounding
     scales), so the bound holds for the exact slope at the rounded x.
     """
-    accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates)
+    accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, rates.r1, rates.r2)
     paid_a = rates.r1 / t_min
     cost_a = gamma * (np.log1p(accuracy) + 1.0)
     gain_a, best_a = _move_gain(

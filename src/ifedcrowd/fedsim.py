@@ -16,7 +16,8 @@ every training step costs O(d^2) however many rounds the dataset spans.
 
 Client k's state is held at position k (`SimState`), and one `collect_data`
 call schedules every client's samples as array expressions; drawing them,
-merging, training and settling run client by client.
+merging and training run client by client, and one `population_utilities`
+pass settles every client that trained.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +39,7 @@ from .game_core import (
     SystemParams,
     _population_arrays,
     best_responses,
-    client_reward,
-    server_utility,
-    total_cost,
+    population_utilities,
 )
 
 _MIN_AGE = 1e-9  # freshness is undefined at zero age
@@ -444,9 +443,12 @@ def run_round(
     computed for the whole population at once; each client then draws its
     new samples from its own (run_seed, round_index, client id) stream,
     merges them and trains.  A client whose training fails is recorded and
-    excluded; aggregation weights renormalize over the survivors.  Payouts
-    always evaluate the reward formula on the achieved strategy,
-    bit-for-bit the same computation the game module exposes.
+    excluded; aggregation weights renormalize over the survivors.  Every
+    survivor is then settled in one `population_utilities` pass over the
+    achieved strategies: its payout (bit for bit `client_reward`) and
+    utility, and the server utility of the game's formula with n the
+    number of survivors.  A collection cost that overflows raises the
+    DomainError of `collection_cost`, for the first survivor it overflows at.
 
     ``state`` must hold this population, client k at position k.  It is
     written only once the round has settled, so a round that raises leaves
@@ -462,7 +464,7 @@ def run_round(
 
     round_start = state.clock
     gamma, delta, t_min = _population_arrays(population)
-    responses = best_responses(gamma, delta, t_min, rates)
+    responses = best_responses(gamma, delta, t_min, rates.r1, rates.r2)
     t_real = t_min + config.completion_jitter
     wall_clock = float(t_real.max())
     counts, last_sample, freshness, freshness_shortfall = collect_data(
@@ -474,79 +476,73 @@ def run_round(
         latency=config.collection_latency,
     )
 
-    accuracy, target_freshness, accuracy_clamped, freshness_clamped = (
-        v.tolist() for v in responses
-    )
-    t_real, counts, freshness, freshness_shortfall = (
-        v.tolist() for v in (t_real, counts, freshness, freshness_shortfall)
-    )
+    target_a, target_f, accuracy_clamped, freshness_clamped = (v.tolist() for v in responses)
     dim = state.true_weights.shape[1]
-    records: list[ClientRoundRecord] = []
+    n = len(population)
+    achieved = np.zeros(n)
+    iterations = [0] * n
+    errors: list[str | None] = [None] * n
     models: list[ModelParams] = []
     datasets: list[ClientDataset] = []
-    for k, profile in enumerate(population):
-        target = Strategy(accuracy[k], target_freshness[k], profile.t_min)
+    for k, (profile, count) in enumerate(zip(population, counts.tolist())):
         rng = np.random.default_rng(
             np.random.SeedSequence((run_seed, round_index, profile.id, _COLLECT_TAG))
         )
-        x = rng.standard_normal((counts[k], dim))
-        noise = config.noise_std * rng.standard_normal(counts[k]) if config.noise_std > 0 else 0.0
+        x = rng.standard_normal((count, dim))
+        noise = config.noise_std * rng.standard_normal(count) if config.noise_std > 0 else 0.0
         dataset = state.datasets[k].merged(
             ClientDataset.from_rows(x, x @ state.true_weights[k] + noise)
         )
         datasets.append(dataset)
-
-        # a failed client is recorded and excluded: nothing achieved, nothing paid
-        achieved, payout, utility, iterations, error = None, 0.0, 0.0, 0, None
         try:
             trained = local_train(
                 state.server_model,
                 dataset,
-                target.accuracy,
+                target_a[k],
                 iteration_scale=profile.gamma,
                 cap_scale=config.iteration_cap_scale,
             )
         except DomainError as exc:
-            error = str(exc)
+            errors[k] = str(exc)  # a failed client is excluded: nothing achieved, nothing paid
         else:
-            achieved = Strategy(trained.achieved_accuracy, freshness[k], t_real[k])
-            payout = client_reward(rates, achieved)
-            utility = payout - total_cost(profile, achieved, params.comm_size).total
-            iterations = trained.iterations
+            achieved[k] = trained.achieved_accuracy
+            iterations[k] = trained.iterations
             models.append(trained.model)
-        records.append(
-            ClientRoundRecord(
-                client_id=profile.id,
-                target=target,
-                achieved=achieved,
-                payout=payout,
-                utility=utility,
-                accuracy_clamped=accuracy_clamped[k],
-                freshness_clamped=freshness_clamped[k],
-                accuracy_shortfall=(
-                    achieved is None or achieved.accuracy < target.accuracy * (1 - 1e-12)
-                ),
-                freshness_shortfall=freshness_shortfall[k],
-                iterations=iterations,
-                dataset_size=dataset.size,
-                failed=achieved is None,
-                error=error,
-            )
-        )
 
-    survivors = [r for r in records if not r.failed]
-    server_model = state.server_model
-    if survivors:
-        server_model = aggregate(models, [float(r.dataset_size) for r in survivors])
-        realized_params = SystemParams(
-            alpha=params.alpha,
-            beta=params.beta,
-            comm_size=params.comm_size,
-            n=len(survivors),
+    # every survivor is settled in one pass, at the strategy it achieved
+    failed = [e is not None for e in errors]
+    ok = ~np.array(failed)
+    payout, utility = np.zeros(n), np.zeros(n)
+    server_model, server = state.server_model, math.nan
+    if models:
+        server_model = aggregate(models, [float(d.size) for d, f in zip(datasets, failed) if not f])
+        utility[ok], payout[ok], server = population_utilities(
+            *(v[ok] for v in (gamma, delta, t_real, achieved, freshness)),
+            replace(params, n=len(models)),
+            rates.r1,
+            rates.r2,
         )
-        realized_utility = server_utility(realized_params, rates, [r.achieved for r in survivors])
-    else:
-        realized_utility = float("nan")
+    achieved, freshness, t_real, payout, utility, freshness_shortfall = (
+        v.tolist() for v in (achieved, freshness, t_real, payout, utility, freshness_shortfall)
+    )
+    records = tuple(
+        ClientRoundRecord(
+            client_id=profile.id,
+            target=Strategy(target_a[k], target_f[k], profile.t_min),
+            achieved=None if failed[k] else Strategy(achieved[k], freshness[k], t_real[k]),
+            payout=payout[k],
+            utility=utility[k],
+            accuracy_clamped=accuracy_clamped[k],
+            freshness_clamped=freshness_clamped[k],
+            accuracy_shortfall=failed[k] or achieved[k] < target_a[k] * (1 - 1e-12),
+            freshness_shortfall=freshness_shortfall[k],
+            iterations=iterations[k],
+            dataset_size=datasets[k].size,
+            failed=failed[k],
+            error=errors[k],
+        )
+        for k, profile in enumerate(population)
+    )
     state.server_model = server_model
     state.datasets = datasets
     state.last_sample = last_sample
@@ -555,10 +551,10 @@ def run_round(
     return RoundReport(
         round_index=round_index,
         rates=rates,
-        clients=tuple(records),
+        clients=records,
         server_model=tuple(float(v) for v in server_model.weights),
-        server_utility=realized_utility,
+        server_utility=float(server),
         wall_clock=wall_clock,
-        n_failed=len(records) - len(survivors),
+        n_failed=n - len(models),
         n_shortfall=sum(r.accuracy_shortfall or r.freshness_shortfall for r in records),
     )

@@ -310,10 +310,12 @@ def _population_arrays(profiles: Sequence[ClientProfile]) -> tuple[np.ndarray, .
     return tuple(np.ascontiguousarray(values.reshape(-1, 3).T))
 
 
-def best_responses(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarray, ...]:
+def best_responses(gamma, delta, t_min, r1, r2) -> tuple[np.ndarray, ...]:
     """Closed-form client best responses, clamped into the feasible strategy set.
 
-    Returns the accuracy and freshness arrays and their two clamp masks.
+    The rates r1 and r2 are numbers, or columns that broadcast against the
+    clients' arrays: one rate per row of a stack of populations.  Returns
+    the accuracy and freshness arrays and their two clamp masks.
     Completion time is always t_min (utility strictly decreases in time for
     positive accuracy).  Accuracy exp(r1/(gamma t_min) - 1) - 1 is clamped
     into [ACCURACY_MIN, ACCURACY_MAX], an overflowed exponential to the cap,
@@ -321,12 +323,6 @@ def best_responses(gamma, delta, t_min, rates: RewardRates) -> tuple[np.ndarray,
     utility is separately concave in accuracy and freshness, the clamped
     point remains optimal over the clamped rectangle.
     """
-    return _responses(gamma, delta, t_min, rates.r1, rates.r2)
-
-
-def _responses(gamma, delta, t_min, r1, r2) -> tuple[np.ndarray, ...]:
-    """`best_responses` at rates r1 and r2, numbers or arrays that broadcast
-    against the clients' arrays: one rate per row of a stack of populations."""
     with np.errstate(over="ignore"):
         a_raw = np.exp(r1 / (gamma * t_min) - 1.0) - 1.0
     f_raw = np.log(r2 / delta) / delta
@@ -335,32 +331,32 @@ def _responses(gamma, delta, t_min, r1, r2) -> tuple[np.ndarray, ...]:
     return accuracy, freshness, accuracy != a_raw, freshness != f_raw
 
 
-def population_utilities(
-    gamma, delta, t_min, accuracy, freshness, params: SystemParams, rates: RewardRates
-) -> tuple[np.ndarray, float]:
-    """Every client's `client_utility` and the population's `server_utility`.
+def population_utilities(gamma, delta, t, accuracy, freshness, params: SystemParams, r1, r2):
+    """Every client's `client_utility` and payout, and the population's `server_utility`.
 
-    Client k plays (accuracy[k], freshness[k], t_min[k]), e.g. `best_responses`.
+    Client k plays (accuracy[k], freshness[k], t[k]), e.g. `best_responses`
+    at t = t_min, and is paid r1 A/T + r2 F, bit for bit `client_reward`.
+    The rates are given as in `best_responses`; a stack of populations gets
+    one server utility per row.  A collection cost exp(delta F) that
+    overflows raises the DomainError of `collection_cost`, for the first
+    client it overflows at.
     """
-    utilities, server = _utilities(
-        gamma, delta, t_min, accuracy, freshness, params, rates.r1, rates.r2
-    )
-    return utilities, float(server)
-
-
-def _utilities(gamma, delta, t_min, accuracy, freshness, params: SystemParams, r1, r2):
-    """`population_utilities` at rates r1 and r2 given as in `_responses`;
-    a stack of populations gets one server utility per row."""
-    reward = r1 * accuracy / t_min + r2 * freshness
-    cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + np.exp(delta * freshness)
+    reward = r1 * accuracy / t + r2 * freshness
+    with np.errstate(over="ignore"):
+        collection = np.exp(delta * freshness)
+    if np.isinf(collection).any():
+        k = np.argmax(np.isinf(collection))
+        d, f = (np.broadcast_to(v, collection.shape).flat[k].item() for v in (delta, freshness))
+        raise DomainError(f"collection cost exp(delta * F) overflows at delta={d}, F={f}")
+    cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + collection
     utilities = reward - (cost + params.comm_size)
-    return utilities, _server_value(params, accuracy, freshness, t_min, reward)
+    return utilities, reward, _server_value(params, accuracy, freshness, t, reward)
 
 
 def best_response(profile: ClientProfile, rates: RewardRates) -> BestResponse:
     """One client's `best_responses`: its strategy and clamp flags."""
     (a,), (f,), (a_clamped,), (f_clamped,) = (
-        v.tolist() for v in best_responses(*_population_arrays([profile]), rates)
+        v.tolist() for v in best_responses(*_population_arrays([profile]), rates.r1, rates.r2)
     )
     return BestResponse(Strategy(a, f, profile.t_min), a_clamped, f_clamped)
 

@@ -28,7 +28,6 @@ from .equilibrium import (
     ServerEquilibriumReport,
     _client_reports,
     _deviation_bounds,
-    _equilibria,
     compute_equilibrium,
     verify_server_equilibrium,
 )
@@ -37,14 +36,11 @@ from .fedsim import RoundConfig, init_state, run_round
 from .game_core import (
     DEFAULT_R2_CAP,
     Population,
-    RateBox,
     SystemParams,
     _population_arrays,
-    _responses,
-    _utilities,
     feasible_rate_box,
 )
-from .mechanisms import MechanismKind, _check_box, select_rates
+from .mechanisms import MechanismKind, _play, select_rates
 
 _POP_TAG = 11
 _RATE_TAG = 13
@@ -236,75 +232,35 @@ class CellRun:
     server_utility: float
 
 
-def _play(
-    mech: MechanismKind,
-    params: SystemParams,
-    runs: list[tuple[int, Population, RateBox, int]],
-    stack: tuple[np.ndarray, ...],
-) -> list:
-    """(rates, client utilities, server utility) of ``mech`` on each sampled run, or its error.
-
-    ``runs`` holds each run's index, population, box and `rate_seed`, and
-    ``stack`` their gamma, delta and t_min, one run per row.  The
-    equilibrium of every run whose box is non-empty is solved in one
-    `_equilibria` pass.  Random and MAX pick their rates run by run, and
-    their best responses and utilities are taken in one pass.
-    """
-    out: list = [None] * len(runs)
-    for i, (_, population, box, seed) in enumerate(runs):
-        try:
-            if mech is MechanismKind.IFEDCROWD:
-                _check_box(box)
-            else:
-                out[i] = select_rates(mech, population, params, box, rng_seed=seed)
-        except IFedCrowdError as exc:
-            out[i] = exc
-    todo = [i for i, result in enumerate(out) if not isinstance(result, IFedCrowdError)]
-    if not todo:
-        return out
-    gamma, delta, t_min = (values[todo] for values in stack)
-    if mech is MechanismKind.IFEDCROWD:  # the solve returns the utilities it played
-        solved = _equilibria(gamma, delta, t_min, params, [runs[i][2] for i in todo])
-        for i, result in zip(todo, solved):
-            if not isinstance(result, IFedCrowdError):
-                result = result.rates, result.utilities, result.server_utility
-            out[i] = result
-        return out
-    r1 = np.array([[out[i].r1] for i in todo])
-    r2 = np.array([[out[i].r2] for i in todo])
-    accuracy, freshness, _, _ = _responses(gamma, delta, t_min, r1, r2)
-    utilities, server = _utilities(gamma, delta, t_min, accuracy, freshness, params, r1, r2)
-    for k, i in enumerate(todo):
-        out[i] = out[i], utilities[k], float(server[k])
-    return out
-
-
 def evaluate_cell(
     config: ScenarioConfig, mechanisms: list[MechanismKind]
 ) -> tuple[list[CellRun], list[str]]:
     """Run every (run, mechanism) pair of one sweep cell on shared populations.
 
     Every run is sampled first, and then each mechanism is played on all of
-    them at once (`_play`).  The outcomes and failures are those of a loop
-    over the runs: a run stops at its first error, recorded as
+    them at once (`mechanisms._play`).  The outcomes and failures are those
+    of a loop over the runs: a run stops at its first error, recorded as
     ``run {k}: {message}``, and keeps the outcomes of the mechanisms before
     the one that failed.
     """
     params = config.system_params
-    runs: list[tuple[int, Population, RateBox, int]] = []
+    slot: dict[int, int] = {}  # each sampled run's row in the stack
+    columns, boxes, seeds = [], [], []
     errors: dict[int, IFedCrowdError] = {}
     for run in range(config.runs):
         try:
             population = sample_population(config, run)
-            box = feasible_rate_box(population, config.r2_cap)
-            runs.append((run, population, box, rate_seed(config, run)))
+            boxes.append(feasible_rate_box(population, config.r2_cap))
         except IFedCrowdError as exc:
             errors[run] = exc
+            continue
+        slot[run] = len(columns)
+        columns.append(_population_arrays(population))
+        seeds.append(rate_seed(config, run))
     played = {}
-    if runs:
-        stack = tuple(map(np.stack, zip(*(_population_arrays(pop) for _, pop, _, _ in runs))))
-        played = {mech: _play(mech, params, runs, stack) for mech in mechanisms}
-    slot = {run: i for i, (run, _, _, _) in enumerate(runs)}
+    if slot:
+        stack = tuple(map(np.stack, zip(*columns)))
+        played = {mech: _play(mech, *stack, params, boxes, seeds) for mech in mechanisms}
     outcomes: list[CellRun] = []
     failures: list[str] = []
     for run in range(config.runs):

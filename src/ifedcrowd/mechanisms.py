@@ -7,9 +7,17 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import compute_equilibrium
-from .errors import ConfigError
-from .game_core import ClientProfile, RateBox, RewardRates, SystemParams
+from .equilibrium import _equilibria, _solved
+from .errors import ConfigError, IFedCrowdError
+from .game_core import (
+    ClientProfile,
+    RateBox,
+    RewardRates,
+    SystemParams,
+    _population_arrays,
+    best_responses,
+    population_utilities,
+)
 
 
 class MechanismKind(Enum):
@@ -32,13 +40,57 @@ class MechanismKind(Enum):
         return self.value
 
 
-def _check_box(box: RateBox) -> None:
-    """Raise ConfigError unless both rate intervals of the box are non-empty."""
-    if not (box.r1_lo < box.r1_hi and box.r2_lo < box.r2_hi):
-        raise ConfigError(
-            f"infeasible rate box: r1 [{box.r1_lo}, {box.r1_hi}], "
-            f"r2 [{box.r2_lo}, {box.r2_hi}]"
-        )
+def _play(kind: MechanismKind, gamma, delta, t_min, params: SystemParams, boxes, seeds) -> list:
+    """Each population's (rates, client utilities, server utility) under a policy, or its error.
+
+    gamma, delta and t_min hold one population of params.n clients per row,
+    with its rate box in ``boxes`` and its Random seed in ``seeds``.  A
+    population whose box is empty gets a ConfigError.  Random draws each
+    rate uniformly over its box interval from a generator seeded by the
+    population's seed; MAX takes the upper box corner, the largest rates
+    that keep responses meaningful.  Their best responses and utilities are
+    taken in one pass, each population's rates broadcast over its row.
+    IFEDCROWD solves every population in one `_equilibria` pass, which
+    returns the utilities it played.
+    """
+    out: list = []
+    for box, seed in zip(boxes, seeds):
+        try:
+            if not (box.r1_lo < box.r1_hi and box.r2_lo < box.r2_hi):
+                raise ConfigError(
+                    f"infeasible rate box: r1 [{box.r1_lo}, {box.r1_hi}], "
+                    f"r2 [{box.r2_lo}, {box.r2_hi}]"
+                )
+            if kind is MechanismKind.MAX:
+                out.append(RewardRates(r1=box.r1_hi, r2=box.r2_hi))
+            elif kind is MechanismKind.RANDOM:
+                rng = np.random.default_rng(seed)
+                r1 = float(rng.uniform(box.r1_lo, box.r1_hi))
+                out.append(RewardRates(r1=r1, r2=float(rng.uniform(box.r2_lo, box.r2_hi))))
+            else:
+                out.append(None)
+        except IFedCrowdError as exc:
+            out.append(exc)
+    todo = [i for i, result in enumerate(out) if not isinstance(result, IFedCrowdError)]
+    if not todo:
+        return out
+    gamma, delta, t_min = gamma[todo], delta[todo], t_min[todo]
+    if kind is MechanismKind.IFEDCROWD:
+        solved = _equilibria(gamma, delta, t_min, params, [boxes[i] for i in todo])
+        for i, result in zip(todo, solved):
+            if not isinstance(result, IFedCrowdError):
+                result = result.rates, result.utilities, result.server_utility
+            out[i] = result
+        return out
+    r1 = np.array([[out[i].r1] for i in todo])
+    r2 = np.array([[out[i].r2] for i in todo])
+    accuracy, freshness, _, _ = best_responses(gamma, delta, t_min, r1, r2)
+    utilities, _, server = population_utilities(
+        gamma, delta, t_min, accuracy, freshness, params, r1, r2
+    )
+    for k, i in enumerate(todo):
+        out[i] = out[i], utilities[k], float(server[k])
+    return out
 
 
 def select_rates(
@@ -50,18 +102,10 @@ def select_rates(
 ) -> RewardRates:
     """Pick reward rates inside the box according to the given policy.
 
-    Random draws each rate uniformly over its box interval from a generator
-    seeded by rng_seed (one draw per experiment repetition); MAX takes the
-    upper box corner, the largest rates that keep responses meaningful;
-    IFEDCROWD returns the solved equilibrium rates.  Deterministic given
-    (kind, inputs, seed).
+    This is `_play` on a stack of one population, with its error raised:
+    Random draws one pair of rates per seed (one draw per experiment
+    repetition), MAX takes the upper box corner and IFEDCROWD returns the
+    solved equilibrium rates.  Deterministic given (kind, inputs, seed).
     """
-    _check_box(box)
-    if kind is MechanismKind.MAX:
-        return RewardRates(r1=box.r1_hi, r2=box.r2_hi)
-    if kind is MechanismKind.RANDOM:
-        rng = np.random.default_rng(rng_seed)
-        r1 = float(rng.uniform(box.r1_lo, box.r1_hi))
-        r2 = float(rng.uniform(box.r2_lo, box.r2_hi))
-        return RewardRates(r1=r1, r2=r2)
-    return compute_equilibrium(profiles, params, box).rates
+    stack = (values[None] for values in _population_arrays(profiles))
+    return _solved(_play(kind, *stack, params, [box], [rng_seed])[0])[0]

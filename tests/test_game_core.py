@@ -79,8 +79,17 @@ def test_collection_cost_rejects_bad_inputs():
 
 def test_collection_cost_overflow_names_delta_and_freshness():
     # exp(1500) overflows; the error is a typed one naming both inputs
-    with pytest.raises(DomainError, match=r"overflows at delta=150\.0, F=10\.0$"):
+    with pytest.raises(DomainError, match=r"overflows at delta=150\.0, F=10\.0$") as scalar:
         collection_cost(150.0, 10.0)
+    # the array payoffs raise the same error for the first client that
+    # overflows, on a stack row by row: here the second row's first client
+    delta = np.array([[1.0, 160.0], [150.0, 170.0]])
+    freshness = np.array([[1.0, 1.0], [10.0, 10.0]])
+    ones = np.ones((2, 2))
+    params = SystemParams(alpha=80.0, beta=50.0, comm_size=0.1, n=2)
+    with pytest.raises(DomainError) as stacked:
+        population_utilities(ones, delta, ones, 0.5 * ones, freshness, params, 1.0, 1.0)
+    assert str(stacked.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------- total cost
@@ -308,7 +317,7 @@ def test_best_response_clamps_overflowed_accuracy_to_cap():
     assert response.strategy.freshness == pytest.approx(math.log(100.0), rel=1e-15)
     # beside an in-range client, which keeps the plain formula unclamped
     accuracy, freshness, a_clamped, f_clamped = best_responses(
-        np.array([1e-3, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0]), RewardRates(3.0, 25.4)
+        np.array([1e-3, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0]), 3.0, 25.4
     )
     assert accuracy[0] == ACCURACY_MAX and accuracy[1] == pytest.approx(E05 - 1.0, rel=1e-15)
     assert a_clamped.tolist() == [True, False] and f_clamped.tolist() == [False, False]
@@ -352,7 +361,7 @@ def test_best_responses_match_scalar_oracle(clients, r1, r2):
     profiles = [make_profile(gamma=g, delta=d, t_min=t, pid=k) for k, (g, t, d) in enumerate(clients)]
     rates = RewardRates(r1=r1, r2=r2)
     gamma, t_min, delta = (np.array(column) for column in zip(*clients))
-    arrays = [v.tolist() for v in best_responses(gamma, delta, t_min, rates)]
+    arrays = [v.tolist() for v in best_responses(gamma, delta, t_min, r1, r2)]
     for k, profile in enumerate(profiles):
         a, f, a_clamped, f_clamped, a_raw, f_raw = oracle_best_response(profile, rates)
         view = best_response(profile, rates)
@@ -390,11 +399,12 @@ def test_population_utilities_match_per_client_formulas():
                 *((p.gamma, p.delta, p.t_min, s.accuracy, s.freshness) for p, s in zip(profiles, strategies))
             )
         )
-        utilities, server = population_utilities(
-            gamma, delta, t_min, accuracy, freshness, params, rates
+        utilities, payouts, server = population_utilities(
+            gamma, delta, t_min, accuracy, freshness, params, rates.r1, rates.r2
         )
         expected = [client_utility(p, rates, s, params.comm_size) for p, s in zip(profiles, strategies)]
         np.testing.assert_allclose(utilities, expected, rtol=1e-13, atol=1e-13)
+        assert payouts.tolist() == [client_reward(rates, s) for s in strategies]
         assert server == pytest.approx(server_utility(params, rates, strategies), rel=1e-13)
 
 

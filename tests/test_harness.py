@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ifedcrowd import (
     ConfigError,
     DomainError,
+    IFedCrowdError,
     MechanismKind,
     NumericError,
     Population,
@@ -34,9 +35,10 @@ from ifedcrowd import (
     run_simulation,
     run_sweep,
     sample_population,
+    verify_scenario,
     verify_server_equilibrium,
 )
-from ifedcrowd import ClientProfile, game_core, harness
+from ifedcrowd import ClientProfile, game_core, harness, mechanisms
 from ifedcrowd.equilibrium import VERIFY_TOL
 from ifedcrowd.harness import table_to_csv, table_to_json
 
@@ -556,6 +558,26 @@ def test_cli_sweep_writes_table(config_file, tmp_path):
     assert len(lines) == 1 + 6 * 3  # header + 6 cells x 3 mechanisms
 
 
+def test_cli_sweep_exits_1_when_a_cell_fails_and_still_writes_the_table(tmp_path, capsys):
+    # at r2_cap = 5 the cell delta = 5 (delta ~ U(5, 6)) has an empty r2
+    # interval in both runs; the cells delta = 0..4 are solved and written
+    from ifedcrowd import cli
+
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("r2_cap = 5\nruns = 2\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--axis", "delta", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for run, line in enumerate(err):
+        assert line.startswith(f"cell failure: delta=5: run {run}: r2_cap=5.0 must exceed")
+    rows = load_table(str(out), "csv").rows
+    assert [(row.axis_value, row.mechanism) for row in rows] == [
+        (float(v), kind.token) for v in range(5) for kind in MechanismKind
+    ]
+    assert all(row.runs == 2 for row in rows)
+
+
 def test_cli_sweep_choices_come_from_their_sources():
     from ifedcrowd import cli
 
@@ -803,6 +825,54 @@ def test_pinned_fuzz_config_verifies():
     assert summary.server_report.worst_violation <= VERIFY_TOL
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def log_interval(lo, hi):
+    return st.tuples(log_uniform(lo, hi), log_uniform(lo, hi)).map(sorted).map(tuple)
+
+
+@st.composite
+def fuzz_configs(draw):
+    delta = draw(log_interval(1e-3, 1e2))
+    # r2_cap above every delta the population can draw, or at most the least one
+    if draw(st.booleans()):
+        r2_cap = delta[1] * draw(log_uniform(1.001, 1e3))
+    else:
+        r2_cap = delta[0] * draw(log_uniform(1e-2, 1.0))
+    return ScenarioConfig(
+        n=draw(st.integers(1, 40)),
+        alpha=draw(log_uniform(1e-2, 1e4)),
+        beta=draw(log_uniform(1e-2, 1e4)),
+        gamma=draw(log_interval(1e-3, 1e2)),
+        delta=delta,
+        tmin=draw(log_interval(1e-3, 1e2)),
+        r2_cap=r2_cap,
+        mechanism=draw(st.sampled_from(MechanismKind)),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=50)
+@given(config=fuzz_configs())
+def test_every_command_succeeds_or_raises_a_typed_error(config):
+    # RuntimeWarnings fail the tests, so none may fire either
+    population = sample_population(config, 0)
+    commands = (
+        lambda: compute_equilibrium(
+            population, config.system_params, feasible_rate_box(population, config.r2_cap)
+        ),
+        lambda: verify_scenario(config),
+        lambda: next(run_simulation(config)),
+    )
+    for command in commands:
+        try:
+            command()
+        except IFedCrowdError:
+            pass
+
+
 def test_verify_scenario_with_large_delta_emits_no_overflow():
     # exp(delta f) overflows on the freshness grid once delta exceeds ~142;
     # RuntimeWarnings fail the tests, so this also checks that none is raised
@@ -835,7 +905,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken policy")
 
-    monkeypatch.setattr(harness, "select_rates", broken)
+    monkeypatch.setattr(mechanisms, "population_utilities", broken)
     spec = SweepSpec("delta", (1,), ScenarioConfig(runs=1))
     with pytest.raises(TypeError, match="broken policy"):
         run_sweep(spec, [MechanismKind.MAX])
