@@ -39,6 +39,7 @@ from .game_core import (
     SystemParams,
     _population_arrays,
     best_responses,
+    collection_cost,
     population_utilities,
 )
 
@@ -516,6 +517,8 @@ def run_round(
     server_model, server = state.server_model, math.nan
     if models:
         server_model = aggregate(models, [float(d.size) for d, f in zip(datasets, failed) if not f])
+        for k in np.flatnonzero(ok & (delta * freshness > 709.0)).tolist():  # exp(709.79) = inf
+            collection_cost(delta[k].item(), freshness[k].item())  # raises its typed error
         utility[ok], payout[ok], server = population_utilities(
             *(v[ok] for v in (gamma, delta, t_real, achieved, freshness)),
             replace(params, n=len(models)),

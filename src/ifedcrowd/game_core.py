@@ -337,18 +337,11 @@ def population_utilities(gamma, delta, t, accuracy, freshness, params: SystemPar
     Client k plays (accuracy[k], freshness[k], t[k]), e.g. `best_responses`
     at t = t_min, and is paid r1 A/T + r2 F, bit for bit `client_reward`.
     The rates are given as in `best_responses`; a stack of populations gets
-    one server utility per row.  A collection cost exp(delta F) that
-    overflows raises the DomainError of `collection_cost`, for the first
-    client it overflows at.
+    one server utility per row.  The caller keeps exp(delta F) finite: a
+    best response's is at most r2/delta.
     """
     reward = r1 * accuracy / t + r2 * freshness
-    with np.errstate(over="ignore"):
-        collection = np.exp(delta * freshness)
-    if np.isinf(collection).any():
-        k = np.argmax(np.isinf(collection))
-        d, f = (np.broadcast_to(v, collection.shape).flat[k].item() for v in (delta, freshness))
-        raise DomainError(f"collection cost exp(delta * F) overflows at delta={d}, F={f}")
-    cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + collection
+    cost = gamma * (1.0 + accuracy) * np.log1p(accuracy) + np.exp(delta * freshness)
     utilities = reward - (cost + params.comm_size)
     return utilities, reward, _server_value(params, accuracy, freshness, t, reward)
 

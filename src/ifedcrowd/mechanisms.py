@@ -7,14 +7,13 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import _equilibria, _solved
+from .equilibrium import _equilibria, _solved, compute_equilibrium
 from .errors import ConfigError, IFedCrowdError
 from .game_core import (
     ClientProfile,
     RateBox,
     RewardRates,
     SystemParams,
-    _population_arrays,
     best_responses,
     population_utilities,
 )
@@ -40,18 +39,12 @@ class MechanismKind(Enum):
         return self.value
 
 
-def _play(kind: MechanismKind, gamma, delta, t_min, params: SystemParams, boxes, seeds) -> list:
-    """Each population's (rates, client utilities, server utility) under a policy, or its error.
+def _pick(kind: MechanismKind, boxes, seeds) -> list:
+    """Each population's rates under a policy, or its error; IFEDCROWD's are None.
 
-    gamma, delta and t_min hold one population of params.n clients per row,
-    with its rate box in ``boxes`` and its Random seed in ``seeds``.  A
-    population whose box is empty gets a ConfigError.  Random draws each
-    rate uniformly over its box interval from a generator seeded by the
-    population's seed; MAX takes the upper box corner, the largest rates
-    that keep responses meaningful.  Their best responses and utilities are
-    taken in one pass, each population's rates broadcast over its row.
-    IFEDCROWD solves every population in one `_equilibria` pass, which
-    returns the utilities it played.
+    An empty box is a ConfigError.  Random draws each rate uniformly over
+    its box interval, seeded by the population's seed; MAX takes the upper
+    box corner, the largest rates that keep responses meaningful.
     """
     out: list = []
     for box, seed in zip(boxes, seeds):
@@ -71,6 +64,18 @@ def _play(kind: MechanismKind, gamma, delta, t_min, params: SystemParams, boxes,
                 out.append(None)
         except IFedCrowdError as exc:
             out.append(exc)
+    return out
+
+
+def _play(kind: MechanismKind, gamma, delta, t_min, params: SystemParams, boxes, seeds) -> list:
+    """Each population's (rates, client utilities, server utility) under a policy, or its error.
+
+    gamma, delta and t_min hold one population of params.n clients per row,
+    with its box in ``boxes`` and its Random seed in ``seeds``.  IFEDCROWD
+    solves every population in one `_equilibria` pass; Random and MAX play
+    `_pick`'s rates, broadcast over each row, in one payoff pass.
+    """
+    out = _pick(kind, boxes, seeds)
     todo = [i for i, result in enumerate(out) if not isinstance(result, IFedCrowdError)]
     if not todo:
         return out
@@ -102,10 +107,11 @@ def select_rates(
 ) -> RewardRates:
     """Pick reward rates inside the box according to the given policy.
 
-    This is `_play` on a stack of one population, with its error raised:
-    Random draws one pair of rates per seed (one draw per experiment
-    repetition), MAX takes the upper box corner and IFEDCROWD returns the
-    solved equilibrium rates.  Deterministic given (kind, inputs, seed).
+    This is `_pick` on one population, with its error raised: Random draws
+    one pair of rates per seed (one draw per experiment repetition), MAX
+    takes the upper box corner and IFEDCROWD returns the rates of
+    `compute_equilibrium`, `_equilibria` on a stack of one.  Deterministic
+    given (kind, inputs, seed).
     """
-    stack = (values[None] for values in _population_arrays(profiles))
-    return _solved(_play(kind, *stack, params, [box], [rng_seed])[0])[0]
+    rates = _solved(_pick(kind, [box], [rng_seed])[0])
+    return rates or compute_equilibrium(profiles, params, box).rates

@@ -24,6 +24,7 @@ from ifedcrowd import (
     aggregate,
     client_reward,
     collect_data,
+    collection_cost,
     compute_equilibrium,
     feasible_rate_box,
     init_state,
@@ -929,6 +930,27 @@ def test_a_round_that_raises_in_settlement_leaves_the_state_as_it_was(monkeypatc
         population, params, rates, round_config, twin, run_seed=3, round_index=1
     )
     assert snapshot(state) == snapshot(twin)
+
+
+def test_a_collection_cost_that_overflows_names_the_first_survivor(monkeypatch):
+    # clients 4 and 6 reach a freshness at which exp(delta F) overflows; the
+    # round raises collection_cost's error for client 4, with no RuntimeWarning
+    population, params, rates, round_config, state = default_round_setup(seed=3)
+    real_collect = fedsim.collect_data
+
+    def collect(*args, **kwargs):
+        counts, last_sample, freshness, shortfall = real_collect(*args, **kwargs)
+        freshness = freshness.copy()
+        freshness[[4, 6]] = 800.0 / population.delta[[4, 6]]
+        return counts, last_sample, freshness, shortfall
+
+    monkeypatch.setattr(fedsim, "collect_data", collect)
+    d, f = population.delta[4].item(), 800.0 / population.delta[4].item()
+    with pytest.raises(DomainError) as raised:
+        run_round(population, params, rates, round_config, state, run_seed=3)
+    with pytest.raises(DomainError) as scalar:
+        collection_cost(d, f)
+    assert str(raised.value) == str(scalar.value)
 
 
 def test_clients_sharing_an_id_keep_their_own_state(monkeypatch):
