@@ -74,7 +74,9 @@ undominated by any in-box rate pair once clamping binds, including for
 heterogeneous populations.  A client is certified by strong concavity: its
 utility separates into an accuracy and a freshness part, each with a
 curvature bound on the clamp rectangle, so a closed form bounds what any
-deviation gains over its best response (`_deviation_bounds`).
+deviation gains over its best response (`_deviation_bounds`).  The server
+is certified the same way, by upper bounds on each axis's slice over the
+whole box (`_r1_certificate`, `_r2_certificate`), not by sampling rates.
 """
 
 from __future__ import annotations
@@ -1097,14 +1099,298 @@ def verify_client_equilibrium(
     return _client_reports(np.array([violation]), worst[None, :])[0]
 
 
+
+
+_CELL_BUDGET = 4096  # r1 cells the server certificate may bound
+
+
+def _peak(slope, curve, width):
+    """The largest slope y + curve y^2/2 over 0 <= y <= width, and a y reaching it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.clip(-slope / curve, 0.0, width)
+    rises = slope * width + 0.5 * curve * width * width > 0
+    y = np.where(curve < 0, inner, np.where(rises, width, 0.0))
+    return y * (slope + 0.5 * curve * y), y
+
+
+def _r1_cut(params: SystemParams, t: np.ndarray) -> float:
+    """c = (alpha/n) max t, rounded up past the rounding of its two operations.
+
+    Each rounds by at most half an ulp, so the exact (alpha/n) t_k of every
+    client is at most c, the bound `_r1_certificate`'s cut rests on.
+    """
+    return params.alpha / params.n * float(np.max(t)) * (1.0 + _SLACK)
+
+
+def _r1_side_slopes(r: float, gamma: np.ndarray, t: np.ndarray, share: float):
+    """The realized r1 slice's left and right slopes at r, and their rounding pad.
+
+    With s = ``share`` and g_k = gamma_k t_k, client k's term
+    (s - r/t_k) A_k(r) has slope -A_k/t_k + (s - r/t_k) x_k/g_k where its
+    response moves, x_k = e^(r/g_k - 1), and -A_k/t_k where it is clamped.
+    It moves just right of r on [g_k _C_IN, g_k _C_OUT) and just left of r
+    on (g_k _C_IN, g_k _C_OUT], so at its kinks the two slopes differ.  The
+    pad is _SLACK times the sum of the terms' magnitudes.
+    """
+    g = gamma * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.exp(r / g - 1.0)
+        paid = np.sum(np.clip(raw - 1.0, ACCURACY_MIN, ACCURACY_MAX) / t)
+        term = (share - r / t) * np.clip(raw, 1.0 + ACCURACY_MIN, 1.0 + ACCURACY_MAX) / g
+    enter, leave = g * _C_IN, g * _C_OUT
+    right, left = (enter <= r) & (r < leave), (enter < r) & (r <= leave)
+    pad = _SLACK * (paid + np.sum(np.abs(term), where=right | left))
+    return -paid + np.sum(term, where=left), -paid + np.sum(term, where=right), pad
+
+
+def _r2_certificate(delta: np.ndarray, params: SystemParams, lo: float, hi: float, star: float):
+    """Upper bound on the realized r2 slice over [lo, hi], where it sits, V(star) and the segments.
+
+    The in-box clamp kinks delta_k and delta_k e^(FRESHNESS_MAX delta_k),
+    and ``star`` when it lies inside, cut [lo, hi] into segments on which
+    the live set and the capped count are fixed, so
+    f(r) = (beta/n - r)(S1 ln r - S2 + FRESHNESS_MAX m) has
+    f'' = -S1 (1/r + (beta/n)/r^2) <= 0 there (Boyd & Vandenberghe 2004,
+    §3.1.3): the tangents at a segment's ends bound it from above.  Their
+    bound is f(a) if the slope at a is at most 0, f(b) if the slope at b
+    is at least 0, and otherwise the tangents' crossing.  Since also
+    f'' <= -m, m = S1 (1/b + (beta/n)/b^2), each end's tangent less
+    m (r - end)^2/2 bounds the segment, and the least of the three bounds
+    counts; at a root r2*, where the tangent is flat only to within
+    rounding, the parabola keeps the bound from growing with the segment's
+    width.  Each slope is read from the segment's own sums (`_live_sums`
+    just right of a), so the slope at b is the left limit, and it is padded
+    outward by _SLACK plus n eps, the rounding of the prefix sums, times
+    the sum of its terms' magnitudes.  O(log n) per point after the
+    O(n log n) sort.
+    """
+    sums = _freshness_sums(delta)
+    d, cap, p1, _ = sums
+    kinks = [e[np.searchsorted(e, lo, side="right") : np.searchsorted(e, hi)] for e in (d, cap)]
+    inside = [star] if lo < star < hi else []
+    points = np.sort(np.concatenate([[lo], *kinks, inside, [hi]]))
+    points = points[np.concatenate([[True], points[1:] > points[:-1]])]
+    rates = np.append(points, star)
+    live = _live_sums(rates, sums, True)
+    values, slopes = _r2_parts(rates, live, params)
+    u_star = float(values[-1])
+    values[:-1][points == star] = u_star
+    if len(points) == 1:
+        return float(values[0]), lo, u_star, 0
+    a, b = points[:-1], points[1:]
+    segment = tuple(x[: len(a)] for x in live)
+    v_b, s_b = _r2_parts(b, segment, params)
+    v_b[b == star] = u_star  # f is continuous; compare one computed value of f(star)
+    v_a, s_a = values[: len(a)], slopes[: len(a)]
+    share = params.beta / params.n
+    fuzz = _SLACK + d.shape[-1] * np.finfo(float).eps
+    ln_d = max(abs(math.log(d[0])), abs(math.log(d[-1])))
+
+    def pad(r):
+        terms = p1[-1] * (abs(share - r) / r + np.abs(np.log(r)) + ln_d)
+        return fuzz * (terms + FRESHNESS_MAX * segment[2])
+
+    up, down = s_a + pad(a), s_b - pad(b)
+    w = b - a
+    # an overflowed or vanished term only weakens a bound
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.clip((v_b - v_a - down * w) / (up - down), 0.0, w)
+        bound = np.where(up <= 0, v_a, np.where(down >= 0, v_b, v_a + up * y))
+        at = np.where(up <= 0, a, np.where(down >= 0, b, a + y))
+        # f'' <= -m on the segment, so each end's parabola bounds it too
+        curve = -(1.0 - fuzz) * segment[0] * (1.0 / b + share / (b * b))
+        for end, slope, side, base in ((a, up, 1.0, v_a), (b, -down, -1.0, v_b)):
+            gain, y = _peak(slope, curve, w)
+            lower = base + gain < bound
+            bound, at = np.where(lower, base + gain, bound), np.where(lower, end + side * y, at)
+    bound = np.where(np.isnan(bound), math.inf, bound)
+    k = int(np.argmax(bound))
+    return float(bound[k]), float(at[k]), u_star, len(a)
+
+
+def _r1_certificate(
+    gamma: np.ndarray,
+    t: np.ndarray,
+    params: SystemParams,
+    lo: float,
+    hi: float,
+    star: float,
+    cells: int,
+    room: float,
+):
+    """Upper bound on the realized r1 slice V over [lo, hi], where it sits, V(star) and the cells.
+
+    Past the cut.  With s = alpha/n, let c = s max t rounded up
+    (`_r1_cut`), so that s <= c/t_k for every k.  On r >= c client k's term
+    (s - r/t_k) A_k(r) is the product of s - r/t_k <= 0, which falls, and
+    A_k(r) >= ACCURACY_MIN > 0, which rises.  For c <= r < r',
+    (s - r'/t)A(r') <= (s - r/t)A(r') since A(r') > 0, and
+    (s - r/t)A(r') <= (s - r/t)A(r) since s - r/t <= 0 and A(r') >= A(r).
+    So every term, and V, is nonincreasing there: V <= V(e) on [e, hi] for
+    e = max(c, lo), one value.
+
+    Below the cut, [lo, e] starts as ``cells`` equal cells, with ``star``
+    as one more cell end when it lies inside.  With g_k = gamma_k t_k,
+    client k is live on [g_k _C_IN, g_k _C_OUT), where its term has
+    V_k'' = (A_k'/g_k)(s - (r + 2 g_k)/t_k), A_k' = x_k/g_k and
+    x_k = e^(r/g_k - 1) in [1 + ACCURACY_MIN, 1 + ACCURACY_MAX]; elsewhere
+    it is linear.  Its slope jumps by (s - gamma_k _C_IN)(1 + ACCURACY_MIN)/g_k
+    at entry and by (gamma_k _C_OUT - s)(1 + ACCURACY_MAX)/g_k at exit,
+    down or up by the sign.  The clients live somewhere in a cell [a, b]
+    are one run of the g order (padded as in `_r1_windowed`), so prefix
+    sums give, with no cells x clients array:
+
+    - M >= -V'', from -V_k'' <= (1 + ACCURACY_MAX)(b + 2 g_k)/(t_k g_k^2);
+    - D, the down-jumps strictly inside, summed;
+    - U >= V' and F >= -V', from V' = -sum A_k/t_k + sum over the live of
+      (s - r/t_k) x_k/g_k, with the clients past the window at
+      ACCURACY_MAX and those short of it at ACCURACY_MIN.
+
+    A cell is bounded by the least of:
+
+    - the chord bound.  V + M (x - a)(x - b)/2 + sum |J_p| |x - p|/2 over
+      the down-kinks p is convex on the cell, so V is at most
+      max(V(a), V(b)) + M (b - a)^2/8 + D (b - a)/4; D = 0 on a kink-free
+      cell;
+    - the cone V <= min(V(a) + U (x - a), V(b) + F (b - x)), Piyavskii and
+      Shubert's Lipschitz bound (Shubert, SIAM J. Numer. Anal., 1972), which
+      is (V(a) + V(b))/2 + L (b - a)/2 when U = F = L;
+    - for a cell ending at ``star`` with no up-kink inside, Taylor's bound
+      from star: V(star + y) <= V(star) + V'(star+) y + K y^2/2 for y >= 0,
+      and leftward with V'(star-), where K >= V'' sums each live client's
+      largest curvature over the cell (down-kinks only lower V).  It is
+      tight where K < 0 and the one-sided slopes point away from star.
+
+    A cell whose bound exceeds V(star) + ``room`` is halved, and the halves
+    are bounded again; every halving values one rate.  It stops when every
+    cell has closed, when the next level would pass _CELL_BUDGET cells, or
+    when a valued rate already exceeds V(star) + ``room``, so that no cell
+    holding it could close; the open cells then keep the bounds they have.
+    A cell too narrow to halve keeps its bound, and a bound that is not a
+    number is infinite.  Slopes, curvatures and jumps are padded for
+    rounding as in `_deviation_bounds`, prefix sums by n eps of their
+    total; V itself is compared as computed (ROADMAP item 5).
+    """
+    share = params.alpha / params.n
+    value = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731
+    end = min(max(_r1_cut(params, t), lo), hi)
+    ends = np.linspace(lo, end, cells + 1) if end > lo else np.array([lo])
+    if lo < star < end and not np.any(ends == star):
+        ends = np.insert(ends, np.searchsorted(ends, star), star)
+    v = value(np.append(ends, star))
+    v_star, v = float(v[-1]), v[:-1]
+    v[ends == star] = v_star
+    top, at, examined = float(v[-1]), end, int(end < hi)
+    if end == lo:
+        return top, at, v_star, examined
+
+    sides = []  # (direction, padded slope away from star) of the cells that end at star
+    if lo <= star <= end:
+        left, right, pad = _r1_side_slopes(star, gamma, t, share)
+        sides = [(1.0, right + pad), (-1.0, pad - left)]
+    g = gamma * t
+    order = np.argsort(g, kind="stable")
+    gs, ts, gammas = g[order], t[order], gamma[order]
+    kinks = np.concatenate([gs * _C_IN, gs * _C_OUT])  # two sorted runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        jump = np.concatenate(
+            [
+                (share - _C_IN * gammas) * (1.0 + ACCURACY_MIN) / gs,
+                (_C_OUT * gammas - share) * (1.0 + ACCURACY_MAX) / gs,
+            ]
+        )
+    by_rate = np.argsort(kinks, kind="stable")
+    kinks, jump = kinks[by_rate], jump[by_rate]
+    ups = np.concatenate([[0], np.cumsum(jump > 0)])
+    drops = np.concatenate([[0.0], np.cumsum(np.where(jump < 0, -jump, 0.0))])
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / gs
+        terms = np.stack([1.0 / ts, inv, inv / ts, inv * inv / ts])
+    cum = np.zeros((4, len(gs) + 1))
+    np.cumsum(terms, axis=1, out=cum[:, 1:])
+    fuzz = len(gs) * np.finfo(float).eps
+
+    def window(a, b):
+        first = np.searchsorted(gs, a / _C_OUT * (1.0 - _PAD))
+        stop = np.searchsorted(gs, b / _C_IN * (1.0 + _PAD), side="right")
+        return first, stop
+
+    def upper_curve(a, b):
+        first, stop = window(a, b)
+        gw, tw = gs[first:stop], ts[first:stop]
+        phi = share - (a + 2.0 * gw) / tw
+        whole = (gw * _C_IN <= a) & (b <= gw * _C_OUT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = np.where(whole, (1.0 + ACCURACY_MIN) * phi, 0.0)
+            k = np.where(phi > 0, (1.0 + ACCURACY_MAX) * phi, low) / (gw * gw)
+            return float(np.sum(k) + _SLACK * np.sum(np.abs(k)))
+
+    def bound(a, b, va, vb):
+        first, stop = window(a, b)
+        i, j = np.searchsorted(kinks, a, side="right"), np.searchsorted(kinks, b)
+        w = b - a
+        with np.errstate(over="ignore", invalid="ignore"):
+            live = (cum[:, stop] - cum[:, first]) * (1.0 + _SLACK) + fuzz * cum[:, stop]
+            least = ACCURACY_MAX * cum[0, first] + ACCURACY_MIN * (cum[0, -1] - cum[0, first])
+            most = ACCURACY_MAX * cum[0, stop] + ACCURACY_MIN * (cum[0, -1] - cum[0, stop])
+            summed = fuzz * cum[0, -1]  # the rounding of the prefix sums of 1/t
+            rise = (1.0 + ACCURACY_MAX) * share * live[1] - least * (1.0 - _SLACK) + summed
+            fall = (1.0 + ACCURACY_MAX) * b * live[2] + most * (1.0 + _SLACK) + summed
+            y = np.clip((vb - va + fall * w) / (rise + fall), 0.0, w)
+            y = np.where(rise <= 0, 0.0, np.where(fall <= 0, w, y))
+            cone = np.where(rise <= 0, va, np.where(fall <= 0, vb, va + rise * y))
+            curve = (1.0 + ACCURACY_MAX) * (b * live[3] + 2.0 * live[2])
+            drop = (drops[j] - drops[i]) * (1.0 + _SLACK) + fuzz * drops[j]
+            chord = np.maximum(va, vb) + curve * w * w / 8.0 + drop * w / 4.0
+            out = np.minimum(cone, chord)
+            where = np.where(cone < chord, a + y, np.where(va >= vb, a, b))
+            for side, slope in sides:
+                cell = (a if side > 0 else b) == star
+                for k in np.flatnonzero(cell & (ups[j] == ups[i])).tolist():
+                    gain, y_k = _peak(slope, upper_curve(a[k], b[k]), w[k])
+                    if v_star + gain < out[k]:
+                        out[k], where[k] = v_star + gain, star + side * y_k
+        return np.where(np.isnan(out), math.inf, out), where
+
+    target = v_star + max(room, 0.0)
+    a, b, va, vb = ends[:-1], ends[1:], v[:-1], v[1:]
+    examined += len(a)
+    beaten = bool(np.max(v) > target)
+    while True:
+        out, where = bound(a, b, va, vb)
+        mid = 0.5 * (a + b)
+        split = ~(out <= target) & (a < mid) & (mid < b)
+        if beaten or examined + 2 * int(split.sum()) > _CELL_BUDGET:
+            split[:] = False
+        done = np.flatnonzero(~split)
+        if done.size:
+            k = done[np.argmax(out[done])]
+            if out[k] > top:
+                top, at = float(out[k]), float(where[k])
+        if not split.any():
+            break
+        a, b, va, vb, mid = a[split], b[split], va[split], vb[split], mid[split]
+        vm = value(mid)
+        beaten = bool(np.max(vm) > target)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        examined += len(a)
+    return top, at, v_star, examined
+
+
 @dataclass(frozen=True)
 class ServerEquilibriumReport:
-    """Worst rate deviation found against the solved rates."""
+    """Certified bound on what any in-box rate pair gains over the audited rates.
+
+    ``worst_violation`` is the r1 slice's upper bound plus the r2 slice's,
+    less u1* + u2*, the slices at the audited rates; ``worst_rates`` is
+    where each axis's largest bound sits, and ``cells`` counts the r1 cells
+    and r2 segments bounded.
+    """
 
     worst_violation: float
     worst_rates: tuple[float, float]
-    grid_points: int
-    axis_points: int
+    cells: int
     passed: bool
 
 
@@ -1115,14 +1401,22 @@ def verify_server_equilibrium(
     box: RateBox,
     grid_n: int = 50,
 ) -> ServerEquilibriumReport:
-    """Certify the solved rates against rate deviations over the box.
+    """Certify that no in-box rate pair beats the audited rates by more than VERIFY_TOL.
 
     Clients re-best-respond at every candidate rate pair (the deviation-with-
     fixed-strategies inequality is vacuous here: utility is strictly
     decreasing in the rates once strategies are frozen, so only the
-    response-substituted comparison is informative).  Runs a grid_n x grid_n
-    joint grid plus denser single-axis sweeps through the solved point;
-    ``grid_n`` must be an integer of at least 1.
+    response-substituted comparison is informative).  The realized server
+    utility separates, so no pair is worth more than the r1 slice's upper
+    bound plus the r2 slice's.  `_r2_certificate` bounds each concave r2
+    segment between kinks by its end tangents and curvature, with no
+    iteration.
+    `_r1_certificate` bounds r1 past c = (alpha/n) max t by its value at c,
+    and below c by cell bounds, starting from ``grid_n`` cells (an integer
+    of at least 1) and halving the cells that do not close to within
+    VERIFY_TOL of u1*, less what the r2 bound already uses.  The rates pass
+    when the bounds exceed u1* + u2* by at most VERIFY_TOL.  No rate grid is
+    read, so a rise narrower than any grid cell is still bounded.
     """
     try:
         grid_n = operator.index(grid_n)
@@ -1131,40 +1425,15 @@ def verify_server_equilibrium(
     if grid_n < 1:
         raise DomainError(f"grid_n must be at least 1, got {grid_n}")
     gamma, delta, t = _population_arrays(profiles)
-    sums = _freshness_sums(delta)
-    part1 = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731
-    part2 = lambda r: _r2_parts(r, _live_sums(r, sums, True), params)[0]  # noqa: E731
-
-    u1_star = part1(rates_star.r1)
-    u2_star = part2(rates_star.r2)
-
-    r1_grid = np.linspace(box.r1_lo, box.r1_hi, grid_n)
-    r2_grid = np.linspace(box.r2_lo, box.r2_hi, grid_n)
-    v1 = np.asarray(part1(r1_grid))
-    v2 = np.asarray(part2(r2_grid))
-
-    # joint grid: utilities separate, so the worst pair combines the axis maxima
-    i = int(np.argmax(v1))
-    j = int(np.argmax(v2))
-    worst = (v1[i] + v2[j]) - (u1_star + u2_star)
-    worst_rates = (float(r1_grid[i]), float(r2_grid[j]))
-
-    # denser single-axis sweeps through the solved point
-    r1_fine = np.linspace(box.r1_lo, box.r1_hi, 4 * grid_n)
-    r2_fine = np.linspace(box.r2_lo, box.r2_hi, 4 * grid_n)
-    f1 = np.asarray(part1(r1_fine))
-    f2 = np.asarray(part2(r2_fine))
-    if float(np.max(f1)) - u1_star > worst:
-        worst = float(np.max(f1)) - u1_star
-        worst_rates = (float(r1_fine[int(np.argmax(f1))]), rates_star.r2)
-    if float(np.max(f2)) - u2_star > worst:
-        worst = float(np.max(f2)) - u2_star
-        worst_rates = (rates_star.r1, float(r2_fine[int(np.argmax(f2))]))
-
+    top2, at2, u2, segments = _r2_certificate(delta, params, box.r2_lo, box.r2_hi, rates_star.r2)
+    room = VERIFY_TOL - (top2 - u2)
+    top1, at1, u1, cells = _r1_certificate(
+        gamma, t, params, box.r1_lo, box.r1_hi, rates_star.r1, grid_n, room
+    )
+    worst = (top1 + top2) - (u1 + u2)
     return ServerEquilibriumReport(
         worst_violation=float(worst),
-        worst_rates=worst_rates,
-        grid_points=grid_n * grid_n,
-        axis_points=8 * grid_n,
+        worst_rates=(at1, at2),
+        cells=cells + segments,
         passed=bool(worst <= VERIFY_TOL),
     )

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
+import random
+from fractions import Fraction
 from unittest.mock import patch
 
 import mpmath
@@ -959,8 +961,6 @@ def test_windowed_r1_helpers_match_dense_oracle_at_scale_size():
 
 def scale_populations():
     """The four populations of the benchmark's ``scale`` workload at seed 1."""
-    import random
-
     rng = random.Random(1)
     for _ in range(4):
         config = ScenarioConfig(n=2000, seed=rng.randrange(1, 2**31))
@@ -2092,9 +2092,231 @@ def test_verify_server_refuses_a_grid_without_points(grid_n, message):
     rates = RewardRates(r1=box.r1_lo, r2=box.r2_lo)
     with pytest.raises(DomainError, match=message):
         verify_server_equilibrium(THIRTY, PARAMS_30, rates, box, grid_n=grid_n)
-    # one point per axis is a grid, and a numpy integer is an integer
+    # one starting cell is a grid, and a numpy integer is an integer: one r2
+    # segment, the r1 piece past the cut, the one r1 cell below it and its
+    # two halves, whose middle already beats u1*, so the split stops there
     report = verify_server_equilibrium(THIRTY, PARAMS_30, rates, box, grid_n=np.int64(1))
-    assert (report.grid_points, report.axis_points) == (1, 8)
+    assert (report.cells, report.passed) == (5, False)
+
+
+# ------------------------------------------------------- server certificate
+
+def grid_violation(pop, params, rates, box, grid_n=50):
+    """The server check as a grid of rates, the package's verifier before the certificate.
+
+    The r1 and r2 slices are read on a grid_n x grid_n joint rate grid (they
+    separate, so its best pair joins the axis maxima) and on 4 grid_n-point
+    sweeps along each axis through the audited rates.  A grid only samples
+    the box, so a sound certificate never reports less.
+    """
+    gamma, delta, t = game_core._population_arrays(pop)
+    sums = equilibrium._freshness_sums(delta)
+
+    def part1(r):
+        return equilibrium._r1_value(r, gamma, t, params, clamp=True)
+
+    def part2(r):
+        return equilibrium._r2_parts(r, equilibrium._live_sums(r, sums, True), params)[0]
+
+    def best(part, lo, hi, points):
+        return float(np.max(part(np.linspace(lo, hi, points))))
+
+    u1, u2 = part1(rates.r1), part2(rates.r2)
+    joint = best(part1, box.r1_lo, box.r1_hi, grid_n) + best(part2, box.r2_lo, box.r2_hi, grid_n)
+    return max(
+        joint - (u1 + u2),
+        best(part1, box.r1_lo, box.r1_hi, 4 * grid_n) - u1,
+        best(part2, box.r2_lo, box.r2_hi, 4 * grid_n) - u2,
+    )
+
+
+def certified_populations(group):
+    """(population, params, box) of each population the certificate is held to."""
+    if group.startswith("sweep-seed-"):
+        yield from default_cell_runs(ScenarioConfig(seed=int(group.rsplit("-", 1)[1])))
+        return
+    if group == "alpha-8n":
+        configs = [ScenarioConfig(n=n, alpha=8.0 * n) for n in (100, 2000)]
+    elif group == "criterion-4":
+        configs = [ScenarioConfig(seed=4000 + run) for run in range(20)]
+    else:  # the fuzz config pinned in tests/test_harness.py
+        configs = [
+            ScenarioConfig(
+                n=3,
+                alpha=6172564.30773397,
+                beta=134.000065039774,
+                gamma=(1.6285538380743923e-12, 8.748586912244195e-11),
+                delta=(6.736945767318462, 8.267449019119113),
+                tmin=(3.1502369769572876e-05, 0.00010024722204509243),
+                r2_cap=97477.44489754959,
+                seed=173,
+            )
+        ]
+    for config in configs:
+        pop = sample_population(config, 0)
+        yield pop, config.system_params, feasible_rate_box(pop, config.r2_cap)
+
+
+@pytest.mark.parametrize(
+    "group", ["sweep-seed-1", "sweep-seed-7919", "alpha-8n", "criterion-4", "pinned-fuzz"]
+)
+def test_certificate_passes_the_solver_and_never_reports_less_than_the_grid(group):
+    for pop, params, box in certified_populations(group):
+        eq = compute_equilibrium(pop, params, box)
+        report = verify_server_equilibrium(pop, params, eq.rates, box)
+        grid = grid_violation(pop, params, eq.rates, box)
+        assert report.passed, (group, report)
+        assert report.worst_violation >= grid - 1e-12 * max(1.0, abs(eq.server_utility))
+
+
+def realized_gain(pop, params, rates, better):
+    """What the rates ``better`` gain over ``rates``, by `realized_axis_values`."""
+    u1, u2 = realized_axis_values(pop, params, [rates.r1, better.r1], [rates.r2, better.r2])
+    return float((u1[1] + u2[1]) - (u1[0] + u2[0]))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ScenarioConfig(), ScenarioConfig(n=100, alpha=800.0), ScenarioConfig(n=2000, alpha=16000.0)],
+    ids=["default", "alpha-8n-100", "alpha-8n-2000"],
+)
+@pytest.mark.parametrize("axis", ["r1", "r2"])
+def test_certificate_flags_shifted_rates(config, axis):
+    # r1* (1 + 1e-3) passes the grid oracle on all three populations, with
+    # its r1 sweep's best point below u1*; the certificate bounds what the
+    # solved rates truly gain over the shifted ones
+    pop = sample_population(config, 0)
+    params = config.system_params
+    box = feasible_rate_box(pop, config.r2_cap)
+    solved = compute_equilibrium(pop, params, box).rates
+    if axis == "r1":
+        rates = RewardRates(solved.r1 * (1.0 + 1e-3), solved.r2)
+    else:
+        rates = RewardRates(solved.r1, solved.r2 + 1e-3 * (box.r2_hi - box.r2_lo))
+    report = verify_server_equilibrium(pop, params, rates, box)
+    assert not report.passed
+    gain = realized_gain(pop, params, rates, solved)
+    assert report.worst_violation >= gain > equilibrium.VERIFY_TOL
+
+
+def test_certificate_catches_a_bump_the_grid_oracle_misses():
+    # client 0 (g = 8.28e-5, t = 0.003) is live only on [8.29e-5, 1.40e-4):
+    # its term rises there and then falls at slope -0.999/0.003, so the
+    # slice's maximum, that client's exit kink, stands on a bump narrower
+    # than 1/4097 of the box [8.28e-5, 19.0].  The grid's best rate is
+    # r1_lo, and the grid oracle passes it
+    gamma, t = np.array([0.0276, 6.43]), np.array([0.003, 1.745])
+    params = SystemParams(alpha=2.76, beta=50.0, comm_size=0.0, n=2)
+    pop = game_core.Population(np.arange(2), gamma, np.ones(2), t)
+    box = feasible_rate_box(pop, 100.0)
+
+    def value(r):
+        return equilibrium._r1_value(r, gamma, t, params, True)
+
+    grid = np.linspace(box.r1_lo, box.r1_hi, 200)
+    r2 = compute_equilibrium(pop, params, box).rates.r2
+    rates = RewardRates(float(grid[np.argmax(value(grid))]), r2)
+    dense = np.linspace(box.r1_lo, box.r1_hi, 1 << 18)
+    v = value(dense)
+    bump = dense[v > value(rates.r1) + equilibrium.VERIFY_TOL]
+    assert 0.0 < bump[-1] - bump[0] < (box.r1_hi - box.r1_lo) / 4097
+    assert grid_violation(pop, params, rates, box) <= equilibrium.VERIFY_TOL
+    report = verify_server_equilibrium(pop, params, rates, box)
+    assert not report.passed
+    assert report.worst_violation >= np.max(v) - value(rates.r1) > 1.0
+
+
+def test_certificate_bounds_a_maximum_strictly_inside_its_only_cell():
+    # THIRTY's r1 slice peaks at a root near 2.348, strictly inside the one
+    # cell [r1_lo, c] that grid_n=1 starts from and far above both its ends;
+    # a cell bound without its curvature term would stop at the ends and
+    # pass r1_lo
+    box = feasible_rate_box(THIRTY, 100.0)
+    solved = compute_equilibrium(THIRTY, PARAMS_30, box).rates
+    rates = RewardRates(box.r1_lo, solved.r2)
+    cut = equilibrium._r1_cut(PARAMS_30, np.ones(30))
+    assert box.r1_lo < solved.r1 < cut < box.r1_hi
+    report = verify_server_equilibrium(THIRTY, PARAMS_30, rates, box, grid_n=1)
+    assert not report.passed
+    assert report.worst_violation >= realized_gain(THIRTY, PARAMS_30, rates, solved) > 1.0
+
+
+def test_one_sided_r1_slopes_step_at_the_kinks():
+    # the Taylor cells take the slope on their own side of r1*: just left
+    # of a kink a client counts as it is there, not as it is to the right.
+    # At every client's entry and exit kink each one-sided slope matches a
+    # one-sided difference quotient, and the two differ by the kink's jump
+    gamma, t = np.array([2.0, 1.0, 5.0, 0.7]), np.array([1.0, 2.6, 0.3, 2.0])
+    params = SystemParams(alpha=12.0, beta=50.0, comm_size=0.0, n=4)
+    share = params.alpha / params.n
+    g = gamma * t
+    jumps = 0
+    for r, jump in [
+        *zip(g * equilibrium._C_IN, (share - equilibrium._C_IN * gamma) * (1 + ACCURACY_MIN) / g),
+        *zip(g * equilibrium._C_OUT, (equilibrium._C_OUT * gamma - share) * (1 + ACCURACY_MAX) / g),
+    ]:
+        left, right, pad = equilibrium._r1_side_slopes(float(r), gamma, t, share)
+        h = 1e-7 * r
+        v = equilibrium._r1_value(np.array([r - h, r, r + h]), gamma, t, params, True)
+        assert left == pytest.approx((v[1] - v[0]) / h, rel=1e-5, abs=1e-5)
+        assert right == pytest.approx((v[2] - v[1]) / h, rel=1e-5, abs=1e-5)
+        assert right - left == pytest.approx(jump, rel=1e-9)
+        assert 0 < pad < 1e-12
+        jumps += abs(jump) > 0.1
+    assert jumps == 8
+
+
+def test_past_the_r1_cut_no_term_can_rise():
+    # exactly, (alpha/n) t_k <= c for every client, so for r >= c each term
+    # (alpha/n - r/t_k) A_k(r) is a falling factor <= 0 times a rising
+    # A_k(r) >= ACCURACY_MIN > 0: for c <= r < r',
+    # (s - r'/t) A(r') <= (s - r/t) A(r') <= (s - r/t) A(r)
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        alpha = float(10.0 ** rng.uniform(-3, 6))
+        t = 10.0 ** rng.uniform(-4, 3, n)
+        cut = Fraction(equilibrium._r1_cut(SystemParams(alpha, 1.0, 0.0, n), t))
+        assert all(Fraction(alpha) / n * Fraction(x) <= cut for x in t.tolist())
+    # and the computed slice falls past the cut, to within its rounding
+    for n, seed in [(3, 1), (40, 2), (2000, 3)]:
+        rng = np.random.default_rng(seed)
+        gamma, t = rng.uniform(0.2, 6.0, n), rng.uniform(0.5, 3.0, n)
+        box = feasible_rate_box(game_core.Population(np.arange(n), gamma, np.ones(n), t), 100.0)
+        params = SystemParams(alpha_with_cut(t, n, box, "inside", 0.3), 50.0, 0.0, n)
+        rs = np.linspace(equilibrium._r1_cut(params, t), box.r1_hi, 4001)
+        v = equilibrium._r1_value(rs, gamma, t, params, True)
+        assert np.all(np.diff(v) <= 1e-13 * np.max(np.abs(v)))
+
+
+def test_scale_populations_certify_from_a_few_values():
+    # on the benchmark's scale populations both rates are box edges, the cut
+    # lies below r1_lo and no r2 kink lies inside the box, so the r1 axis
+    # values r1_lo and r1*, and the r2 axis reads r2_lo, r2* and r2_hi: a
+    # return to rate grids fails here
+    for pop, params, box in scale_populations():
+        solved = compute_equilibrium(pop, params, box)
+        read = {"r1": set(), "r2": set()}
+
+        def counted(name, helper):
+            def wrapper(r, *args, **kwargs):
+                read[name].update(np.atleast_1d(r).tolist())
+                return helper(r, *args, **kwargs)
+
+            return wrapper
+
+        with patch.object(
+            equilibrium, "_r1_value", counted("r1", equilibrium._r1_value)
+        ), patch.object(equilibrium, "_r2_parts", counted("r2", equilibrium._r2_parts)):
+            report = verify_server_equilibrium(pop, params, solved.rates, box)
+        d = np.sort(pop.delta)
+        kinks = np.concatenate([d, d * np.exp(FRESHNESS_MAX * d)])
+        in_box = int(np.sum((box.r2_lo < kinks) & (kinks < box.r2_hi)))
+        assert (solved.r1_source, solved.r2_source, in_box) == ("edge", "edge", 0)
+        assert equilibrium._r1_cut(params, pop.t_min) <= box.r1_lo
+        assert report.passed and report.worst_violation == 0.0
+        assert len(read["r1"]) <= 2
+        assert len(read["r2"]) <= in_box + 3
 
 
 def test_solve_r1_low_edge_when_derivative_negative_throughout():
