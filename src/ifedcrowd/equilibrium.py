@@ -21,8 +21,9 @@ kinks and the sign changes that can hold a maximum.  A cell end at a kink
 is read just inside the cell, so a sign change across a kink is never a
 bracket: the kink is its root, and it is valued as a candidate.  A sign
 change that leaves a negative slope rises, so it is a local minimum; the
-rest are narrowed together by multisection (one vectorized slope call per
-step).  Only what can win is refined.  On the realized objective the search
+rest are narrowed together by safeguarded Newton steps on the slice's
+closed-form curvature (one vectorized pass per step).  Only what can win is
+refined.  On the realized objective the search
 stops at c = (alpha/n) max t: past it every client's term
 (alpha/n - r/t_k) A_k has right slope at most -A_k/t_k < 0, since
 A_k >= ACCURACY_MIN.  So no slope is computed there, and at c <= r1_lo the
@@ -57,6 +58,8 @@ and every sum over clients taken by that population's own product (or sum)
 over exactly its own rows.  A product's rounding depends on how many rows
 it is given, so the stack shares only elementwise work and bookkeeping
 (gathers, sorts, masks, the refine loop, the group maxima), never a sum.
+The refine's slope and curvature pass (`_r1_newton`) shares no sum either:
+it sums each rate's gathered row of clients along that row alone.
 
 An r1 value or slope call larger than _BLOCK rates x clients entries for
 one population takes exponentials over the live clients only.  With the
@@ -111,7 +114,7 @@ VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 # terms, each within half an ulp, with room to spare.
 _SLACK = 16 * np.finfo(float).eps
 _CELLS = 64          # coarse cells of an r1 search
-_SECTIONS = 64       # sections per coarse cell read, and per bracket in each refine step
+_SECTIONS = 64       # sections per coarse cell read
 _XTOL = 1e-12        # bracket width at which refinement stops
 _BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
 _PAD = 1e-9          # relative margin of an r1 live window
@@ -327,6 +330,57 @@ def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp:
     return _r1_parts(r1, gamma, t, params, clamp, True, pop)
 
 
+def _r1_newton(gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool):
+    """The r1 slope and curvature at any rates, for `_refine`'s Newton steps.
+
+    With s = alpha/n, g_k = gamma_k t_k and x_k = exp(r/g_k - 1), a live
+    client's term (s - r/t_k)(x_k - 1) has slope
+    x_k (s/g_k - r/(t_k g_k)) - (x_k - 1)/t_k, as in `_r1_slope`, and
+    curvature x_k ((s - r/t_k)/g_k^2 - 2/(g_k t_k)).  With ``clamp`` a
+    clamped client's term is linear, -A_k/t_k in the slope and 0 in the
+    curvature; without it every client counts, as in `d2u_dr1`.  gamma and
+    t hold a stack of populations, one per row.  Returns a function of rates
+    r and their populations pop giving (slope, curvature) at every rate.
+    Each rate's row of clients is gathered and summed along itself, so its
+    results depend on no other rate of the call: a stack refines bit for bit
+    as its populations would alone, with none of `_r1_parts`' per-population
+    blocks.  Rates go in blocks of at most _BLOCK/8 rates x clients entries
+    (at least one rate), so that a block's seven such temporaries stay
+    within max(_BLOCK, 8 n) entries.
+    """
+    g = gamma * t
+    n = g.shape[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = 1.0 / g
+        # the weights of x and r x in the slope and in the curvature, then of A in the slope
+        w = np.stack([share * inv, inv / t, inv * (share * inv - 2.0 / t), inv * inv / t, 1.0 / t])
+
+    def newton(r: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        slope, curve = np.empty(len(r)), np.empty(len(r))
+        step = max(_BLOCK // (8 * n), 1)
+        # an overflowed x clips its response to the cap; its products may hold inf*0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(r), step):
+                rb, pb = r[i : i + step], pop[i : i + step]
+                x = g[pb]
+                np.divide(rb[:, None], x, out=x)
+                np.subtract(x, 1.0, out=x)
+                np.exp(x, out=x)
+                a = x - 1.0
+                if clamp:
+                    x = np.where((a >= ACCURACY_MIN) & (a < ACCURACY_MAX), x, 0.0)
+                    np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
+                terms = w[:, pb]  # the weights' rows, times x or A in place
+                terms[:4] *= x
+                terms[4] *= a
+                sx, srx, cx, crx, sa = terms.sum(axis=2)
+                slope[i : i + step] = sx - rb * srx - sa
+                curve[i : i + step] = cx - rb * crx
+        return slope, curve
+
+    return newton
+
+
 def _freshness_sums(delta: np.ndarray):
     """The r2 clamp kinks, sorted, and prefix sums over the clients sorted by delta.
 
@@ -460,32 +514,63 @@ def leader_objective(
     )
 
 
-def _refine(slope, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, pop: np.ndarray):
+def _refine(curve, lo: np.ndarray, hi: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, pop):
     """Narrow every slope sign change [lo_i, hi_i] at once; return the final brackets.
 
-    Bracket i lies in population pop[i], pop nondecreasing, and ``slope`` is
-    called as slope(rates, pop).  Each step evaluates the slope once, at the
-    _SECTIONS - 1 interior points of every open bracket, and keeps the first
-    section whose right end has a sign other than sign_lo (a zero counts as
-    the other side).  A bracket closes at _XTOL width or when no float lies
-    strictly inside it.
+    Bracket i lies in population pop[i], pop nondecreasing, and its ends
+    were read with slopes s_lo_i and s_hi_i of different signs.  ``curve``
+    is called as curve(rates, pop) and returns the slope and the curvature
+    at every rate (`_r1_newton`).  Inside a bracket every read lies on the
+    multiples of one step: the largest power of two up to _XTOL, or one ulp
+    of the bracket's larger end where that is more, so every multiple is a
+    float.  A bracket starts at the multiple nearest the secant point of its
+    end slopes.  Each pass calls ``curve`` once, at the iterate x of every
+    bracket and at the multiples either side of it (a read at or past an end
+    reads that end), and keeps the first of the four sections between the
+    bracket's ends and those three points whose right end has a sign other
+    than s_lo's (a zero counts as the other side).  The next iterate is the multiple
+    nearest the Newton point x - s(x)/c(x), or the new bracket's middle
+    multiple where that point is not strictly inside the new bracket or the
+    curvature c(x) is not negative and finite.  So an iterate within a step
+    of a root closes its bracket in that pass.  A bracket closes at one
+    step: within _XTOL, or where one ulp exceeds _XTOL, on adjacent floats.
+    A bracket whose reads change sign once ends on the multiples either
+    side of that change whatever its start and path, so neither the
+    rounding of the end slopes nor where the scan put the ends moves a root
+    more than a step inside them.
     """
-    lo, hi = lo.copy(), hi.copy()
-    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    # a power of two, so that every multiple of it that a bracket reads is a float
+    ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    unit = np.maximum(2.0 ** math.floor(math.log2(_XTOL)), ulp)
+    sign_lo = np.sign(s_lo)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lo - s_lo * ((hi - lo) / (s_hi - s_lo))
+    # the ends as multiples of the step, at or past each end, and as rates
+    k_lo, k_hi = np.floor(lo / unit), np.ceil(hi / unit)
+    r_lo, r_hi = lo, hi
+    pops = np.repeat(pop, 3)
+    rows = np.arange(len(lo))
     while True:
-        mid = 0.5 * (lo + hi)
-        # far from 0 one ulp exceeds _XTOL, so the width test alone never ends
-        open_ = (hi - lo > _XTOL) & (lo < mid) & (mid < hi)
+        open_ = (k_hi - k_lo > 1) & (r_hi - r_lo > unit)
         if not open_.any():
-            return lo, hi
-        a, b = lo[open_], hi[open_]
-        pts = a[:, None] + (b - a)[:, None] * frac
-        s = slope(pts.ravel(), np.repeat(pop[open_], _SECTIONS - 1))
-        flip = np.sign(s).reshape(pts.shape) != sign_lo[open_, None]
-        k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
-        ends = np.column_stack([a, pts, b])
-        rows = np.arange(len(a))
-        lo[open_], hi[open_] = ends[rows, k], ends[rows, k + 1]
+            return r_lo, r_hi
+        inside = (r_lo < x) & (x < r_hi)  # False for NaN
+        k = np.where(inside, np.rint(np.where(inside, x, lo) / unit), np.floor(0.5 * (k_lo + k_hi)))
+        k = np.minimum(np.maximum(k, k_lo + 1.0), k_hi - 1.0)
+        ks = np.stack([k_lo, k - 1.0, k, k + 1.0, k_hi], axis=1)
+        # a multiple at or past an end reads as that end, whose side is known
+        rates = np.minimum(np.maximum(ks * unit[:, None], lo[:, None]), hi[:, None])
+        s, c = curve(rates[:, 1:4].ravel(), pops)
+        s, c = s.reshape(-1, 3), c[1::3]
+        inner = rates[:, 1:4]
+        flip = (np.sign(s) != sign_lo) & (inner > lo[:, None]) | (inner == hi[:, None])
+        j = np.where(flip.any(axis=1), flip.argmax(axis=1), 3)
+        # every pass reads every bracket, and only the open ones move
+        j_lo, j_hi = np.where(open_, j, 0), np.where(open_, j + 1, 4)
+        k_lo, k_hi = ks[rows, j_lo], ks[rows, j_hi]
+        r_lo, r_hi = rates[rows, j_lo], rates[rows, j_hi]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.where((c < 0) & np.isfinite(c), rates[:, 2] - s[:, 1] / c, np.nan)
 
 
 def _best(
@@ -586,6 +671,7 @@ def _coarse(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _search(
     slope,
+    curve,
     value,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -596,8 +682,9 @@ def _search(
 ) -> list:
     """Global maximizer of a piecewise-smooth axis objective on [lo_p, hi_p], for each population p.
 
-    ``slope``, ``value`` and ``rise`` take their rates (or cells) with the
-    population of each, grouped; ``kinks`` are grouped by their populations
+    ``slope``, ``curve`` (`_refine`'s slope and curvature), ``value`` and
+    ``rise`` take their rates (or cells) with the population of each,
+    grouped; ``kinks`` are grouped by their populations
     ``kink_pop``, and ``cut`` holds one cut per population.  The box is cut
     into cells at _CELLS + 1 equally spaced points, up to the first one at
     or past ``cut``, at ``hi`` and at the in-box ``kinks``, where the slope
@@ -611,17 +698,20 @@ def _search(
     more than the tie snap below the best end value, so it cannot hold the
     pick.  Without ``rise`` every cell below the cut is kept.
 
-    The slope is read in one call at the ends of ceil((b - a)/h) equal
-    sections of every kept cell, h = (hi - lo)/(_CELLS _SECTIONS), except
-    that a cell end at a kink is read max(_XTOL, ulp) inside the cell.  So
+    The slope is read in one call at the ends of equal sections of every
+    kept cell: _SECTIONS of a cell between neighbouring coarse points, and
+    ceil((b - a)/h) of any other, h = (hi - lo)/(_CELLS _SECTIONS), whose
+    rounding would read a whole coarse cell at 65 sections about half the
+    time.  A cell end at a kink is read max(_XTOL, ulp) inside the cell.  So
     no bracket between neighbouring reads holds a kink or ends on one, and
     a sign change across a kink, which has that kink as its root, is no
     bracket: `_best` values the kink.  Reads at or past the cut take the
     sign -1, their exact sign, and a non-finite read fails its population.
     A sign change that leaves a negative slope rises: `_refine` would narrow
     it to where the slope turns from - to 0 or +, a local minimum.  Every
-    other sign change is refined with `_refine`.  Its root is its bracket's
-    midpoint, or a kink within the bracket's width of it.  `_best` picks
+    other sign change is refined with `_refine`, from the slopes read at its
+    ends.  Its root is its bracket's midpoint, or a kink within the
+    bracket's width of it.  `_best` picks
     among the roots, the edges and the kinks that end a kept cell.  A
     degenerate box returns its edge.
 
@@ -651,6 +741,8 @@ def _search(
     at = rank[n_coarse : n_coarse + len(kinks)]  # the end at each kink
     at_kink = np.zeros(len(ends), dtype=bool)
     at_kink[at] = True
+    at_coarse = np.zeros(len(ends), dtype=bool)
+    at_coarse[rank[:n_coarse]] = True
     left = np.flatnonzero(pop[:-1] == pop[1:])
     a, b, cell_pop = ends[left], ends[left + 1], pop[left]
     keep = a < cut[cell_pop]
@@ -667,10 +759,11 @@ def _search(
     ends_kept[left[keep] + 1] = True
     valued = ends_kept[at]
     kink_a, kink_b = at_kink[left][keep], at_kink[left + 1][keep]
+    whole = (at_coarse[left] & at_coarse[left + 1])[keep]  # between neighbouring coarse points
     a, b, cell_pop = a[keep], b[keep], cell_pop[keep]
     # cell i is read at a_i + (b_i - a_i) j/m_i, j = 0..m_i, each end stepped off a kink
     h = (hi - lo) / (_CELLS * _SECTIONS)
-    m = np.maximum(np.ceil((b - a) / h[cell_pop]), 1.0)
+    m = np.where(whole, _SECTIONS, np.maximum(np.ceil((b - a) / h[cell_pop]), 1.0))
     cell = np.repeat(np.arange(len(a)), (m + 1).astype(int))
     j = np.arange(len(cell)) - np.searchsorted(cell, cell)
     xs = a[cell] + (b - a)[cell] * (j / m[cell])
@@ -697,7 +790,7 @@ def _search(
         & ~failed[xs_pop[:-1]]
     )
     bracket_pop = xs_pop[i]
-    b_lo, b_hi = _refine(slope, xs[i], xs[i + 1], signs[i], bracket_pop)
+    b_lo, b_hi = _refine(curve, xs[i], xs[i + 1], s[i], s[i + 1], bracket_pop)
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
@@ -735,8 +828,8 @@ def _argmax_r1(
     todo = np.arange(len(lo))
     cut = np.full(len(lo), math.inf)
     kinks, kink_pop, rise = np.empty(0), np.empty(0, dtype=np.intp), None
+    share = params.alpha / params.n
     if clamp:
-        share = params.alpha / params.n
         cut = share * t.max(axis=1)
         todo = np.flatnonzero(~(cut <= lo))
         if not todo.size:
@@ -753,6 +846,7 @@ def _argmax_r1(
         rise = _r1_rise(gamma, t, share)
     found = _search(
         lambda r, pop: _r1_slope(r, gamma, t, params, clamp, pop),
+        _r1_newton(gamma, t, share, clamp),
         lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop),
         lo,
         hi,

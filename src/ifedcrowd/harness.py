@@ -261,6 +261,12 @@ def evaluate_cell(
     if slot:
         stack = tuple(map(np.stack, zip(*columns)))
         played = {mech: _play(mech, *stack, params, boxes, seeds) for mech in mechanisms}
+    # each mechanism's mean worker utility of every population it played, in one mean
+    means = {}
+    for mech, results in played.items():
+        ok = [i for i, result in enumerate(results) if not isinstance(result, IFedCrowdError)]
+        rows = np.mean([results[i][1] for i in ok], axis=1).tolist() if ok else []
+        means[mech] = dict(zip(ok, rows))
     outcomes: list[CellRun] = []
     failures: list[str] = []
     for run in range(config.runs):
@@ -269,14 +275,14 @@ def evaluate_cell(
             if isinstance(result, IFedCrowdError):
                 errors[run] = result
                 break
-            rates, utilities, server = result
+            rates, _, server = result
             outcomes.append(
                 CellRun(
                     run_index=run,
                     mechanism=mech,
                     r1=rates.r1,
                     r2=rates.r2,
-                    worker_utility=float(np.mean(utilities)),
+                    worker_utility=means[mech][slot[run]],
                     server_utility=server,
                 )
             )
@@ -313,6 +319,9 @@ class SweepTable:
     failures: tuple[str, ...] = ()
 
 
+_STAT_COLUMNS = ("r1", "r2", "worker_utility", "server_utility")  # in SweepRow's order
+
+
 def _aggregate_rows(
     axis_value: float, outcomes: list[CellRun], mechanisms: list[MechanismKind]
 ) -> list[SweepRow]:
@@ -321,31 +330,12 @@ def _aggregate_rows(
         runs = [o for o in outcomes if o.mechanism is mech]
         if not runs:
             continue
-
-        def stats(values: list[float]) -> tuple[float, float]:
-            arr = np.asarray(values)
-            std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-            return _sig9(float(np.mean(arr))), _sig9(std)
-
-        r1_m, r1_s = stats([o.r1 for o in runs])
-        r2_m, r2_s = stats([o.r2 for o in runs])
-        wu_m, wu_s = stats([o.worker_utility for o in runs])
-        su_m, su_s = stats([o.server_utility for o in runs])
-        rows.append(
-            SweepRow(
-                axis_value=_sig9(axis_value),
-                mechanism=mech.token,
-                r1_mean=r1_m,
-                r1_std=r1_s,
-                r2_mean=r2_m,
-                r2_std=r2_s,
-                worker_utility_mean=wu_m,
-                worker_utility_std=wu_s,
-                server_utility_mean=su_m,
-                server_utility_std=su_s,
-                runs=len(runs),
-            )
-        )
+        # one row per column, so each row is reduced as one contiguous run
+        columns = np.array([[getattr(o, name) for o in runs] for name in _STAT_COLUMNS])
+        mean = columns.mean(axis=1).tolist()
+        std = columns.std(axis=1, ddof=1).tolist() if len(runs) > 1 else [0.0] * 4
+        stats = [_sig9(x) for pair in zip(mean, std) for x in pair]
+        rows.append(SweepRow(_sig9(axis_value), mech.token, *stats, runs=len(runs)))
     return rows
 
 

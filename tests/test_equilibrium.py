@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ifedcrowd import (
     ClientProfile,
     DomainError,
+    MechanismKind,
     NumericError,
     RateBox,
     RewardRates,
@@ -509,11 +510,25 @@ def argmax_r2(delta, params, box, clamp):
     return solved(found)
 
 
-def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
-    """`_search` on one population."""
+def slope_only(slope):
+    """A `_refine` curve function of ``slope`` alone: a NaN curvature makes
+    every step the safeguard's midpoint, a bisection."""
+    return lambda r: (slope(r), np.full(len(r), np.nan))
+
+
+def r1_curve(gamma, t, params, clamp):
+    """`_r1_newton` of one population, as a function of the rates alone."""
+    stack = np.asarray(gamma, dtype=float)[None], np.asarray(t, dtype=float)[None]
+    newton = equilibrium._r1_newton(*stack, params.alpha / params.n, clamp)
+    return lambda r: newton(r, np.zeros(len(r), dtype=np.intp))
+
+
+def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None, curve=None):
+    """`_search` on one population; without ``curve`` it refines by bisection."""
     kinks = np.asarray(kinks, dtype=float)
     (found,) = equilibrium._search(
         stack_form(slope),
+        stack_form(curve or slope_only(slope)),
         stack_form(value),
         np.array([lo]),
         np.array([hi]),
@@ -525,9 +540,10 @@ def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
     return solved(found)
 
 
-def refine1(slope, lo, hi, sign_lo):
+def refine1(curve, lo, hi, s_lo, s_hi):
     """`_refine` on brackets of one population."""
-    return equilibrium._refine(stack_form(slope), lo, hi, sign_lo, np.zeros(len(lo), dtype=np.intp))
+    pop = np.zeros(len(lo), dtype=np.intp)
+    return equilibrium._refine(stack_form(curve), lo, hi, s_lo, s_hi, pop)
 
 
 def best1(value, roots, lo, hi, kinks):
@@ -555,13 +571,14 @@ def in_population(fn, p):
 def per_population(search):
     """A search of one population, such as `parent_search`, in the stack form of `_search`."""
 
-    def stacked(slope, value, lo, hi, kinks, kink_pop, cut, rise=None):
+    def stacked(slope, curve, value, lo, hi, kinks, kink_pop, cut, rise=None):
         found = []
         for p in range(len(lo)):
             try:
                 found.append(
                     search(
                         in_population(slope, p),
+                        in_population(curve, p),
                         in_population(value, p),
                         float(lo[p]),
                         float(hi[p]),
@@ -789,9 +806,9 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
         counts["rows"] += np.size(r)
         return value(r, *args)
 
-    def counted_refine(slope, lo, *args):
+    def counted_refine(curve, lo, *args):
         counts["roots"] += len(lo)
-        return refine(slope, lo, *args)
+        return refine(curve, lo, *args)
 
     gamma = np.array([p.gamma for p in pop])
     t = np.array([p.t_min for p in pop])
@@ -813,6 +830,7 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
         box.r1_lo,
         box.r1_hi,
         every_kink,
+        curve=r1_curve(gamma, t, params, True),
     )
     assert rate == full
 
@@ -820,9 +838,9 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
 def test_refinement_slope_call_budget(monkeypatch):
     # the default workers=10 cell, run 2: the sign changes of the kept cells
     # that can hold a maximum are refined together, so r1 costs one read of
-    # those cells and a handful of refine steps, not dozens of calls per sign
-    # change; r2 is solved from prefix sums and never calls the slope helper
-    calls = {"r1": 0, "r2": 0}
+    # those cells and two Newton passes, not dozens of calls per sign change;
+    # r2 is solved from prefix sums and never calls the slope helper
+    calls = {"r1": 0, "r2": 0, "pass": 0}
 
     def counted(name, slope):
         def wrapper(*args, **kwargs):
@@ -831,13 +849,234 @@ def test_refinement_slope_call_budget(monkeypatch):
 
         return wrapper
 
+    newton = equilibrium._r1_newton
     monkeypatch.setattr(equilibrium, "_r1_slope", counted("r1", equilibrium._r1_slope))
     monkeypatch.setattr(equilibrium, "_r2_slope", counted("r2", equilibrium._r2_slope))
+    monkeypatch.setattr(equilibrium, "_r1_newton", lambda *args: counted("pass", newton(*args)))
     config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
     pop = sample_population(config, 2)
     compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
-    assert 0 < calls["r1"] <= 10
+    assert calls["r1"] == 1
+    assert calls["pass"] == 2
     assert calls["r2"] == 0
+
+
+def r1_curvature_cases():
+    """(gamma, t, params, rates) over random populations, rates across and past each box."""
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 10, 40, 300):
+        gamma, t = rng.uniform(0.5, 5.0, n), rng.uniform(0.5, 3.0, n)
+        alpha = float(rng.uniform(5.0, 50.0)) * n
+        params = SystemParams(alpha=alpha, beta=50.0, comm_size=0.0, n=n)
+        gt = gamma * t
+        rates = rng.uniform(0.5 * gt.min(), 1.2 * equilibrium._C_OUT * gt.max(), 200)
+        yield gamma, t, params, rates
+
+
+def test_r1_curvature_matches_d2u_dr1_on_the_unclamped_slice():
+    # the refine's pass counts every client on the surrogate, as d2u_dr1
+    # does, and its slope is du_dr1's; both to 1e-12 of the terms' sizes
+    for gamma, t, params, rates in r1_curvature_cases():
+        pop = game_core.Population(np.arange(len(gamma)), gamma, np.ones(len(gamma)), t)
+        slope, curve = r1_curve(gamma, t, params, False)(rates)
+        # each sum's own size: its terms taken positive
+        gt, r = gamma * t, rates[:, None]
+        x = np.exp(r / gt - 1.0)
+        share = params.alpha / params.n
+        slope_size = np.sum(x * (share + r / t) / gt + np.abs(x - 1.0) / t, axis=1)
+        curve_size = np.sum(x * (np.abs(share - r / t) / gt**2 + 2.0 / (gt * t)), axis=1)
+        for i, rate in enumerate(rates):
+            want_c, want_s = d2u_dr1(pop, params, rate), du_dr1(pop, params, rate)
+            assert abs(curve[i] - want_c) <= 1e-12 * curve_size[i], (rate, curve[i], want_c)
+            assert abs(slope[i] - want_s) <= 1e-12 * slope_size[i], (rate, slope[i], want_s)
+
+
+def test_r1_curvature_matches_a_centred_slope_difference_on_the_clamped_slice():
+    # away from the clamp kinks the clamped slope is smooth, and its centred
+    # difference over +-h is within O(h^2) of the pass's curvature; the
+    # pass's slope is `_r1_slope`'s to 1e-12 of its terms' size
+    checked = 0
+    for gamma, t, params, rates in r1_curvature_cases():
+        h = 1e-5 * rates
+        gt = gamma * t
+        kinks = np.concatenate([gt * equilibrium._C_IN, gt * equilibrium._C_OUT])
+        clear = np.min(np.abs(rates[:, None] - kinks), axis=1) > 4.0 * h
+        rates, h = rates[clear], h[clear]
+        slope, curve = r1_curve(gamma, t, params, True)(rates)
+        up, down = (equilibrium._r1_slope(rates + d, gamma, t, params, True) for d in (h, -h))
+        want = (up - down) / (2.0 * h)
+        # the curvature's own size: every live client's term taken positive
+        x = np.exp(rates[:, None] / gt - 1.0)
+        live = (x - 1.0 >= ACCURACY_MIN) & (x - 1.0 < ACCURACY_MAX)
+        share = params.alpha / params.n
+        terms = x * (np.abs(share - rates[:, None] / t) / gt**2 + 2.0 / (gt * t))
+        size = np.sum(live * terms, axis=1)
+        assert np.all(np.abs(curve - want) <= 1e-6 * size + 1e-12), (rates, curve, want)
+        a = np.clip(x - 1.0, ACCURACY_MIN, ACCURACY_MAX)
+        slope_size = np.sum(live * x * (share + rates[:, None] / t) / gt + a / t, axis=1)
+        scan = equilibrium._r1_slope(rates, gamma, t, params, True)
+        assert np.all(np.abs(slope - scan) <= 1e-12 * slope_size), (rates, slope, scan)
+        checked += int(live.any(axis=1).sum())
+    assert checked > 300
+
+
+def test_the_refine_takes_the_middle_where_the_curvature_is_not_negative():
+    # the slope r^4 on [0, 1] leaves 0 at 0 and rises: the secant point is
+    # the end 0, so the first read is the middle, 0.5, which keeps [0, 0.5).
+    # Its Newton point, 0.375, lies inside that, but the curvature there is
+    # positive, so the next read is the middle again, 0.25; the bracket
+    # closes on the first step where the slope leaves 0, in about 40 passes
+    # (Newton from 0.5 would creep toward 0 by r^2/12 a pass)
+    reads = []
+
+    def curve(r, pop):
+        reads.append(r.copy())
+        assert len(reads) <= 45
+        return r**4, 12.0 * r**2
+
+    lo, hi, pop = np.array([0.0]), np.array([1.0]), np.zeros(1, dtype=np.intp)
+    b_lo, b_hi = equilibrium._refine(curve, lo, hi, np.zeros(1), np.ones(1), pop)
+    assert reads[0][1] == 0.5
+    assert reads[1][1] == pytest.approx(0.25, abs=1e-11)
+    assert (b_lo[0], b_hi[0]) == (0.0, 2.0**-40)
+
+
+def test_the_refine_takes_the_middle_where_newton_leaves_the_bracket_across_an_up_kink():
+    # a slope falling slowly to 0.5, where it jumps up, then steeply to its
+    # root at 0.6: the secant point lies on the slow piece, whose Newton point
+    # is far past the bracket, so the next read is the middle of what is left
+    reads = []
+
+    def curve(r, pop):
+        reads.append(r.copy())
+        slow = r < 0.5
+        return np.where(slow, 1.0 - 0.1 * r, 2.0 - 20.0 * (r - 0.5)), np.where(slow, -0.1, -20.0)
+
+    lo, hi, pop = np.array([0.0]), np.array([1.0]), np.zeros(1, dtype=np.intp)
+    b_lo, b_hi = equilibrium._refine(curve, lo, hi, np.array([1.0]), np.array([-8.0]), pop)
+    first = reads[0][1]
+    assert first == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert reads[1][1] == pytest.approx(0.5 * (first + 1.0), abs=1e-11)
+    assert b_lo[0] < 0.6 < b_hi[0] and b_hi[0] - b_lo[0] <= equilibrium._XTOL
+    assert len(reads) <= 4
+
+
+def test_a_newton_point_far_past_the_bracket_takes_the_middle_without_a_warning():
+    # a curvature of -1e-300 puts the Newton point near 1e300, whose count of
+    # steps would overflow; the refine bisects to the root of 0.3 - r^3
+    def curve(r, pop):
+        return 0.3 - r**3, np.full(len(r), -1e-300)
+
+    lo, hi, pop = np.array([0.0]), np.array([1.0]), np.zeros(1, dtype=np.intp)
+    b_lo, b_hi = equilibrium._refine(curve, lo, hi, np.array([0.3]), np.array([-0.7]), pop)
+    assert b_lo[0] < 0.3 ** (1.0 / 3.0) < b_hi[0] and b_hi[0] - b_lo[0] <= equilibrium._XTOL
+
+
+def test_a_bracket_holding_an_up_kink_closes_on_a_sign_change_of_the_slope():
+    # brackets that hold an entry kink where a client's slope jumps up, and
+    # no kink where it jumps down (those end the search's cells), on
+    # default-sweep populations: from the last read at or left of the kink
+    # with a slope >= 0 to the first read right of it with a negative slope.
+    # Newton steps from one smooth piece may leave the bracket across the
+    # kink, and the safeguard keeps the refine on a sign change of `_r1_slope`
+    closed = 0
+    for pop, params, box in default_cell_runs():
+        gamma, t = pop.gamma, pop.t_min
+        share = params.alpha / params.n
+        up = gamma * t * equilibrium._C_IN
+        up = up[(share > equilibrium._C_IN * gamma) & (box.r1_lo < up) & (up < box.r1_hi)]
+        down = down_kinks(gamma, t, params)
+        for kink in up:
+            xs = kink + np.linspace(-0.2, 0.2, 401)
+            s = equilibrium._r1_slope(xs, gamma, t, params, True)
+            left = np.flatnonzero((xs < kink) & (s >= 0.0))
+            right = np.flatnonzero((xs > kink) & (s < 0.0))
+            if not (left.size and right.size):
+                continue
+            i, j = left[-1], right[0]
+            if np.any((xs[i] <= down) & (down <= xs[j])):
+                continue
+            curve = r1_curve(gamma, t, params, True)
+            b_lo, b_hi = refine1(curve, xs[[i]], xs[[j]], s[[i]], s[[j]])
+            assert xs[i] <= b_lo[0] < b_hi[0] <= xs[j]
+            assert b_hi[0] - b_lo[0] <= equilibrium._XTOL
+            ends = np.concatenate([b_lo, b_hi])
+            ends = np.sign(equilibrium._r1_slope(ends, gamma, t, params, True))
+            assert ends[0] == np.sign(s[i]) != ends[1], (kink, xs[i], xs[j], b_lo, b_hi)
+            closed += 1
+    assert closed >= 12
+
+
+def test_roots_above_8192_end_on_adjacent_floats(monkeypatch):
+    # one ulp exceeds _XTOL above 8192, so a bracket closes on two
+    # neighbouring floats, across a sign change of the refine's own slope
+    # (there `_r1_slope` rounds differently by about the slope an ulp away)
+    refine = equilibrium._refine
+    closed = []
+
+    def recorded(curve, lo, hi, s_lo, *args):
+        b_lo, b_hi = refine(curve, lo, hi, s_lo, *args)
+        closed.append((b_lo, b_hi, np.sign(s_lo)))
+        return b_lo, b_hi
+
+    monkeypatch.setattr(equilibrium, "_refine", recorded)
+    roots = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        gamma, t = rng.uniform(6e3, 9e3, 8), rng.uniform(1.0, 2.0, 8)
+        box = feasible_rate_box(game_core.Population(np.arange(8), gamma, np.ones(8), t), 1e9)
+        for ratio in (1.2, 1.5, 2.0, 3.0):
+            params = SystemParams(alpha=8 * ratio * gamma.mean(), beta=50.0, comm_size=0.0, n=8)
+            closed.clear()
+            rate, source = argmax_r1(gamma, t, params, box, True)
+            for b_lo, b_hi, sign in closed:
+                big = b_lo > 8192.0
+                assert np.all(b_hi[big] == np.nextafter(b_lo[big], np.inf))
+                s, _ = r1_curve(gamma, t, params, True)(np.concatenate([b_lo, b_hi]))
+                left, right = np.sign(s).reshape(2, -1)
+                assert np.all(left == sign) and np.all(right != sign)
+            roots += source == "root" and rate > 8192.0
+    assert roots >= 8
+
+
+def test_every_default_sweep_cell_refines_in_few_passes(monkeypatch):
+    # a cell refines its runs' brackets together, in three Newton passes at
+    # most on every default cell, against five or six multisection steps
+    newton = equilibrium._r1_newton
+    passes = []
+
+    def counted(*args):
+        step = newton(*args)
+
+        def wrapper(*pass_args):
+            passes[-1] += 1
+            return step(*pass_args)
+
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "_r1_newton", counted)
+    for axis in harness.SWEEP_AXES:
+        spec = SweepSpec.for_axis(axis, ScenarioConfig())
+        for value in spec.values:
+            passes.append(0)
+            harness.evaluate_cell(spec.cell_config(value), [MechanismKind.IFEDCROWD])
+    assert len(passes) == 18
+    assert max(passes) <= 3
+
+
+def test_a_whole_coarse_cell_is_read_at_its_sections(monkeypatch):
+    # the surrogate reads every one of its 64 coarse cells at 65 points (the
+    # 63 shared ends twice), never at a 65th section that a rounding of
+    # (b - a)/h just above 64 would add
+    counts = []
+    slope = equilibrium._r1_slope
+    monkeypatch.setattr(
+        equilibrium, "_r1_slope", lambda r, *args: counts.append(np.size(r)) or slope(r, *args)
+    )
+    for pop, params, box in default_cell_runs():
+        counts.clear()
+        solve_r1(pop, params, box)
+        assert counts == [equilibrium._CELLS * (equilibrium._SECTIONS + 1)]
 
 
 def test_r1_search_and_verification_memory_stay_within_absolute_budgets():
@@ -863,6 +1102,29 @@ def test_r1_search_and_verification_memory_stay_within_absolute_budgets():
     search = lambda: argmax_r1(gamma, t, params, box, clamp=True)  # noqa: E731
     assert peak_bytes(search) <= 8 * 2**20
     assert peak_bytes(lambda: harness.verify_scenario(ScenarioConfig(n=10**4))) <= 64 * 2**20
+
+
+def test_the_refine_pass_holds_no_rates_by_clients_array():
+    # 300 rates over 3000 clients: one 300 x 3000 float array alone takes
+    # 7.2 MB, and the pass's blocks keep all its temporaries within _BLOCK
+    # entries (0.5 MB), both clamped and unclamped
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    gamma, t = rng.uniform(0.5, 5.0, (1, 3000)), rng.uniform(0.5, 3.0, (1, 3000))
+    gt = gamma * t
+    rates = rng.uniform(gt.min(), equilibrium._C_OUT * gt.max(), 300)
+    pop = np.zeros(300, dtype=np.intp)
+    for clamp in (True, False):
+        newton = equilibrium._r1_newton(gamma, t, 2.0, clamp)
+        tracemalloc.start()
+        try:
+            slope, curve = newton(rates, pop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
+        assert np.all(np.isfinite(slope)) and np.all(np.isfinite(curve))
 
 
 def dense_r1(r1, gamma, t, params, clamp, slope):
@@ -988,6 +1250,7 @@ def test_r1_search_matches_the_dense_search_bit_for_bit():
             box.r1_lo,
             box.r1_hi,
             kinks,
+            curve=r1_curve(gamma, t, params, True),
         )
         got = argmax_r1(gamma, t, params, box, clamp=True)
         assert got[0].hex() == want[0].hex() and got[1] == want[1], (got, want)
@@ -1013,6 +1276,7 @@ def full_r1_search(gamma, t, params, box, slope, value):
         box.r1_lo,
         box.r1_hi,
         down_kinks(gamma, t, params),
+        curve=r1_curve(gamma, t, params, True),
     )
 
 
@@ -1146,9 +1410,10 @@ def cell_reads(lo, hi, kinks, cut=math.inf):
     every cell kept, as arrays of cell indices and rates.
 
     The cells end at the _CELLS + 1 coarse points up to the first one at or
-    past the cut, at hi and at the in-box kinks.  Cell i is read at the ends
-    of ceil(width / h) equal sections, h = (hi - lo)/(_CELLS _SECTIONS), an
-    end at a kink max(_XTOL, ulp) inside the cell.
+    past the cut, at hi and at the in-box kinks.  A cell between two coarse
+    points is read at the ends of _SECTIONS equal sections, any other at
+    the ends of ceil(width / h), h = (hi - lo)/(_CELLS _SECTIONS), an end at
+    a kink max(_XTOL, ulp) inside the cell.
     """
     kinks = in_box(kinks, lo, hi)
     coarse = np.linspace(lo, hi, equilibrium._CELLS + 1).tolist()
@@ -1158,7 +1423,10 @@ def cell_reads(lo, hi, kinks, cut=math.inf):
     for i, (a, b) in enumerate(zip(ends, ends[1:])):
         if a >= cut:
             break
-        m = max(math.ceil((b - a) / h), 1)
+        if a in coarse and b in coarse:
+            m = equilibrium._SECTIONS
+        else:
+            m = max(math.ceil((b - a) / h), 1)
         pts = [a + (b - a) * (j / m) for j in range(m)] + [b]
         for j, inward in ((0, 1.0), (m, -1.0)):
             if pts[j] in kinks:
@@ -1168,7 +1436,7 @@ def cell_reads(lo, hi, kinks, cut=math.inf):
     return np.array(cells), np.array(rates)
 
 
-def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+def refine_every_sign_change(slope, curve, value, lo, hi, kinks=(), cut=math.inf, rise=None):
     """Oracle: the r1 search that refines every sign change inside a cell,
     rising ones included.
 
@@ -1188,7 +1456,7 @@ def refine_every_sign_change(slope, value, lo, hi, kinks=(), cut=math.inf, rise=
         raise NumericError(f"derivative not finite at rate {xs[bad][0]}")
     signs = np.sign(s)
     i = np.nonzero((cells[:-1] == cells[1:]) & (xs[:-1] < xs[1:]) & (signs[:-1] != signs[1:]))[0]
-    b_lo, b_hi = refine1(slope, xs[i], xs[i + 1], signs[i])
+    b_lo, b_hi = refine1(curve, xs[i], xs[i + 1], s[i], s[i + 1])
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
@@ -1259,10 +1527,10 @@ def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
     calls, brackets = [], []
     refine = equilibrium._refine
 
-    def counted(slope, lo, hi, sign_lo, pop):
+    def counted(curve, lo, hi, s_lo, s_hi, pop):
         calls.append(len(lo))
-        brackets.extend(sign_lo.tolist())
-        return refine(slope, lo, hi, sign_lo, pop)
+        brackets.extend(np.sign(s_lo).tolist())
+        return refine(curve, lo, hi, s_lo, s_hi, pop)
 
     monkeypatch.setattr(equilibrium, "_refine", counted)
     runs = 0
@@ -1284,9 +1552,9 @@ def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(mon
     refined = []
     refine = equilibrium._refine
 
-    def counted(slope, lo, hi, sign_lo, pop):
+    def counted(curve, lo, *args):
         refined.append(len(lo))
-        return refine(slope, lo, hi, sign_lo, pop)
+        return refine(curve, lo, *args)
 
     monkeypatch.setattr(equilibrium, "_refine", counted)
     coarse = np.linspace(0.0, 1.0, equilibrium._CELLS + 1)
@@ -1349,7 +1617,7 @@ def parent_kink_roots(slope, a, b, sign_lo, kinks):
     return resolved
 
 
-def parent_search(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+def parent_search(slope, curve, value, lo, hi, kinks=(), cut=math.inf, rise=None):
     """Reference: the r1 search as it read the slope on one SCAN-point grid.
 
     Cells end at every 64th grid point below the cut, hi and the in-box
@@ -1390,7 +1658,7 @@ def parent_search(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None):
     signs = np.sign(s)
     i = np.nonzero(scan[:-1] & scan[1:] & (signs[:-1] != signs[1:]) & (signs[:-1] >= 0))[0]
     i = i[~parent_kink_roots(slope, xs[i], xs[i + 1], signs[i], np.sort(kinks))]
-    b_lo, b_hi = refine1(slope, xs[i], xs[i + 1], signs[i])
+    b_lo, b_hi = refine1(curve, xs[i], xs[i + 1], s[i], s[i + 1])
     roots = 0.5 * (b_lo + b_hi)
     if kinks.size:
         w = (b_hi - b_lo)[:, None]
@@ -1446,9 +1714,9 @@ def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monk
     refine = equilibrium._refine
     slope = equilibrium._r1_slope
 
-    def checked(slope, lo, hi, sign_lo, pop):
+    def checked(curve, lo, hi, *args):
         assert np.all(lo < hi)
-        return refine(slope, lo, hi, sign_lo, pop)
+        return refine(curve, lo, hi, *args)
 
     def first_reads(r, *args):
         reads.append(r)
@@ -1587,16 +1855,17 @@ def test_a_bump_narrower_than_a_coarse_cell_is_bounded_by_its_client():
 
 
 def test_r1_searches_of_the_default_sweep_read_few_rates():
-    # reading every cell below the cut takes 584,357 slope rates over the
-    # 180 default-sweep populations; the cell bounds read 54,998 slopes in
-    # 624 calls and value 11,432 rates, with the cell ends.  The ceilings
-    # are about 10% of the full read's slopes (11% over today's count), 14%
-    # over today's values and 4% over today's calls, so a return to the full
-    # read, or a second slope call per search (711 calls with the separate
-    # kink check), fails here
-    rates = {"slope": 0, "value": 0}
-    calls = {"slope": 0, "value": 0}
-    slope, value = equilibrium._r1_slope, equilibrium._r1_value
+    # reading every cell below the cut takes 580,491 slope rates over the
+    # 180 default-sweep populations; the cell bounds read 23,141 slopes, one
+    # call per search, and value 11,432 rates, with the cell ends, and the
+    # refine reads 528 rates in 156 Newton passes.  The slope ceiling is
+    # about 4% of the full read (10% over today's count) and the value
+    # ceiling 14% over today's, so a return to the full read, a second slope
+    # call per search (the separate kink check) or a refine through the
+    # slope helper fails here
+    rates = {"slope": 0, "value": 0, "refine": 0}
+    calls = {"slope": 0, "value": 0, "refine": 0}
+    slope, value, newton = equilibrium._r1_slope, equilibrium._r1_value, equilibrium._r1_newton
 
     def counted(name, helper):
         def wrapper(r, *args):
@@ -1608,12 +1877,13 @@ def test_r1_searches_of_the_default_sweep_read_few_rates():
 
     with patch.object(equilibrium, "_r1_slope", counted("slope", slope)), patch.object(
         equilibrium, "_r1_value", counted("value", value)
-    ):
+    ), patch.object(equilibrium, "_r1_newton", lambda *args: counted("refine", newton(*args))):
         for pop, params, box in default_cell_runs():
             compute_equilibrium(pop, params, box)
-    assert rates["slope"] <= 61_008
+    assert rates["slope"] <= 25_500
     assert rates["value"] <= 13_000
-    assert calls["slope"] <= 650
+    assert calls["slope"] == 180
+    assert calls["refine"] <= 180 and rates["refine"] <= 600
 
 
 def bisect_r2_segments(delta, params, box, clamp):
@@ -1625,14 +1895,15 @@ def bisect_r2_segments(delta, params, box, clamp):
     ends = np.concatenate(([lo], kinks, [hi]))
     a, b = ends[:-1], ends[1:]
     live = equilibrium._live_sums(a, sums, clamp)
-    inner = (equilibrium._r2_parts(a, live, params)[1] > 0) & (
-        equilibrium._r2_parts(b, live, params)[1] < 0
-    )
+    s_a = equilibrium._r2_parts(a, live, params)[1]
+    s_b = equilibrium._r2_parts(b, live, params)[1]
+    inner = (s_a > 0) & (s_b < 0)
 
     def parts(r):
         return equilibrium._r2_parts(r, equilibrium._live_sums(r, sums, clamp), params)
 
-    b_lo, b_hi = refine1(lambda r: parts(r)[1], a[inner], b[inner], np.ones(int(inner.sum())))
+    slope = slope_only(lambda r: parts(r)[1])
+    b_lo, b_hi = refine1(slope, a[inner], b[inner], s_a[inner], s_b[inner])
     return best1(lambda r: parts(r)[0], 0.5 * (b_lo + b_hi), lo, hi, kinks)
 
 

@@ -777,13 +777,13 @@ def test_a_run_whose_solve_fails_fails_alone(monkeypatch):
 
 
 def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
-    # the default workers=10 cell: its ten solves one by one make 46 r1 slope
-    # and 20 r1 value calls, the costliest run 7 and 2; solved together, the
-    # cell makes no more calls than that run
+    # the default workers=10 cell: its ten solves one by one make 10 r1 slope
+    # calls, 20 r1 value calls and 12 refine passes, the costliest run 1, 2
+    # and 2; solved together, the cell makes no more calls than that run
     from ifedcrowd import equilibrium
 
     config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
-    calls = {"slope": 0, "value": 0}
+    calls = {"slope": 0, "value": 0, "pass": 0}
 
     def counted(name, helper):
         def wrapper(*args):
@@ -792,19 +792,21 @@ def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
 
         return wrapper
 
+    newton = equilibrium._r1_newton
     monkeypatch.setattr(equilibrium, "_r1_slope", counted("slope", equilibrium._r1_slope))
     monkeypatch.setattr(equilibrium, "_r1_value", counted("value", equilibrium._r1_value))
+    monkeypatch.setattr(equilibrium, "_r1_newton", lambda *args: counted("pass", newton(*args)))
     per_run = []
     for run in range(config.runs):
         pop = sample_population(config, run)
         compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
-        per_run.append((calls["slope"], calls["value"]))
-        calls.update(slope=0, value=0)
-    assert tuple(map(sum, zip(*per_run))) == (46, 20)
-    assert max(per_run) == (7, 2)
+        per_run.append((calls["slope"], calls["value"], calls["pass"]))
+        calls.update({name: 0 for name in calls})
+    assert tuple(map(sum, zip(*per_run))) == (10, 20, 12)
+    assert max(per_run) == (1, 2, 2)
     outcomes, failures = evaluate_cell(config, list(MechanismKind))
     assert len(outcomes) == 30 and not failures
-    assert calls["slope"] <= 7 and calls["value"] <= 2
+    assert calls["slope"] <= 1 and calls["value"] <= 2 and calls["pass"] <= 2
 
 
 def test_pinned_fuzz_config_verifies():
