@@ -31,17 +31,16 @@ slice falls across the whole box: r1_lo is its maximum, and nothing is read
 or valued.
 
 Below c the realized search first bounds the cells, in the manner of
-Piyavskii and Shubert with a curvature bound in place of a Lipschitz
-constant.  The slice is valued at every cell end.  Inside a cell the slope
-jumps only up, and the slice's curvature is at least -M, M summed over the
-clients live in the cell, so the slice is at most
-max(V(a), V(b)) + M (b - a)^2/8 there.  A cell whose bound falls short of
-the best cell end by more than the final pick's tie snap cannot hold the
-pick, so only the other cells are read.  A kept cell is read on the same
-points as when every cell is read, so the search returns that reading's
-rate and source bit for bit whenever it is the global maximum.  The
-surrogate has no kinks and no bound, and reads every cell of the same
-search.
+Piyavskii and Shubert.  The slice is valued at every cell end, and each
+cell takes the bound the server certificate takes (`_R1Bound`): the lesser
+of a Lipschitz cone on its end values and a chord bound on a curvature
+bound, both summed over the clients live in the cell and padded for
+rounding.  A cell whose bound falls short of the best cell end by more
+than the final pick's tie snap cannot hold the pick, so only the other
+cells are read.  A kept cell is read on the same points as when every cell
+is read, so the search returns that reading's rate and source bit for bit
+whenever it is the global maximum.  The surrogate has no kinks and no
+bound, and reads every cell of the same search.
 
 The solvers work on a stack of P populations of n clients each, one row
 per population: a sweep cell solves all its runs in one pass
@@ -118,24 +117,31 @@ _SECTIONS = 64       # sections per coarse cell read
 _XTOL = 1e-12        # bracket width at which refinement stops
 _BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
 _PAD = 1e-9          # relative margin of an r1 live window
+_CELL_BUDGET = 4096  # r1 cells the server certificate may bound
 # r1/(gamma t) at which an accuracy response enters and leaves the clamp rectangle
 _C_IN, _C_OUT = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
 
 
-def _find(rows: np.ndarray, x: np.ndarray, pop: np.ndarray, side: str) -> np.ndarray:
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """The keys p + i*v of the entries v of each row p of a stack, flat, for `_find`."""
+    keys = np.empty(rows.shape, dtype=complex)
+    keys.real, keys.imag = np.arange(len(rows))[:, None], rows
+    return keys.ravel()
+
+
+def _find(rows: np.ndarray, x: np.ndarray, pop: np.ndarray, side: str, keys=None) -> np.ndarray:
     """np.searchsorted(rows[pop[i]], x[i], side) for every i; each row of ``rows`` is sorted.
 
-    Numpy orders complex numbers by real part, then by imaginary part, so
-    the keys p + i*v lay the rows end to end in one sorted array, and one
-    search serves every population of a stack.
+    A stack is searched once, through its `_keys` (``keys``, or made here):
+    numpy orders complex numbers by real part, then by imaginary part, so
+    they lay the sorted rows end to end in one sorted array.
     """
     if len(rows) == 1:
         return np.searchsorted(rows[0], x, side)
-    keys = np.empty(rows.shape, dtype=complex)
-    keys.real, keys.imag = np.arange(len(rows))[:, None], rows
+    keys = _keys(rows) if keys is None else keys
     wanted = np.empty(len(x), dtype=complex)
     wanted.real, wanted.imag = pop, x
-    return np.searchsorted(keys.ravel(), wanted, side) - pop * rows.shape[1]
+    return np.searchsorted(keys, wanted, side) - pop * rows.shape[1]
 
 
 def _starts(pop: np.ndarray) -> np.ndarray:
@@ -201,33 +207,29 @@ def _r1_rows(r: np.ndarray, x: np.ndarray, a: np.ndarray, w: np.ndarray, share: 
     return share * a.sum(axis=1) - r * (a @ w[0])
 
 
-def _r1_windowed(
-    r: np.ndarray,
-    g: np.ndarray,
-    t: np.ndarray,
-    share: float,
-    slope: bool,
-    scratch: tuple[np.ndarray, ...],
-):
+def _r1_windowed(r: np.ndarray, g, t, cum, share: float, slope: bool, scratch):
     """The realized r1 slice (or its slope) at rates r, over each rate's live clients only.
 
-    Sorted by g_k = gamma_k t_k, a client is live exactly when
+    ``g`` and ``t`` hold one population's clients.  Given ``cum``, the
+    prefix sums of 1/t_k, they are sorted by g_k = gamma_k t_k; otherwise
+    they are sorted here.  A client is live exactly when
     g_k _C_IN <= r < g_k _C_OUT, so the live clients at any rate form one
     contiguous window of that order: the clients before it sit at
     ACCURACY_MAX, those after it at ACCURACY_MIN, and their terms are
-    constants times prefix sums of 1/t.  Both window ends rise with the rate,
-    so the sorted rates go in blocks of consecutive rates whose rows times
-    window width stay within _BLOCK entries (at least one rate per block),
-    and exponentials are taken over each block's window only.  A window is
-    padded by the relative margin _PAD, so every client outside it clamps
-    whatever the rounding of its exponential, and inside it the clamp test
-    is the exact one of `_r1_terms`.  Every block reuses ``scratch``.
-    Returns the results in the order of r.
+    constants times prefix sums of 1/t.  Both window ends rise with the
+    rate, so the sorted rates go in blocks of consecutive rates whose rows
+    times window width stay within _BLOCK entries (at least one rate per
+    block), and exponentials are taken over each block's window only.  A
+    window is padded by the relative margin _PAD, so every client outside
+    it clamps whatever the rounding of its exponential, and inside it the
+    clamp test is the exact one of `_r1_terms`.  Every block reuses
+    ``scratch``.  Returns the results in the order of r.
     """
-    order = np.argsort(g, kind="stable")
-    g, t = g[order], t[order]
+    if cum is None:
+        order = np.argsort(g, kind="stable")
+        g, t = g[order], t[order]
+        cum = np.concatenate(([0.0], np.cumsum(1.0 / t)))
     n = len(g)
-    cum = np.concatenate(([0.0], np.cumsum(1.0 / t)))
     rank = np.argsort(r, kind="stable")
     rs = r[rank]
     first = np.searchsorted(g, rs / _C_OUT * (1.0 - _PAD))
@@ -254,18 +256,20 @@ def _r1_windowed(
     return out
 
 
-def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=None):
+def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=None, ranked=None):
     """`_r1_value` (or, with ``slope``, `_r1_slope`) at every rate of r1, in its order.
 
     Each population's rates are computed as in a call of their own.  At
     most _BLOCK rates x clients entries are one block over every client.  A
-    larger clamped call goes through `_r1_windowed`, and a larger unclamped
-    one, where every client is live, is split into blocks of rates over
-    every client.  Populations of at most _BLOCK entries share a block with
-    their neighbours while the block stays within _BLOCK entries; its
-    exponentials are taken once, and `_r1_rows` sums each population's own
-    rows.  The blocks share one `_scratch`, allocated here: no block holds
-    more than max(_BLOCK, n) entries.
+    larger clamped call goes through `_r1_windowed`, which sorts the
+    population's clients by g unless ``ranked``, the stack's `_R1Bound`,
+    holds them sorted; a larger unclamped one, where every client is live,
+    is split into blocks of rates over every client.  Populations of at
+    most _BLOCK entries share a block with their neighbours while the block
+    stays within _BLOCK entries; its exponentials are taken once, and
+    `_r1_rows` sums each population's own rows.  The blocks share one
+    `_scratch`, allocated here: no block holds more than max(_BLOCK, n)
+    entries.
     """
     r = np.atleast_1d(np.asarray(r1, dtype=float))
     if pop is None:
@@ -284,7 +288,10 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
             s, e = bounds[p], bounds[p + 1]
             if (e - s) * n > _BLOCK:
                 if clamp:
-                    out[s:e] = _r1_windowed(r[s:e], g[p], t[p], share, slope, scratch)
+                    clients = (g[p], t[p], None)
+                    if ranked is not None:
+                        clients = ranked.g[p], ranked.t[p], ranked.cum[0, p]
+                    out[s:e] = _r1_windowed(r[s:e], *clients, share, slope, scratch)
                 else:
                     w = _r1_weights(g[p], t[p], share, slope)
                     step = max(_BLOCK // n, 1)
@@ -309,25 +316,25 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
     return out if np.ndim(r1) else float(out[0])
 
 
-def _r1_value(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, pop=None):
+def _r1_value(r1, gamma, t, params: SystemParams, clamp: bool, pop=None, ranked=None):
     """r1-dependent slice of the server utility: sum_k (alpha/n - r1/t_k) A_k(r1).
 
     A_k is the accuracy response exp(r1/(gamma_k t_k) - 1) - 1, clamped into
     [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
     1-D array of rates and returns the same shape.  With ``pop``, gamma and
     t hold a stack of populations, one per row, and rate i is taken in
-    population pop[i], pop nondecreasing.
+    population pop[i], pop nondecreasing; ``ranked`` as in `_r1_parts`.
     """
-    return _r1_parts(r1, gamma, t, params, clamp, False, pop)
+    return _r1_parts(r1, gamma, t, params, clamp, False, pop, ranked)
 
 
-def _r1_slope(r1, gamma: np.ndarray, t: np.ndarray, params: SystemParams, clamp: bool, pop=None):
+def _r1_slope(r1, gamma, t, params: SystemParams, clamp: bool, pop=None, ranked=None):
     """Right derivative of `_r1_value` in r1, with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1)/(gamma_k t_k).
 
     A clamped response has zero slope.  A client counts as unclamped on
     [ACCURACY_MIN, ACCURACY_MAX), where its response rises just right of r1.
     """
-    return _r1_parts(r1, gamma, t, params, clamp, True, pop)
+    return _r1_parts(r1, gamma, t, params, clamp, True, pop, ranked)
 
 
 def _r1_newton(gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool):
@@ -618,44 +625,111 @@ def _best(
     ]
 
 
-def _r1_rise(gamma: np.ndarray, t: np.ndarray, share: float):
-    """How far the realized r1 slice can rise above its higher end, on each cell [a, b].
+class _R1Bound:
+    """Upper bounds on the realized r1 slice V over cells [a, b], for a stack of populations.
 
-    With g_k = gamma_k t_k, s = alpha/n and x_k = exp(r/g_k - 1), a live
-    client's term (s - r/t_k)(x_k - 1) has second derivative
-    x_k ((s - r/t_k)/g_k^2 - 2/(g_k t_k)), and x_k < 1 + ACCURACY_MAX while it
-    is live; a clamped client's term is linear.  So on [a, b], with r >= 0,
-    the slice's curvature is at least -M for
-    M = (1 + ACCURACY_MAX) sum (s/g_k^2 + b/(t_k g_k^2) + 2/(g_k t_k)) over the
-    clients live somewhere in [a, b].  Where the slope jumps only up, the
-    slice then lies below its chord plus M (x - a)(b - x)/2, so it is at
-    most max(V(a), V(b)) + M (b - a)^2/8.  Sorted by g, the clients live in
-    [a, b] are one contiguous run (`_r1_windowed`, padded the same way), so
-    suffix sums give each cell's M in O(log n), with no cells x clients
-    array.  gamma and t hold a stack of populations, one per row.  Returns
-    a function of the arrays of cell ends a, b and of their populations
-    giving M (b - a)^2/8.  A client so small in g that its terms overflow
-    makes that infinite or NaN on the cells where it is live, and only there.
+    With s = alpha/n and g_k = gamma_k t_k, client k is live on
+    [g_k _C_IN, g_k _C_OUT), where its term (s - r/t_k) A_k(r) has
+    V_k'' = (A_k'/g_k)(s - (r + 2 g_k)/t_k), A_k' = x_k/g_k and
+    x_k = e^(r/g_k - 1) in [1 + ACCURACY_MIN, 1 + ACCURACY_MAX]; elsewhere
+    it is linear.  Its slope jumps by (s - gamma_k _C_IN)(1 + ACCURACY_MIN)/g_k
+    at entry and by (gamma_k _C_OUT - s)(1 + ACCURACY_MAX)/g_k at exit,
+    down or up by the sign.  ``kinks`` holds them sorted, with their
+    ``jump`` and ``drops`` the sum of the down-jumps before each; only a
+    down-kink can be a maximum, and ``down`` lists them with their
+    populations ``down_pop``.  ``g``, ``t`` and ``cum`` hold each population
+    sorted by g and its prefix sums in that order, which `_r1_windowed`
+    reads too.  The clients live somewhere in a cell [a, b] are one run of
+    that order (`window`, padded as in `_r1_windowed`), so the prefix sums
+    give, with no cells x clients array:
+
+    - M >= -V'', from -V_k'' <= (1 + ACCURACY_MAX)(b + 2 g_k)/(t_k g_k^2);
+    - D, the down-jumps strictly inside, summed;
+    - U >= V' and F >= -V', from V' = -sum A_k/t_k + sum over the live of
+      (s - r/t_k) x_k/g_k, with the clients past the window at
+      ACCURACY_MAX and those short of it at ACCURACY_MIN.
+
+    A cell is bounded by the lesser of:
+
+    - the chord bound.  V + M (x - a)(x - b)/2 + sum |J_p| |x - p|/2 over
+      the down-kinks p is convex on the cell, so V is at most
+      max(V(a), V(b)) + M (b - a)^2/8 + D (b - a)/4;
+    - the cone V <= min(V(a) + U (x - a), V(b) + F (b - x)), Piyavskii and
+      Shubert's Lipschitz bound (Shubert, SIAM J. Numer. Anal., 1972),
+      which is (V(a) + V(b))/2 + L (b - a)/2 when U = F = L.
+
+    Slopes, curvatures and jumps are padded for rounding as in
+    `_deviation_bounds`, prefix sums by n eps of their total; V(a) and V(b)
+    are compared as computed (ROADMAP item 5).  gamma and t hold a stack of
+    populations, one per row.  Called with the cell ends a, b, their values
+    V(a), V(b) and the populations pop, it returns each cell's bound and a
+    rate where it sits.  A bound that is not a number reads as +inf.  A
+    client so small in g that its terms overflow sits first in the g order
+    and makes the prefix sums past it infinite, so the cells whose windows
+    reach it or lie past it may go unbounded.  Every step is elementwise or
+    a prefix sum along one population's row, so a population's bounds in a
+    stack equal its bounds alone, bit for bit.
     """
-    g = gamma * t
-    order = np.argsort(g, axis=1, kind="stable")
-    g, t = np.take_along_axis(g, order, axis=1), np.take_along_axis(t, order, axis=1)
-    with np.errstate(over="ignore", divide="ignore"):
-        inv = 1.0 / g
-        terms = np.stack([inv * (share * inv + 2.0 / t), inv * inv / t], axis=1)
-    # suffix sums, so that the small terms of the large g are added first
-    tail = np.zeros(terms.shape[:2] + (g.shape[1] + 1,))
-    tail[:, :, :-1] = np.cumsum(terms[:, :, ::-1], axis=2)[:, :, ::-1]
 
-    def rise(a: np.ndarray, b: np.ndarray, pop: np.ndarray) -> np.ndarray:
-        first = _find(g, a / _C_OUT * (1.0 - _PAD), pop, "left")
-        stop = _find(g, b / _C_IN * (1.0 + _PAD), pop, "right")
-        # inf - inf where an overflowed term is live; inf * 0 where b - a underflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            fixed, per_b = (tail[pop, :, first] - tail[pop, :, stop]).T
-            return (1.0 + ACCURACY_MAX) / 8.0 * (fixed + b * per_b) * (b - a) ** 2
+    def __init__(self, gamma: np.ndarray, t: np.ndarray, share: float):
+        g = gamma * t
+        n = g.shape[1]
+        rows, order = np.arange(len(g))[:, None], np.argsort(g, axis=1, kind="stable")
+        self.g, self.t, self.share = g[rows, order], t[rows, order], share
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            enter = (share - _C_IN * gamma) * (1.0 + ACCURACY_MIN) / g
+            leave = (_C_OUT * gamma - share) * (1.0 + ACCURACY_MAX) / g
+            inv = 1.0 / self.g
+            terms = np.stack([1.0 / self.t, inv, inv / self.t, inv * inv / self.t])
+        jump = np.concatenate([enter, leave], axis=1)  # in the clients' order
+        kinks, down = np.concatenate([g * _C_IN, g * _C_OUT], axis=1), jump < 0
+        self.down, self.down_pop = kinks[down], np.nonzero(down)[0]
+        # sorted by rate from the g order, entries then exits, in which equal kinks stay
+        slots = np.concatenate([order, order + n], axis=1)
+        by_rate = slots[rows, np.argsort(kinks[rows, slots], axis=1, kind="stable")]
+        self.kinks, self.jump = kinks[rows, by_rate], jump[rows, by_rate]
+        self.drops = np.zeros((len(g), 2 * n + 1))
+        np.cumsum(np.where(self.jump < 0, -self.jump, 0.0), axis=1, out=self.drops[:, 1:])
+        self.cum = np.zeros((4, len(g), n + 1))  # of 1/t, 1/g, 1/(g t) and 1/(g^2 t)
+        np.cumsum(terms, axis=2, out=self.cum[:, :, 1:])
+        self.fuzz = n * np.finfo(float).eps
+        self.keys = [_keys(self.g), _keys(self.kinks)] if len(g) > 1 else [None, None]
 
-    return rise
+    def window(self, a, b, pop):
+        """The run [first, stop) of the g order of the clients live somewhere in [a, b]."""
+        first = _find(self.g, a / _C_OUT * (1.0 - _PAD), pop, "left", self.keys[0])
+        stop = _find(self.g, b / _C_IN * (1.0 + _PAD), pop, "right", self.keys[0])
+        return first, stop
+
+    def __call__(self, a, b, va, vb, pop) -> tuple[np.ndarray, np.ndarray]:
+        first, stop = self.window(a, b, pop)
+        n = self.g.shape[1]
+        # one flat gather over the populations' rows laid end to end, faster than a 2-D one
+        at, cum = pop * (n + 1), self.cum.reshape(4, -1)
+        cum_first, cum_stop = np.take(cum, at + first, axis=1), np.take(cum, at + stop, axis=1)
+        total = cum[0, at + n]
+        at, drops = pop * (2 * n + 1), self.drops.ravel()
+        drop_a = drops[at + _find(self.kinks, a, pop, "right", self.keys[1])]
+        drop_b = drops[at + _find(self.kinks, b, pop, "left", self.keys[1])]
+        w = b - a
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # the window's sums of 1/g, 1/(g t) and 1/(g^2 t)
+            live = (cum_stop[1:] - cum_first[1:]) * (1.0 + _SLACK) + self.fuzz * cum_stop[1:]
+            least = ACCURACY_MAX * cum_first[0] + ACCURACY_MIN * (total - cum_first[0])
+            most = ACCURACY_MAX * cum_stop[0] + ACCURACY_MIN * (total - cum_stop[0])
+            summed = self.fuzz * total  # the rounding of the prefix sums of 1/t
+            rise = (1.0 + ACCURACY_MAX) * self.share * live[0] - least * (1.0 - _SLACK) + summed
+            fall = (1.0 + ACCURACY_MAX) * b * live[1] + most * (1.0 + _SLACK) + summed
+            y = np.clip((vb - va + fall * w) / (rise + fall), 0.0, w)
+            flat, steep = rise <= 0, fall <= 0
+            y = np.where(flat, 0.0, np.where(steep, w, y))
+            cone = np.where(flat, va, np.where(steep, vb, va + rise * y))
+            curve = (1.0 + ACCURACY_MAX) * (b * live[2] + 2.0 * live[1])
+            drop = (drop_b - drop_a) * (1.0 + _SLACK) + self.fuzz * drop_b
+            chord = np.maximum(va, vb) + curve * w * w / 8.0 + drop * w / 4.0
+            out = np.minimum(cone, chord)
+            where = np.where(cone < chord, a + y, np.where(va >= vb, a, b))
+        return np.where(np.isnan(out), math.inf, out), where
 
 
 def _coarse(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -678,25 +752,25 @@ def _search(
     kinks: np.ndarray,
     kink_pop: np.ndarray,
     cut: np.ndarray,
-    rise=None,
+    bound=None,
 ) -> list:
     """Global maximizer of a piecewise-smooth axis objective on [lo_p, hi_p], for each population p.
 
     ``slope``, ``curve`` (`_refine`'s slope and curvature), ``value`` and
-    ``rise`` take their rates (or cells) with the population of each,
+    ``bound`` take their rates (or cells) with the population of each,
     grouped; ``kinks`` are grouped by their populations
     ``kink_pop``, and ``cut`` holds one cut per population.  The box is cut
     into cells at _CELLS + 1 equally spaced points, up to the first one at
     or past ``cut``, at ``hi`` and at the in-box ``kinks``, where the slope
     jumps down (an upward jump is a convex corner).  A cell [a, b] with
     a >= ``cut`` is dropped: the objective is known to fall strictly past
-    the cut.  With ``rise``, the objective is valued at every cell end,
-    ``rise(a, b, pop)`` bounds how far it climbs above max(V(a), V(b))
-    inside [a, b] (`_r1_rise`), and a cell whose bound is below the best end
-    value less `_best`'s tie snap, 1e-10 max(1, |best|), is dropped too; a
-    non-finite bound keeps its cell.  A dropped cell holds only candidates
-    more than the tie snap below the best end value, so it cannot hold the
-    pick.  Without ``rise`` every cell below the cut is kept.
+    the cut.  With ``bound``, the objective is valued at every cell end,
+    ``bound(a, b, V(a), V(b), pop)[0]`` bounds it on each cell [a, b]
+    (`_R1Bound`), and a cell whose bound is below the best end value less
+    `_best`'s tie snap, 1e-10 max(1, |best|), is dropped too; an infinite
+    bound keeps its cell.  A dropped cell holds only candidates more than
+    the tie snap below the best end value, so it cannot hold the pick.
+    Without ``bound`` every cell below the cut is kept.
 
     The slope is read in one call at the ends of equal sections of every
     kept cell: _SECTIONS of a cell between neighbouring coarse points, and
@@ -746,14 +820,13 @@ def _search(
     left = np.flatnonzero(pop[:-1] == pop[1:])
     a, b, cell_pop = ends[left], ends[left + 1], pop[left]
     keep = a < cut[cell_pop]
-    if rise is not None:
+    if bound is not None:
         v = value(ends, pop)
         top = np.full(len(lo), np.nan)
         starts = _starts(pop)
         top[pop[starts]] = np.maximum.reduceat(v, starts)
         floor = top - 1e-10 * np.maximum(1.0, np.abs(top))
-        bound = np.maximum(v[left], v[left + 1]) + rise(a, b, cell_pop)
-        keep &= ~(bound < floor[cell_pop])
+        keep &= ~(bound(a, b, v[left], v[left + 1], cell_pop)[0] < floor[cell_pop])
     ends_kept = np.zeros(len(ends), dtype=bool)
     ends_kept[left[keep]] = True
     ends_kept[left[keep] + 1] = True
@@ -816,44 +889,38 @@ def _argmax_r1(
 
     Client k's realized term (alpha/n - r/t_k) A_k(r) has right slope
     -A_k/t_k + (alpha/n - r/t_k) A_k'(r), with A_k' >= 0 and
-    A_k >= ACCURACY_MIN > 0.  So past c = (alpha/n) max t every term, and the
-    slice, strictly falls: at c <= r1_lo the maximum is r1_lo, and otherwise
-    `_search` computes no slope past c.  The surrogate's unclamped A_k may
-    be negative, so it keeps c = inf.  gamma and t hold one population per
-    row, with its box in ``boxes``; returns `_search`'s result for each.
+    A_k >= ACCURACY_MIN > 0.  So past c = (alpha/n) max t, rounded up
+    (`_r1_cut`), every term, and the slice, strictly falls: at c <= r1_lo
+    the maximum is r1_lo, and otherwise `_search` computes no slope past c
+    and prunes the cells below it by `_R1Bound`.  The surrogate's unclamped
+    A_k may be negative, so it keeps c = inf and no bound.  gamma and t
+    hold one population per row, with its box in ``boxes``.
     """
     lo = np.array([box.r1_lo for box in boxes], dtype=float)
     hi = np.array([box.r1_hi for box in boxes], dtype=float)
     out: list = [(float(x), "edge") for x in lo]
     todo = np.arange(len(lo))
     cut = np.full(len(lo), math.inf)
-    kinks, kink_pop, rise = np.empty(0), np.empty(0, dtype=np.intp), None
+    kinks, kink_pop, bound = np.empty(0), np.empty(0, dtype=np.intp), None
     share = params.alpha / params.n
     if clamp:
-        cut = share * t.max(axis=1)
+        cut = _r1_cut(params, t)
         todo = np.flatnonzero(~(cut <= lo))
         if not todo.size:
             return out
         gamma, t, lo, hi, cut = gamma[todo], t[todo], lo[todo], hi[todo], cut[todo]
-        # An accuracy response enters the clamp rectangle at gt*_C_IN and leaves
-        # it at gt*_C_OUT, where the client's slope term jumps by a positive
-        # multiple of alpha/n - _C_IN*gamma and of _C_OUT*gamma - alpha/n.  Only a
-        # kink where the slope jumps down can be a maximum: at most one per client.
-        gt = gamma * t
-        down = np.concatenate([share < _C_IN * gamma, share > _C_OUT * gamma], axis=1)
-        kinks = np.concatenate([gt * _C_IN, gt * _C_OUT], axis=1)[down]
-        kink_pop = np.nonzero(down)[0]
-        rise = _r1_rise(gamma, t, share)
+        bound = _R1Bound(gamma, t, share)
+        kinks, kink_pop = bound.down, bound.down_pop
     found = _search(
-        lambda r, pop: _r1_slope(r, gamma, t, params, clamp, pop),
+        lambda r, pop: _r1_slope(r, gamma, t, params, clamp, pop, bound),
         _r1_newton(gamma, t, share, clamp),
-        lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop),
+        lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop, bound),
         lo,
         hi,
         kinks,
         kink_pop,
         cut,
-        rise,
+        bound,
     )
     for p, result in zip(todo.tolist(), found):
         out[p] = result
@@ -1193,11 +1260,6 @@ def verify_client_equilibrium(
     return _client_reports(np.array([violation]), worst[None, :])[0]
 
 
-
-
-_CELL_BUDGET = 4096  # r1 cells the server certificate may bound
-
-
 def _peak(slope, curve, width):
     """The largest slope y + curve y^2/2 over 0 <= y <= width, and a y reaching it."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1207,13 +1269,14 @@ def _peak(slope, curve, width):
     return y * (slope + 0.5 * curve * y), y
 
 
-def _r1_cut(params: SystemParams, t: np.ndarray) -> float:
+def _r1_cut(params: SystemParams, t: np.ndarray):
     """c = (alpha/n) max t, rounded up past the rounding of its two operations.
 
     Each rounds by at most half an ulp, so the exact (alpha/n) t_k of every
-    client is at most c, the bound `_r1_certificate`'s cut rests on.
+    client is at most c, the bound the r1 cut rests on.  A stack of
+    populations, one per row of t, gets one c per row.
     """
-    return params.alpha / params.n * float(np.max(t)) * (1.0 + _SLACK)
+    return params.alpha / params.n * np.max(t, axis=-1) * (1.0 + _SLACK)
 
 
 def _r1_side_slopes(r: float, gamma: np.ndarray, t: np.ndarray, share: float):
@@ -1324,36 +1387,13 @@ def _r1_certificate(
     e = max(c, lo), one value.
 
     Below the cut, [lo, e] starts as ``cells`` equal cells, with ``star``
-    as one more cell end when it lies inside.  With g_k = gamma_k t_k,
-    client k is live on [g_k _C_IN, g_k _C_OUT), where its term has
-    V_k'' = (A_k'/g_k)(s - (r + 2 g_k)/t_k), A_k' = x_k/g_k and
-    x_k = e^(r/g_k - 1) in [1 + ACCURACY_MIN, 1 + ACCURACY_MAX]; elsewhere
-    it is linear.  Its slope jumps by (s - gamma_k _C_IN)(1 + ACCURACY_MIN)/g_k
-    at entry and by (gamma_k _C_OUT - s)(1 + ACCURACY_MAX)/g_k at exit,
-    down or up by the sign.  The clients live somewhere in a cell [a, b]
-    are one run of the g order (padded as in `_r1_windowed`), so prefix
-    sums give, with no cells x clients array:
-
-    - M >= -V'', from -V_k'' <= (1 + ACCURACY_MAX)(b + 2 g_k)/(t_k g_k^2);
-    - D, the down-jumps strictly inside, summed;
-    - U >= V' and F >= -V', from V' = -sum A_k/t_k + sum over the live of
-      (s - r/t_k) x_k/g_k, with the clients past the window at
-      ACCURACY_MAX and those short of it at ACCURACY_MIN.
-
-    A cell is bounded by the least of:
-
-    - the chord bound.  V + M (x - a)(x - b)/2 + sum |J_p| |x - p|/2 over
-      the down-kinks p is convex on the cell, so V is at most
-      max(V(a), V(b)) + M (b - a)^2/8 + D (b - a)/4; D = 0 on a kink-free
-      cell;
-    - the cone V <= min(V(a) + U (x - a), V(b) + F (b - x)), Piyavskii and
-      Shubert's Lipschitz bound (Shubert, SIAM J. Numer. Anal., 1972), which
-      is (V(a) + V(b))/2 + L (b - a)/2 when U = F = L;
-    - for a cell ending at ``star`` with no up-kink inside, Taylor's bound
-      from star: V(star + y) <= V(star) + V'(star+) y + K y^2/2 for y >= 0,
-      and leftward with V'(star-), where K >= V'' sums each live client's
-      largest curvature over the cell (down-kinks only lower V).  It is
-      tight where K < 0 and the one-sided slopes point away from star.
+    as one more cell end when it lies inside.  Each cell takes the lesser
+    of `_R1Bound`'s padded cone and chord bounds, and, for a cell ending at
+    ``star`` with no up-kink inside, Taylor's bound from star when that is
+    less: V(star + y) <= V(star) + V'(star+) y + K y^2/2 for y >= 0, and
+    leftward with V'(star-), where K >= V'' sums each live client's largest
+    curvature over the cell (down-kinks only lower V).  It is tight where
+    K < 0 and the one-sided slopes point away from star.
 
     A cell whose bound exceeds V(star) + ``room`` is halved, and the halves
     are bounded again; every halving values one rate.  It stops when every
@@ -1361,13 +1401,13 @@ def _r1_certificate(
     when a valued rate already exceeds V(star) + ``room``, so that no cell
     holding it could close; the open cells then keep the bounds they have.
     A cell too narrow to halve keeps its bound, and a bound that is not a
-    number is infinite.  Slopes, curvatures and jumps are padded for
-    rounding as in `_deviation_bounds`, prefix sums by n eps of their
-    total; V itself is compared as computed (ROADMAP item 5).
+    number is infinite.  The side slopes and K are padded for rounding as
+    in `_deviation_bounds`; V itself is compared as computed.
     """
     share = params.alpha / params.n
-    value = lambda r: _r1_value(r, gamma, t, params, clamp=True)  # noqa: E731
-    end = min(max(_r1_cut(params, t), lo), hi)
+    end = min(max(float(_r1_cut(params, t)), lo), hi)
+    cone_chord = _R1Bound(gamma[None], t[None], share) if end > lo else None
+    value = lambda r: _r1_value(r, gamma, t, params, True, None, cone_chord)  # noqa: E731
     ends = np.linspace(lo, end, cells + 1) if end > lo else np.array([lo])
     if lo < star < end and not np.any(ends == star):
         ends = np.insert(ends, np.searchsorted(ends, star), star)
@@ -1382,35 +1422,11 @@ def _r1_certificate(
     if lo <= star <= end:
         left, right, pad = _r1_side_slopes(star, gamma, t, share)
         sides = [(1.0, right + pad), (-1.0, pad - left)]
-    g = gamma * t
-    order = np.argsort(g, kind="stable")
-    gs, ts, gammas = g[order], t[order], gamma[order]
-    kinks = np.concatenate([gs * _C_IN, gs * _C_OUT])  # two sorted runs
-    with np.errstate(over="ignore", invalid="ignore"):
-        jump = np.concatenate(
-            [
-                (share - _C_IN * gammas) * (1.0 + ACCURACY_MIN) / gs,
-                (_C_OUT * gammas - share) * (1.0 + ACCURACY_MAX) / gs,
-            ]
-        )
-    by_rate = np.argsort(kinks, kind="stable")
-    kinks, jump = kinks[by_rate], jump[by_rate]
-    ups = np.concatenate([[0], np.cumsum(jump > 0)])
-    drops = np.concatenate([[0.0], np.cumsum(np.where(jump < 0, -jump, 0.0))])
-    with np.errstate(over="ignore", divide="ignore"):
-        inv = 1.0 / gs
-        terms = np.stack([1.0 / ts, inv, inv / ts, inv * inv / ts])
-    cum = np.zeros((4, len(gs) + 1))
-    np.cumsum(terms, axis=1, out=cum[:, 1:])
-    fuzz = len(gs) * np.finfo(float).eps
-
-    def window(a, b):
-        first = np.searchsorted(gs, a / _C_OUT * (1.0 - _PAD))
-        stop = np.searchsorted(gs, b / _C_IN * (1.0 + _PAD), side="right")
-        return first, stop
+    gs, ts, kinks = cone_chord.g[0], cone_chord.t[0], cone_chord.kinks[0]
+    ups = np.concatenate([[0], np.cumsum(cone_chord.jump[0] > 0)])
 
     def upper_curve(a, b):
-        first, stop = window(a, b)
+        first, stop = cone_chord.window(a, b, 0)
         gw, tw = gs[first:stop], ts[first:stop]
         phi = share - (a + 2.0 * gw) / tw
         whole = (gw * _C_IN <= a) & (b <= gw * _C_OUT)
@@ -1420,31 +1436,14 @@ def _r1_certificate(
             return float(np.sum(k) + _SLACK * np.sum(np.abs(k)))
 
     def bound(a, b, va, vb):
-        first, stop = window(a, b)
-        i, j = np.searchsorted(kinks, a, side="right"), np.searchsorted(kinks, b)
-        w = b - a
-        with np.errstate(over="ignore", invalid="ignore"):
-            live = (cum[:, stop] - cum[:, first]) * (1.0 + _SLACK) + fuzz * cum[:, stop]
-            least = ACCURACY_MAX * cum[0, first] + ACCURACY_MIN * (cum[0, -1] - cum[0, first])
-            most = ACCURACY_MAX * cum[0, stop] + ACCURACY_MIN * (cum[0, -1] - cum[0, stop])
-            summed = fuzz * cum[0, -1]  # the rounding of the prefix sums of 1/t
-            rise = (1.0 + ACCURACY_MAX) * share * live[1] - least * (1.0 - _SLACK) + summed
-            fall = (1.0 + ACCURACY_MAX) * b * live[2] + most * (1.0 + _SLACK) + summed
-            y = np.clip((vb - va + fall * w) / (rise + fall), 0.0, w)
-            y = np.where(rise <= 0, 0.0, np.where(fall <= 0, w, y))
-            cone = np.where(rise <= 0, va, np.where(fall <= 0, vb, va + rise * y))
-            curve = (1.0 + ACCURACY_MAX) * (b * live[3] + 2.0 * live[2])
-            drop = (drops[j] - drops[i]) * (1.0 + _SLACK) + fuzz * drops[j]
-            chord = np.maximum(va, vb) + curve * w * w / 8.0 + drop * w / 4.0
-            out = np.minimum(cone, chord)
-            where = np.where(cone < chord, a + y, np.where(va >= vb, a, b))
-            for side, slope in sides:
-                cell = (a if side > 0 else b) == star
-                for k in np.flatnonzero(cell & (ups[j] == ups[i])).tolist():
-                    gain, y_k = _peak(slope, upper_curve(a[k], b[k]), w[k])
-                    if v_star + gain < out[k]:
-                        out[k], where[k] = v_star + gain, star + side * y_k
-        return np.where(np.isnan(out), math.inf, out), where
+        out, where = cone_chord(a, b, va, vb, np.zeros(len(a), dtype=np.intp))
+        no_up = ups[np.searchsorted(kinks, b)] == ups[np.searchsorted(kinks, a, side="right")]
+        for side, slope in sides:
+            for k in np.flatnonzero(((a if side > 0 else b) == star) & no_up).tolist():
+                gain, y = _peak(slope, upper_curve(a[k], b[k]), b[k] - a[k])
+                if v_star + gain < out[k]:
+                    out[k], where[k] = v_star + gain, star + side * y
+        return out, where
 
     target = v_star + max(room, 0.0)
     a, b, va, vb = ends[:-1], ends[1:], v[:-1], v[1:]

@@ -487,7 +487,7 @@ def test_r1_at_accuracy_cap_kink_is_the_exact_kink():
 # box ends, and the error raised rather than returned.
 
 def stack_form(fn):
-    """A one-population slope, value or rise function, taking and ignoring the populations."""
+    """A one-population slope, value or bound function, taking and ignoring the populations."""
     return lambda *args: fn(*args[:-1])
 
 
@@ -523,7 +523,7 @@ def r1_curve(gamma, t, params, clamp):
     return lambda r: newton(r, np.zeros(len(r), dtype=np.intp))
 
 
-def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None, curve=None):
+def search1(slope, value, lo, hi, kinks=(), cut=math.inf, bound=None, curve=None):
     """`_search` on one population; without ``curve`` it refines by bisection."""
     kinks = np.asarray(kinks, dtype=float)
     (found,) = equilibrium._search(
@@ -535,7 +535,7 @@ def search1(slope, value, lo, hi, kinks=(), cut=math.inf, rise=None, curve=None)
         kinks,
         np.zeros(len(kinks), dtype=np.intp),
         np.array([cut]),
-        None if rise is None else stack_form(rise),
+        None if bound is None else stack_form(bound),
     )
     return solved(found)
 
@@ -564,14 +564,14 @@ def best1(value, roots, lo, hi, kinks):
 
 
 def in_population(fn, p):
-    """A stack's slope, value or rise function, restricted to population p."""
+    """A stack's slope, value or bound function, restricted to population p."""
     return lambda *args: fn(*args, np.full(len(args[0]), p))
 
 
 def per_population(search):
     """A search of one population, such as `parent_search`, in the stack form of `_search`."""
 
-    def stacked(slope, curve, value, lo, hi, kinks, kink_pop, cut, rise=None):
+    def stacked(slope, curve, value, lo, hi, kinks, kink_pop, cut, bound=None):
         found = []
         for p in range(len(lo)):
             try:
@@ -584,7 +584,7 @@ def per_population(search):
                         float(hi[p]),
                         kinks[kink_pop == p],
                         float(cut[p]),
-                        None if rise is None else in_population(rise, p),
+                        None if bound is None else in_population(bound, p),
                     )
                 )
             except NumericError as exc:
@@ -1362,13 +1362,13 @@ def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
         assert r1_search_work(monkeypatch, pop, params, box) == ([], 0)
     # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7,
     # so no cell is ruled out by it; the cell bounds rule out all but the
-    # few cells whose 24 points the first slope call reads
+    # few cells whose 9 points the first slope call reads
     config = ScenarioConfig(n=2000, alpha=40000.0)
     pop = sample_population(config, 0)
     box = feasible_rate_box(pop, config.r2_cap)
     assert config.alpha / config.n * pop.t_min.max() > box.r1_hi
     slopes, _ = r1_search_work(monkeypatch, pop, config.system_params, box)
-    assert slopes[0] == 24
+    assert slopes[0] == 9
 
 
 @pytest.mark.parametrize("n", [10, 2000])
@@ -1436,12 +1436,12 @@ def cell_reads(lo, hi, kinks, cut=math.inf):
     return np.array(cells), np.array(rates)
 
 
-def refine_every_sign_change(slope, curve, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+def refine_every_sign_change(slope, curve, value, lo, hi, kinks=(), cut=math.inf, bound=None):
     """Oracle: the r1 search that refines every sign change inside a cell,
     rising ones included.
 
     It reads every cell below the cut, so it ignores the cell bound
-    ``rise``, and it values every in-box kink.
+    ``bound``, and it values every in-box kink.
     """
     if hi <= lo:
         return lo, "edge"
@@ -1543,8 +1543,8 @@ def test_only_sign_changes_that_can_hold_a_maximum_are_refined(monkeypatch):
     assert all(sign >= 0 for sign in brackets)  # no refined bracket leaves a negative slope
 
 
-@pytest.mark.parametrize("rise", [None, lambda a, b: np.zeros(len(a))])
-def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(monkeypatch, rise):
+@pytest.mark.parametrize("bound", [None, lambda a, b, va, vb: (np.maximum(va, vb), a)])
+def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(monkeypatch, bound):
     # the slope is +1 left of the kink and -1 right of it, and the kink lies
     # strictly inside a coarse cell; it ends two cells, each read with one
     # sign throughout, so no bracket is refined and `_best` values the kink
@@ -1561,7 +1561,7 @@ def test_a_slope_falling_across_a_cell_ending_kink_yields_the_kink_unrefined(mon
     assert kink not in coarse
     slope = lambda r: np.where(r < kink, 1.0, -1.0)  # noqa: E731
     value = lambda r: -np.abs(r - kink)  # noqa: E731
-    assert search1(slope, value, 0.0, 1.0, [kink], rise=rise) == (kink, "kink")
+    assert search1(slope, value, 0.0, 1.0, [kink], bound=bound) == (kink, "kink")
     assert refined == [0]
 
 
@@ -1617,7 +1617,7 @@ def parent_kink_roots(slope, a, b, sign_lo, kinks):
     return resolved
 
 
-def parent_search(slope, curve, value, lo, hi, kinks=(), cut=math.inf, rise=None):
+def parent_search(slope, curve, value, lo, hi, kinks=(), cut=math.inf, bound=None):
     """Reference: the r1 search as it read the slope on one SCAN-point grid.
 
     Cells end at every 64th grid point below the cut, hi and the in-box
@@ -1631,13 +1631,13 @@ def parent_search(slope, curve, value, lo, hi, kinks=(), cut=math.inf, rise=None
     kinks = in_box(kinks, lo, hi)
     valued = kinks
     scan = np.ones(SCAN, dtype=bool)
-    if rise is not None:
+    if bound is not None:
         last = min(-(-below // 64) * 64, SCAN - 1)
         ends = np.sort(np.concatenate([xs[: last + 1 : 64], kinks, [hi]]))
         v = value(ends)
         a, b = ends[:-1], ends[1:]
         top = float(np.max(v))
-        keep = ~(np.maximum(v[:-1], v[1:]) + rise(a, b) < top - 1e-10 * max(1.0, abs(top)))
+        keep = ~(bound(a, b, v[:-1], v[1:])[0] < top - 1e-10 * max(1.0, abs(top)))
         ends_kept = np.zeros(len(ends), dtype=bool)
         ends_kept[:-1] = keep
         ends_kept[1:] |= keep
@@ -1795,24 +1795,26 @@ def test_cell_bounds_keep_every_r1_rate_and_source():
         assert_cells_keep_r1(pop.gamma, pop.t_min, params, box)
 
 
-def rise_without_curvature(gamma, t, share):
-    """Mutant of `_r1_rise`: a cell's bound is max(V(a), V(b)) alone."""
-    return lambda a, b, pop: np.zeros(len(a))
+class BoundWithoutCurvature(equilibrium._R1Bound):
+    """Mutant of `_R1Bound`: a cell's bound is max(V(a), V(b)) alone."""
+
+    def __call__(self, a, b, va, vb, pop):
+        return np.maximum(va, vb), np.where(va >= vb, a, b)
 
 
-def rise_of_clients_live_at_the_ends(gamma, t, share):
-    """Mutant of `_r1_rise`: M sums only the clients live at a cell's ends."""
-    g = gamma * t
+class BoundOfClientsLiveAtTheEnds(equilibrium._R1Bound):
+    """Mutant of `_R1Bound`: a cell's bound is the chord bound, with M
+    summed only over the clients live at a cell's ends."""
 
-    def live(r):
-        return (g * equilibrium._C_IN <= r[:, None]) & (r[:, None] < g * equilibrium._C_OUT)
+    def __call__(self, a, b, va, vb, pop):
+        g, t = self.g[pop], self.t[pop]
 
-    def rise(a, b, pop):
-        terms = share / g**2 + b[:, None] / (t * g**2) + 2.0 / (g * t)
+        def live(r):
+            return (g * equilibrium._C_IN <= r[:, None]) & (r[:, None] < g * equilibrium._C_OUT)
+
+        terms = b[:, None] / (t * g**2) + 2.0 / (g * t)
         m = (1.0 + ACCURACY_MAX) * np.sum(terms * (live(a) | live(b)), axis=1)
-        return m * (b - a) ** 2 / 8.0
-
-    return rise
+        return np.maximum(va, vb) + m * (b - a) ** 2 / 8.0, np.where(va >= vb, a, b)
 
 
 def assert_mutant_moves_r1(mutant, gamma, t, alpha):
@@ -1827,7 +1829,7 @@ def assert_mutant_moves_r1(mutant, gamma, t, alpha):
     coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._CELLS + 1)
     j = int(np.searchsorted(coarse, want[0]))
     assert want[1] == "root" and coarse[j - 1] < want[0] < coarse[j]
-    with patch.object(equilibrium, "_r1_rise", mutant):
+    with patch.object(equilibrium, "_R1Bound", mutant):
         moved = argmax_r1(gamma, t, params, box, True)
     assert moved[0] != want[0]
     v_moved, v_want = equilibrium._r1_value(np.array([moved[0], want[0]]), gamma, t, params, True)
@@ -1839,7 +1841,7 @@ def test_a_bound_without_its_curvature_term_misses_the_maximum():
     # the maximum is a root between two coarse points, and both ends of
     # its cell lie below the best cell end
     gamma, t = [0.612, 0.43, 0.312], [0.038, 0.278, 0.077]
-    assert_mutant_moves_r1(rise_without_curvature, gamma, t, 3.0)
+    assert_mutant_moves_r1(BoundWithoutCurvature, gamma, t, 3.0)
 
 
 def test_a_bump_narrower_than_a_coarse_cell_is_bounded_by_its_client():
@@ -1849,20 +1851,94 @@ def test_a_bump_narrower_than_a_coarse_cell_is_bounded_by_its_client():
     # neither end of the cell is client 1 live, so a bound summed over the
     # clients live at the ends misses its curvature and drops the cell
     gamma, t = [1e-5, 0.6, 5.0], [100.0, 0.4667, 2.0]
-    a, b = assert_mutant_moves_r1(rise_of_clients_live_at_the_ends, gamma, t, 3.0)
+    a, b = assert_mutant_moves_r1(BoundOfClientsLiveAtTheEnds, gamma, t, 3.0)
     g = gamma[1] * t[1]
     assert a < g * equilibrium._C_IN < g * equilibrium._C_OUT < b
 
 
+@st.composite
+def bound_stacks(draw):
+    """A stack of r1 populations that share alpha/n, with cells to bound.
+
+    alpha is 8n (per-worker valuations) or drawn.  A population may hold
+    identical twins and a client so small in g that its terms overflow:
+    1/g itself at gamma = 1e-310, or only 1/g^2 at 1e-200.  Each population
+    gets cells around one of its kinks, so holding it, and cells between
+    neighbouring kinks, past the last one or from 0, so holding none.
+    """
+    n = draw(st.integers(1, 8))
+    share = draw(st.sampled_from([8.0, None])) or draw(st.floats(0.5, 12.0))
+    gamma, t, cells = [], [], []
+    for p in range(draw(st.integers(1, 4))):
+        g_p = np.array(draw(st.lists(st.floats(0.2, 6.0), min_size=n, max_size=n)))
+        t_p = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n)))
+        if n >= 2 and draw(st.booleans()):
+            g_p[1], t_p[1] = g_p[0], t_p[0]
+        g_p[-1] = draw(st.sampled_from([g_p[-1], 1e-310, 1e-200]))
+        gamma.append(g_p)
+        t.append(t_p)
+        kinks = np.sort(np.outer([equilibrium._C_IN, equilibrium._C_OUT], g_p * t_p).ravel())
+        edges = np.unique(np.concatenate([[0.0], kinks, [2.0 * kinks[-1]]]))
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                k = float(draw(st.sampled_from(kinks.tolist())))
+                left, right = draw(st.floats(0.01, 0.5)), draw(st.floats(0.01, 0.5))
+                a, b = k * (1.0 - left), k * (1.0 + right)
+            else:
+                i = draw(st.integers(0, len(edges) - 2))
+                u, v = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+                a, b = (edges[i] + x * (edges[i + 1] - edges[i]) for x in (u, v))
+            if a < b:
+                cells.append((p, a, b))
+    return np.array(gamma), np.array(t), share, cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_stacks())
+def test_the_r1_cell_bound_holds_and_sees_each_population_alone(stack):
+    gamma, t, share, cells = stack
+    n = gamma.shape[1]
+    params = SystemParams(alpha=share * n, beta=50.0, comm_size=0.0, n=n)
+    pop = np.array([p for p, _, _ in cells], dtype=np.intp)
+    a = np.array([x for _, x, _ in cells])
+    b = np.array([x for _, _, x in cells])
+    # each cell's slice on a dense scan, whose ends are the cell's ends
+    dense = [
+        equilibrium._r1_value(np.linspace(x, y, SCAN), gamma[p], t[p], params, True)
+        for p, x, y in cells
+    ]
+    va, vb = np.array([v[0] for v in dense]), np.array([v[-1] for v in dense])
+    bound, where = equilibrium._R1Bound(gamma, t, share)(a, b, va, vb, pop)
+    assert not np.isnan(bound).any()
+    for i, (p, x, y) in enumerate(cells):
+        # the bound holds for the exact slice, given V(a) and V(b) as
+        # computed; the scan's values carry their own rounding, a few n eps
+        # of their terms' magnitudes (|A| <= ACCURACY_MAX)
+        size = np.sum((share + y / t[p]) * ACCURACY_MAX)
+        assert bound[i] >= dense[i].max() - 4.0 * n * np.finfo(float).eps * size, (p, x, y)
+        assert x <= where[i] <= y
+        tiny = gamma[p, -1] * t[p, -1] * np.array([equilibrium._C_IN, equilibrium._C_OUT])
+        if gamma[p, -1] == 1e-310 and x < tiny[1] and tiny[0] < y:
+            # the client is live in the cell and its 1/g overflows, so the
+            # cone's touching point is inf/inf: a NaN bound, which reads as +inf
+            assert bound[i] == math.inf
+    for p in np.unique(pop).tolist():
+        mine = pop == p
+        alone = equilibrium._R1Bound(gamma[p : p + 1], t[p : p + 1], share)(
+            a[mine], b[mine], va[mine], vb[mine], np.zeros(mine.sum(), dtype=np.intp)
+        )
+        assert same_bits(alone[0], bound[mine]) and same_bits(alone[1], where[mine])
+
+
 def test_r1_searches_of_the_default_sweep_read_few_rates():
     # reading every cell below the cut takes 580,491 slope rates over the
-    # 180 default-sweep populations; the cell bounds read 23,141 slopes, one
-    # call per search, and value 11,432 rates, with the cell ends, and the
-    # refine reads 528 rates in 156 Newton passes.  The slope ceiling is
-    # about 4% of the full read (10% over today's count) and the value
-    # ceiling 14% over today's, so a return to the full read, a second slope
-    # call per search (the separate kink check) or a refine through the
-    # slope helper fails here
+    # 180 default-sweep populations; the cell bounds read 20,707 slopes, one
+    # call per search, and value 11,426 rates, with the cell ends, and the
+    # refine reads 528 rates in 156 Newton passes.  The ceilings are those
+    # counts, so a looser cell bound (the chord bound alone read 23,141
+    # slopes), a return to the full read, a second slope call per search
+    # (the separate kink check) or a refine through the slope helper fails
+    # here
     rates = {"slope": 0, "value": 0, "refine": 0}
     calls = {"slope": 0, "value": 0, "refine": 0}
     slope, value, newton = equilibrium._r1_slope, equilibrium._r1_value, equilibrium._r1_newton
@@ -1880,10 +1956,10 @@ def test_r1_searches_of_the_default_sweep_read_few_rates():
     ), patch.object(equilibrium, "_r1_newton", lambda *args: counted("refine", newton(*args))):
         for pop, params, box in default_cell_runs():
             compute_equilibrium(pop, params, box)
-    assert rates["slope"] <= 25_500
-    assert rates["value"] <= 13_000
+    assert rates["slope"] <= 20_707
+    assert rates["value"] <= 11_426
     assert calls["slope"] == 180
-    assert calls["refine"] <= 180 and rates["refine"] <= 600
+    assert calls["refine"] <= 156 and rates["refine"] <= 528
 
 
 def bisect_r2_segments(delta, params, box, clamp):

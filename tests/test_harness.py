@@ -38,7 +38,7 @@ from ifedcrowd import (
     verify_scenario,
     verify_server_equilibrium,
 )
-from ifedcrowd import ClientProfile, game_core, harness, mechanisms
+from ifedcrowd import ClientProfile, equilibrium, game_core, harness, mechanisms
 from ifedcrowd.equilibrium import VERIFY_TOL
 from ifedcrowd.harness import table_to_csv, table_to_json
 
@@ -825,6 +825,35 @@ def test_pinned_fuzz_config_verifies():
     summary = harness.verify_scenario(config)
     assert summary.ok
     assert summary.server_report.worst_violation <= VERIFY_TOL
+
+
+def test_pinned_r1_bump_is_judged_as_a_dense_read_judges_it():
+    # the r1 slice of this config rises from an up-kink just above r1_lo to
+    # a peak about 5e-4 past it, between two of the search's slope reads,
+    # so the search may miss that maximum.  Whatever rate it returns, the
+    # server verdict agrees with a 2^20-point read of the r1 slice, and the
+    # certified violation covers the gap that read sees
+    config = ScenarioConfig(
+        n=21,
+        alpha=3.2027966996959334,
+        beta=0.8180800984652066,
+        gamma=(0.023085908038535462, 5.542205734163453),
+        delta=(0.0016514791411966691, 11.87800168622014),
+        tmin=(0.0011042229669084992, 0.3985777441038583),
+        r2_cap=1067.20035706051,
+        seed=124,
+    )
+    summary = verify_scenario(config)
+    pop = sample_population(config, 0)
+    box = feasible_rate_box(pop, config.r2_cap)
+    value = lambda r: equilibrium._r1_value(  # noqa: E731
+        r, pop.gamma, pop.t_min, config.system_params, True
+    )
+    gap = float(np.max(value(np.linspace(box.r1_lo, box.r1_hi, 2**20))))
+    gap -= value(summary.equilibrium.rates.r1)
+    report = summary.server_report
+    assert report.passed == (gap <= VERIFY_TOL)
+    assert report.worst_violation >= gap
 
 
 def log_uniform(lo, hi):
