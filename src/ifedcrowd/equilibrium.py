@@ -2,89 +2,61 @@
 
 The publisher's rate-substituted utility separates into an r1 part (driven by
 accuracy responses) and an r2 part (driven by freshness responses), so each
-rate is a one-dimensional problem.  Each axis has one value and one slope
-helper serving two objectives: the smooth surrogate on the unclamped
-closed-form responses (`du_dr*`, `solve_r*`), and the realized objective on
-the clamped responses clients actually play (`compute_equilibrium`, the
-server verifier).
+rate is a one-dimensional problem on two objectives: the smooth surrogate on
+the unclamped closed-form responses (`du_dr*`, `solve_r*`), and the realized
+objective on the clamped responses clients actually play
+(`compute_equilibrium`, the server verifier).
 
 r2 is solved exactly.  With the clients sorted by their freshness kinks,
 prefix sums give the r2 slice at any rate in O(log n), and between
 neighbouring kinks it is concave, so each segment holds at most one root,
-bracketed by the slope signs at its ends.  That root solves
-B/r - ln r = K for the segment's constants, and Newton's method from the
-segment's left end rises to it monotonically.  r1 is concave in neither
-objective, so it keeps a search.  It cuts the box into cells at 65 equally
-spaced points and at the clamp kinks where the slope jumps down, reads the
-slope on each cell's own points, and keeps the best of the box edges, the
-kinks and the sign changes that can hold a maximum.  A cell end at a kink
-is read just inside the cell, so a sign change across a kink is never a
-bracket: the kink is its root, and it is valued as a candidate.  A sign
-change that leaves a negative slope rises, so it is a local minimum; the
-rest are narrowed together by safeguarded Newton steps on the slice's
-closed-form curvature (one vectorized pass per step).  Only what can win is
-refined.  On the realized objective the search
-stops at c = (alpha/n) max t: past it every client's term
-(alpha/n - r/t_k) A_k has right slope at most -A_k/t_k < 0, since
-A_k >= ACCURACY_MIN.  So no slope is computed there, and at c <= r1_lo the
-slice falls across the whole box: r1_lo is its maximum, and nothing is read
-or valued.
+bracketed by the slope signs at its ends; Newton's method from the
+segment's left end rises to it monotonically (`_r2_segments`).
 
-Below c the realized search first bounds the cells, in the manner of
-Piyavskii and Shubert.  The slice is valued at every cell end, and each
-cell takes the bound the server certificate takes (`_R1Bound`): the lesser
-of a Lipschitz cone on its end values and a chord bound on a curvature
-bound, both summed over the clients live in the cell and padded for
-rounding.  A cell whose bound falls short of the best cell end by more
-than the final pick's tie snap cannot hold the pick, so only the other
-cells are read.  A kept cell is read on the same points as when every cell
-is read, so the search returns that reading's rate and source bit for bit
-whenever it is the global maximum.  The surrogate has no kinks and no
-bound, and reads every cell of the same search.
+r1 is concave in neither objective, but between its clamp kinks it is
+smooth, with closed-form bounds on its slope and curvature over any cell
+(`_R1Bound`).  One branch and bound (`_r1_cells`, after Piyavskii and
+Shubert) finds its maximum and certifies it.  It starts from 65 equally
+spaced points below c = (alpha/n) max t, past which every realized term
+(alpha/n - r/t_k) A_k falls, since A_k >= ACCURACY_MIN; at c <= r1_lo
+r1_lo is the maximum and nothing is built or valued.  Each level bounds
+every open cell and closes those that cannot hold the maximum.  A cell
+with no kink inside that is concave or convex closes exactly: its maximum
+is an end or the root of its end slopes' sign change.  Every other cell
+is split at up to 15 of its kinks, or into 16 sections, and the new
+points are valued in one call.  The solver closes cells against its best
+value so far and narrows the roots together by safeguarded Newton steps
+(`_refine`); the certificate closes them against a fixed target.  A cell
+budget bounds the work of both.
 
-The solvers work on a stack of P populations of n clients each, one row
-per population: a sweep cell solves all its runs in one pass
-(`_equilibria`), and `compute_equilibrium` is the stack of one.  Each stage
-(the r1 cells, their bounds and reads, the refinement, the pick, the r2
-segments and their Newton steps, the best responses) runs once for the
-whole stack, on flat arrays whose entries carry their population's index,
-grouped by population.  A stage fails only the populations whose reads are
-not finite, with the error a solve of its own would raise.  The rule that
-keeps the stack exact is that a population sees the arithmetic of its own
-solve, bit for bit: the same rates in the same order in every value and
-slope call, the same choice between one block and the live windows below,
-and every sum over clients taken by that population's own product (or sum)
-over exactly its own rows.  A product's rounding depends on how many rows
-it is given, so the stack shares only elementwise work and bookkeeping
-(gathers, sorts, masks, the refine loop, the group maxima), never a sum.
-The refine's slope and curvature pass (`_r1_newton`) shares no sum either:
-it sums each rate's gathered row of clients along that row alone.
+The solvers work on a stack of populations, one row each: a sweep cell
+solves all its runs in one pass (`_equilibria`), and `compute_equilibrium`
+is the stack of one.  Each stage runs once for the whole stack on flat
+arrays whose entries carry their population's index, and fails only the
+populations whose reads are not finite.  A population sees the arithmetic
+of its own solve, bit for bit: the same rates in every value call, and
+every sum over clients taken over its own rows (or one cell's or one
+rate's own clients).  The stack shares only elementwise work and
+bookkeeping, never a sum.
 
 An r1 value or slope call larger than _BLOCK rates x clients entries for
-one population takes exponentials over the live clients only.  With the
+one population takes exponentials over the live clients only: with the
 clients sorted by g_k = gamma_k t_k, client k is live on
-[g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate are
-one contiguous window of that order; the clamped clients on either side
-add constants from prefix sums of 1/t.  Rates are taken in blocks of at
-most _BLOCK entries, so memory is O(_BLOCK), not O(rates x n), and the
-smaller populations of a stack share blocks of at most _BLOCK entries.
-Each value or slope call allocates one scratch buffer, and every block
-writes its rates x clients temporaries into it in place.
+[g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate
+are one window of that order, and the clamped ones outside it add prefix
+sums of 1/t.  Memory is O(_BLOCK), in one scratch buffer per call.
 
-Maximizing the realized objective is what keeps the equilibrium rates
-undominated by any in-box rate pair once clamping binds, including for
-heterogeneous populations.  A client is certified by strong concavity: its
-utility separates into an accuracy and a freshness part, each with a
-curvature bound on the clamp rectangle, so a closed form bounds what any
-deviation gains over its best response (`_deviation_bounds`).  The server
-is certified the same way, by upper bounds on each axis's slice over the
-whole box (`_r1_certificate`, `_r2_certificate`), not by sampling rates.
+A client is certified by strong concavity: its utility separates into an
+accuracy and a freshness part, each with a curvature bound on the clamp
+rectangle, so a closed form bounds what any deviation gains over its best
+response (`_deviation_bounds`).  The server is certified by upper bounds on
+each axis's slice over the whole box (`_r1_certificate`,
+`_r2_certificate`), not by sampling rates.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,12 +84,12 @@ VERIFY_TOL = 1e-9    # violation threshold for equilibrium certification
 # Relative rounding slack of a client's utility slope: a few roundings of its
 # terms, each within half an ulp, with room to spare.
 _SLACK = 16 * np.finfo(float).eps
-_CELLS = 64          # coarse cells of an r1 search
-_SECTIONS = 64       # sections per coarse cell read
+_CELLS = 64          # cells an r1 box starts from
+_SPLIT = 16          # cells a split r1 cell is cut into
 _XTOL = 1e-12        # bracket width at which refinement stops
 _BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
 _PAD = 1e-9          # relative margin of an r1 live window
-_CELL_BUDGET = 4096  # r1 cells the server certificate may bound
+_CELL_BUDGET = 4096  # r1 cells a population may bound, solving or certifying
 # r1/(gamma t) at which an accuracy response enters and leaves the clamp rectangle
 _C_IN, _C_OUT = 1.0 + math.log1p(ACCURACY_MIN), 1.0 + math.log1p(ACCURACY_MAX)
 
@@ -190,21 +162,28 @@ def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch, r
 
 
 def _r1_weights(g: np.ndarray, t: np.ndarray, share: float, slope: bool) -> np.ndarray:
-    """The clients' weights in `_r1_rows`, stacked on the second-to-last axis.
+    """The clients' weights in `_r1_rows`, stacked on the first axis.
 
     They are alpha/(n g_k), 1/(t_k g_k) and 1/t_k for a slope, and 1/t_k
     alone for a value.
     """
     if slope:
-        return np.stack([share / g, 1.0 / (t * g), 1.0 / t], axis=-2)
-    return (1.0 / t)[..., None, :]
+        return np.stack([share / g, 1.0 / (t * g), 1.0 / t])
+    return (1.0 / t)[None]
 
 
 def _r1_rows(r: np.ndarray, x: np.ndarray, a: np.ndarray, w: np.ndarray, share: float, slope):
-    """The r1 slice (or its slope) at rates r from their `_r1_terms` and `_r1_weights`."""
+    """The r1 slice (or its slope) at rates r from their `_r1_terms` and `_r1_weights`.
+
+    Each rate's terms are summed along its own row, with a row of weights
+    of its own or one row for all; x and a are overwritten.
+    """
     if slope:
-        return x @ w[0] - r * (x @ w[1]) - a @ w[2]
-    return share * a.sum(axis=1) - r * (a @ w[0])
+        paid = np.multiply(a, w[2], out=a).sum(axis=1)
+        rise = np.multiply(x, w[0], out=a).sum(axis=1)
+        return rise - r * np.multiply(x, w[1], out=x).sum(axis=1) - paid
+    total = a.sum(axis=1)
+    return share * total - r * np.multiply(a, w[0], out=x).sum(axis=1)
 
 
 def _r1_windowed(r: np.ndarray, g, t, cum, share: float, slope: bool, scratch):
@@ -267,7 +246,7 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
     is split into blocks of rates over every client.  Populations of at
     most _BLOCK entries share a block with their neighbours while the block
     stays within _BLOCK entries; its exponentials are taken once, and
-    `_r1_rows` sums each population's own rows.  The blocks share one
+    `_r1_rows` sums each rate's own row.  The blocks share one
     `_scratch`, allocated here: no block holds more than max(_BLOCK, n)
     entries.
     """
@@ -281,8 +260,9 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
     n = g.shape[1]
     scratch = _scratch(min(len(r) * n, max(_BLOCK, n)))
     out = np.empty(len(r))
-    # an overflowed response clips to the cap; the slope's products may hold inf*0
-    with np.errstate(over="ignore", invalid="ignore" if slope else None):
+    # an overflowed response clips to the cap; the products may hold inf*0 or
+    # inf - inf, and a population whose read is not finite fails
+    with np.errstate(over="ignore", invalid="ignore"):
         p = 0
         while p < len(g):
             s, e = bounds[p], bounds[p + 1]
@@ -307,11 +287,10 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
             rb = r[s : bounds[q]]
             rows = None if q == p + 1 else pop[s : bounds[q]]
             x, a = _r1_terms(rb, g[p] if rows is None else g, clamp, slope, scratch, rows)
-            w = _r1_weights(g[p:q], t[p:q], share, slope)
-            for k in range(p, q):
-                i, j = bounds[k] - s, bounds[k + 1] - s
-                if j > i:
-                    out[s + i : s + j] = _r1_rows(rb[i:j], x[i:j], a[i:j], w[k - p], share, slope)
+            w = _r1_weights(g[p], t[p], share, slope)
+            if rows is not None:  # each rate's own population's weights
+                w = _r1_weights(g, t, share, slope)[:, rows]
+            out[s : bounds[q]] = _r1_rows(rb, x, a, w, share, slope)
             p = q
     return out if np.ndim(r1) else float(out[0])
 
@@ -342,18 +321,16 @@ def _r1_newton(gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool):
 
     With s = alpha/n, g_k = gamma_k t_k and x_k = exp(r/g_k - 1), a live
     client's term (s - r/t_k)(x_k - 1) has slope
-    x_k (s/g_k - r/(t_k g_k)) - (x_k - 1)/t_k, as in `_r1_slope`, and
-    curvature x_k ((s - r/t_k)/g_k^2 - 2/(g_k t_k)).  With ``clamp`` a
-    clamped client's term is linear, -A_k/t_k in the slope and 0 in the
-    curvature; without it every client counts, as in `d2u_dr1`.  gamma and
-    t hold a stack of populations, one per row.  Returns a function of rates
-    r and their populations pop giving (slope, curvature) at every rate.
-    Each rate's row of clients is gathered and summed along itself, so its
-    results depend on no other rate of the call: a stack refines bit for bit
-    as its populations would alone, with none of `_r1_parts`' per-population
-    blocks.  Rates go in blocks of at most _BLOCK/8 rates x clients entries
-    (at least one rate), so that a block's seven such temporaries stay
-    within max(_BLOCK, 8 n) entries.
+    x_k (s/g_k - r/(t_k g_k)) - (x_k - 1)/t_k and curvature
+    x_k ((s - r/t_k)/g_k^2 - 2/(g_k t_k)).  With ``clamp`` a clamped client
+    adds -A_k/t_k to the slope and 0 to the curvature; without it every
+    client counts, as in `d2u_dr1`.  gamma and t hold a stack of
+    populations, one per row.  Returns a function of rates r and their
+    populations pop giving (slope, curvature) at every rate.  Each rate's
+    row of clients is gathered and summed along itself, so its results
+    depend on no other rate of the call.  Rates go in blocks of at most
+    _BLOCK/8 rates x clients entries (at least one rate), so a block's
+    seven such temporaries stay within max(_BLOCK, 8 n) entries.
     """
     g = gamma * t
     n = g.shape[1]
@@ -361,6 +338,8 @@ def _r1_newton(gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool):
         inv = 1.0 / g
         # the weights of x and r x in the slope and in the curvature, then of A in the slope
         w = np.stack([share * inv, inv / t, inv * (share * inv - 2.0 / t), inv * inv / t, 1.0 / t])
+    # an overflowed weight stays finite, so a clamped client's zeroed x zeroes its terms
+    np.clip(w, -np.finfo(float).max, np.finfo(float).max, out=w)
 
     def newton(r: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         slope, curve = np.empty(len(r)), np.empty(len(r))
@@ -524,27 +503,24 @@ def leader_objective(
 def _refine(curve, lo: np.ndarray, hi: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, pop):
     """Narrow every slope sign change [lo_i, hi_i] at once; return the final brackets.
 
-    Bracket i lies in population pop[i], pop nondecreasing, and its ends
-    were read with slopes s_lo_i and s_hi_i of different signs.  ``curve``
-    is called as curve(rates, pop) and returns the slope and the curvature
-    at every rate (`_r1_newton`).  Inside a bracket every read lies on the
-    multiples of one step: the largest power of two up to _XTOL, or one ulp
-    of the bracket's larger end where that is more, so every multiple is a
-    float.  A bracket starts at the multiple nearest the secant point of its
-    end slopes.  Each pass calls ``curve`` once, at the iterate x of every
-    bracket and at the multiples either side of it (a read at or past an end
-    reads that end), and keeps the first of the four sections between the
-    bracket's ends and those three points whose right end has a sign other
-    than s_lo's (a zero counts as the other side).  The next iterate is the multiple
-    nearest the Newton point x - s(x)/c(x), or the new bracket's middle
-    multiple where that point is not strictly inside the new bracket or the
-    curvature c(x) is not negative and finite.  So an iterate within a step
-    of a root closes its bracket in that pass.  A bracket closes at one
-    step: within _XTOL, or where one ulp exceeds _XTOL, on adjacent floats.
-    A bracket whose reads change sign once ends on the multiples either
-    side of that change whatever its start and path, so neither the
-    rounding of the end slopes nor where the scan put the ends moves a root
-    more than a step inside them.
+    Bracket i lies in population pop[i], and its ends have slopes s_lo_i
+    and s_hi_i of different signs.  ``curve(rates, pop)`` returns the slope
+    and the curvature at every rate (`_r1_newton`).  Every read inside a
+    bracket lies on the multiples of one step: the largest power of two up
+    to _XTOL, or one ulp of the bracket's larger end where that is more, so
+    every multiple is a float.  A bracket starts at the multiple nearest
+    the secant point of its end slopes.  Each pass calls ``curve`` once, at
+    the iterate x of every bracket and the multiples either side of it (a
+    read at or past an end reads that end), and keeps the first of the four
+    sections between the ends and those points whose right end has a sign
+    other than s_lo's (a zero counts as the other side).  The next iterate
+    is the multiple nearest the Newton point x - s(x)/c(x), or the new
+    bracket's middle multiple where that point is not strictly inside it or
+    c(x) is not negative and finite, so an iterate within a step of a root
+    closes its bracket in that pass.  A bracket closes at one step.  One
+    whose reads change sign once ends on the multiples either side of that
+    change whatever its start and path, so neither the rounding of the end
+    slopes nor where its ends lie moves a root more than a step inside them.
     """
     # a power of two, so that every multiple of it that a bracket reads is a float
     ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
@@ -626,74 +602,84 @@ def _best(
 
 
 class _R1Bound:
-    """Upper bounds on the realized r1 slice V over cells [a, b], for a stack of populations.
+    """Cells [a, b] of the r1 slice V for a stack of populations: bounds, kinks and sums.
 
     With s = alpha/n and g_k = gamma_k t_k, client k is live on
     [g_k _C_IN, g_k _C_OUT), where its term (s - r/t_k) A_k(r) has
-    V_k'' = (A_k'/g_k)(s - (r + 2 g_k)/t_k), A_k' = x_k/g_k and
+    V_k'' = (x_k/g_k^2)(s - (r + 2 g_k)/t_k), A_k' = x_k/g_k and
     x_k = e^(r/g_k - 1) in [1 + ACCURACY_MIN, 1 + ACCURACY_MAX]; elsewhere
     it is linear.  Its slope jumps by (s - gamma_k _C_IN)(1 + ACCURACY_MIN)/g_k
     at entry and by (gamma_k _C_OUT - s)(1 + ACCURACY_MAX)/g_k at exit,
-    down or up by the sign.  ``kinks`` holds them sorted, with their
-    ``jump`` and ``drops`` the sum of the down-jumps before each; only a
-    down-kink can be a maximum, and ``down`` lists them with their
-    populations ``down_pop``.  ``g``, ``t`` and ``cum`` hold each population
-    sorted by g and its prefix sums in that order, which `_r1_windowed`
-    reads too.  The clients live somewhere in a cell [a, b] are one run of
-    that order (`window`, padded as in `_r1_windowed`), so the prefix sums
-    give, with no cells x clients array:
+    down or up by the sign; ``kinks`` holds them sorted, with their
+    ``jump``.  ``g``, ``t``, ``enter`` and ``exit`` hold each population in
+    the g order, and ``cum`` its prefix sums of 1/t, which `_r1_windowed`
+    reads too.  The clients live somewhere in a cell are one run of that
+    order (`window`, padded as in `_r1_windowed`), so sums of 1/g, 1/(g t),
+    1/(g^2 t) and of the down-jumps give, with no cells x clients array,
+    M >= -V'' from -V_k'' <= (1 + ACCURACY_MAX)(b + 2 g_k)/(t_k g_k^2),
+    D, the down-jumps strictly inside, and U >= V' and F >= -V' from
+    V' = -sum A_k/t_k + sum over the live of (s - r/t_k) x_k/g_k.
 
-    - M >= -V'', from -V_k'' <= (1 + ACCURACY_MAX)(b + 2 g_k)/(t_k g_k^2);
-    - D, the down-jumps strictly inside, summed;
-    - U >= V' and F >= -V', from V' = -sum A_k/t_k + sum over the live of
-      (s - r/t_k) x_k/g_k, with the clients past the window at
-      ACCURACY_MAX and those short of it at ACCURACY_MIN.
+    Called with cells a, b, their values V(a), V(b) and populations pop,
+    it returns each cell's bound and a rate where it sits: the least of
 
-    A cell is bounded by the lesser of:
+    - the chord bound max(V(a), V(b)) + M (b - a)^2/8 + D (b - a)/4, since
+      V + M (x - a)(x - b)/2 + sum |J_p| |x - p|/2 over the down-kinks p
+      is convex on the cell;
+    - the cone min(V(a) + U (x - a), V(b) + F (b - x)), Piyavskii and
+      Shubert's Lipschitz bound (Shubert, SIAM J. Numer. Anal., 1972);
+    - the range bound: each term is at most s ACCURACY_MAX - a ACCURACY_MIN/t_k
+      there, and a clamped one at most its value at a;
 
-    - the chord bound.  V + M (x - a)(x - b)/2 + sum |J_p| |x - p|/2 over
-      the down-kinks p is convex on the cell, so V is at most
-      max(V(a), V(b)) + M (b - a)^2/8 + D (b - a)/4;
-    - the cone V <= min(V(a) + U (x - a), V(b) + F (b - x)), Piyavskii and
-      Shubert's Lipschitz bound (Shubert, SIAM J. Numer. Anal., 1972),
-      which is (V(a) + V(b))/2 + L (b - a)/2 when U = F = L.
-
-    Slopes, curvatures and jumps are padded for rounding as in
-    `_deviation_bounds`, prefix sums by n eps of their total; V(a) and V(b)
-    are compared as computed (ROADMAP item 5).  gamma and t hold a stack of
-    populations, one per row.  Called with the cell ends a, b, their values
-    V(a), V(b) and the populations pop, it returns each cell's bound and a
-    rate where it sits.  A bound that is not a number reads as +inf.  A
-    client so small in g that its terms overflow sits first in the g order
-    and makes the prefix sums past it infinite, so the cells whose windows
-    reach it or lie past it may go unbounded.  Every step is elementwise or
-    a prefix sum along one population's row, so a population's bounds in a
-    stack equal its bounds alone, bit for bit.
+    floored at max(V(a), V(b)).  Slopes, curvatures and jumps are padded
+    for rounding as in `_deviation_bounds`, sums by n eps of their total;
+    V(a) and V(b) are compared as computed (ROADMAP item 5), and a bound
+    that is not a number reads as +inf.  The sums of 1/g, 1/(g t),
+    1/(g^2 t) and of the down-jumps run from the large end, so a client so
+    small in g that they overflow leaves every window without it finite.
+    With ``clamp`` unset (the surrogate) there are no kinks, every client
+    is live, and a cell's bound is the chord bound on `smooth`'s curvature.
+    Every step is elementwise or a sum along one population's row or one
+    cell's clients, so a population's results in a stack are its own.
     """
 
-    def __init__(self, gamma: np.ndarray, t: np.ndarray, share: float):
+    def __init__(self, gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool = True):
         g = gamma * t
         n = g.shape[1]
         rows, order = np.arange(len(g))[:, None], np.argsort(g, axis=1, kind="stable")
-        self.g, self.t, self.share = g[rows, order], t[rows, order], share
+        self.g, self.t, self.share, self.clamp = g[rows, order], t[rows, order], share, clamp
+        self.fuzz = n * np.finfo(float).eps
+        # sums of 1/t from the start, and of 1/g, 1/(g t) and 1/(g^2 t) to the end
+        self.cum = np.zeros((4, len(g), n + 1))
+        with np.errstate(over="ignore"):  # a non-finite value fails the population
+            np.cumsum(1.0 / self.t, axis=1, out=self.cum[0, :, 1:])
+        if not clamp:
+            self.kinks = self.jump = np.empty((len(g), 0))
+            self.keys = [None, None]
+            return
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             enter = (share - _C_IN * gamma) * (1.0 + ACCURACY_MIN) / g
             leave = (_C_OUT * gamma - share) * (1.0 + ACCURACY_MAX) / g
             inv = 1.0 / self.g
-            terms = np.stack([1.0 / self.t, inv, inv / self.t, inv * inv / self.t])
+            terms = np.stack([inv, inv / self.t, inv * inv / self.t])
+        np.cumsum(terms[..., ::-1], axis=2, out=self.cum[1:, :, -2::-1])
         jump = np.concatenate([enter, leave], axis=1)  # in the clients' order
-        kinks, down = np.concatenate([g * _C_IN, g * _C_OUT], axis=1), jump < 0
-        self.down, self.down_pop = kinks[down], np.nonzero(down)[0]
+        kinks = np.concatenate([g * _C_IN, g * _C_OUT], axis=1)
         # sorted by rate from the g order, entries then exits, in which equal kinks stay
         slots = np.concatenate([order, order + n], axis=1)
         by_rate = slots[rows, np.argsort(kinks[rows, slots], axis=1, kind="stable")]
         self.kinks, self.jump = kinks[rows, by_rate], jump[rows, by_rate]
-        self.drops = np.zeros((len(g), 2 * n + 1))
-        np.cumsum(np.where(self.jump < 0, -self.jump, 0.0), axis=1, out=self.drops[:, 1:])
-        self.cum = np.zeros((4, len(g), n + 1))  # of 1/t, 1/g, 1/(g t) and 1/(g^2 t)
-        np.cumsum(terms, axis=2, out=self.cum[:, :, 1:])
-        self.fuzz = n * np.finfo(float).eps
-        self.keys = [_keys(self.g), _keys(self.kinks)] if len(g) > 1 else [None, None]
+        # how many clients have entered, and how many left, at or before each kink
+        self.entered = np.zeros((len(g), 2 * n + 1), dtype=np.intp)
+        self.left = np.zeros((len(g), 2 * n + 1), dtype=np.intp)
+        np.cumsum(by_rate < n, axis=1, out=self.entered[:, 1:])
+        np.cumsum(by_rate >= n, axis=1, out=self.left[:, 1:])
+        self.drops = np.zeros((len(g), 2 * n + 1))  # the down-jumps from each kink on
+        drop = np.where(self.jump < 0, -self.jump, 0.0)
+        np.cumsum(drop[:, ::-1], axis=1, out=self.drops[:, -2::-1])
+        self.keys = [None, None]
+        if len(g) > 1:
+            self.keys = [_keys(self.g), _keys(self.kinks)]
 
     def window(self, a, b, pop):
         """The run [first, stop) of the g order of the clients live somewhere in [a, b]."""
@@ -701,20 +687,58 @@ class _R1Bound:
         stop = _find(self.g, b / _C_IN * (1.0 + _PAD), pop, "right", self.keys[0])
         return first, stop
 
+    def inside(self, a, b, pop):
+        """The run [first, stop) of ``kinks`` strictly inside each cell (a, b)."""
+        return (
+            _find(self.kinks, a, pop, "right", self.keys[1]),
+            _find(self.kinks, b, pop, "left", self.keys[1]),
+        )
+
+    def split(self, a, b, pop, kink_a, kink_b):
+        """The points that split each cell [a, b], one row of _SPLIT - 1 per cell.
+
+        A cell holding the kinks kink_a..kink_b - 1 is split at most
+        _SPLIT - 1 of them spread by index (the rest of its row is b), one
+        holding none into _SPLIT equal sections.  Returns the points, which
+        of them are new (inside the cell and past the point before), and
+        which of the new ones are down-kinks.
+        """
+        points = _sections(a, b, _SPLIT)[:, 1:-1]
+        down = np.zeros(points.shape, dtype=bool)
+        m = kink_b - kink_a
+        c = np.minimum(m, _SPLIT - 1)[:, None]
+        if c.any():
+            j = np.arange(1, _SPLIT)
+            use = j <= c
+            k = np.where(use, kink_a[:, None] + j * m[:, None] // (c + 1), 0)
+            k += pop[:, None] * self.kinks.shape[1]
+            points = np.where(use, self.kinks.ravel()[k], np.where(c > 0, b[:, None], points))
+            down = use & (self.jump.ravel()[k] < 0)
+        before = np.concatenate([a[:, None], points[:, :-1]], axis=1)
+        new = (points > before) & (points < b[:, None])
+        return points, new, down & new
+
     def __call__(self, a, b, va, vb, pop) -> tuple[np.ndarray, np.ndarray]:
+        w = b - a
+        top = np.maximum(va, vb)
+        at_top = np.where(va >= vb, a, b)
+        if not self.clamp:
+            *_, down = self.smooth(a, b, pop, None)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = top + np.maximum(-down, 0.0) * w * w / 8.0
+            return np.where(np.isnan(out), math.inf, out), at_top
         first, stop = self.window(a, b, pop)
         n = self.g.shape[1]
         # one flat gather over the populations' rows laid end to end, faster than a 2-D one
         at, cum = pop * (n + 1), self.cum.reshape(4, -1)
         cum_first, cum_stop = np.take(cum, at + first, axis=1), np.take(cum, at + stop, axis=1)
         total = cum[0, at + n]
+        kink_a, kink_b = self.inside(a, b, pop)
         at, drops = pop * (2 * n + 1), self.drops.ravel()
-        drop_a = drops[at + _find(self.kinks, a, pop, "right", self.keys[1])]
-        drop_b = drops[at + _find(self.kinks, b, pop, "left", self.keys[1])]
-        w = b - a
+        drop_a, drop_b = drops[at + kink_a], drops[at + kink_b]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # the window's sums of 1/g, 1/(g t) and 1/(g^2 t)
-            live = (cum_stop[1:] - cum_first[1:]) * (1.0 + _SLACK) + self.fuzz * cum_stop[1:]
+            live = (cum_first[1:] - cum_stop[1:]) * (1.0 + _SLACK) + self.fuzz * cum_first[1:]
             least = ACCURACY_MAX * cum_first[0] + ACCURACY_MIN * (total - cum_first[0])
             most = ACCURACY_MAX * cum_stop[0] + ACCURACY_MIN * (total - cum_stop[0])
             summed = self.fuzz * total  # the rounding of the prefix sums of 1/t
@@ -724,162 +748,208 @@ class _R1Bound:
             flat, steep = rise <= 0, fall <= 0
             y = np.where(flat, 0.0, np.where(steep, w, y))
             cone = np.where(flat, va, np.where(steep, vb, va + rise * y))
+            # each line alone, where the other's slope overflows and the peak is not a number
+            cone = np.fmin(cone, np.fmin(va + rise * w, vb + fall * w))
             curve = (1.0 + ACCURACY_MAX) * (b * live[2] + 2.0 * live[1])
-            drop = (drop_b - drop_a) * (1.0 + _SLACK) + self.fuzz * drop_b
-            chord = np.maximum(va, vb) + curve * w * w / 8.0 + drop * w / 4.0
-            out = np.minimum(cone, chord)
-            where = np.where(cone < chord, a + y, np.where(va >= vb, a, b))
-        return np.where(np.isnan(out), math.inf, out), where
+            drop = (drop_a - drop_b) * (1.0 + _SLACK) + self.fuzz * drop_a
+            chord = top + curve * w * w / 8.0 + drop * w / 4.0
+            gain = self.share * (ACCURACY_MAX * stop + ACCURACY_MIN * (n - stop))
+            cost = a * least
+            span = gain - cost + _SLACK * (gain + cost) + a * summed
+            out = np.fmin(np.fmin(cone, chord), span)
+        out = np.maximum(np.where(np.isnan(out), math.inf, out), top)
+        return out, np.where(cone < chord, a + np.fmin(y, w), at_top)  # fmin: y may be NaN
+
+    def smooth(self, a, b, pop, kink_a):
+        """The slopes just inside the ends of kink-free cells [a, b], and bounds on V''.
+
+        kink_a kinks lie at or before a and none inside, so the live clients
+        are those entered and not left by a: a run of the g order, counted
+        in ``entered`` and ``left``.  Over them it returns s_a = V'(a+),
+        s_b = V'(b-), their rounding pads, and up >= V'' >= down on the
+        cell.  As r rises x_k rises and s - (r + 2 g_k)/t_k falls, so a live
+        V_k'' is at most that factor at a times x_k at b where the factor is
+        positive (at a where not), and at least the factor at b times x_k at
+        a where that is positive (at b where not).  Each is padded by _SLACK
+        plus n eps of its terms' magnitudes; the clamped clients add
+        -A_k/t_k to both slopes.  Cells that share an end and its live
+        clients read the same slope there.
+        """
+        n = self.g.shape[1]
+        if self.clamp:
+            first, stop = self.left[pop, kink_a], self.entered[pop, kink_a]
+        else:
+            first, stop = np.zeros(len(a), dtype=np.intp), np.full(len(a), n)
+        width = stop - first
+        cell = np.repeat(np.arange(len(a)), width)
+        k = np.arange(len(cell)) + np.repeat(first + pop * n - (np.cumsum(width) - width), width)
+        g, t = self.g.ravel()[k], self.t.ravel()[k]
+        ra, rb, s = a[cell], b[cell], self.share
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xa, xb = np.exp(ra / g - 1.0), np.exp(rb / g - 1.0)
+            fa, fb = s - ra / t, s - rb / t
+            g2, lift = g * g, 2.0 * g / t
+            phi_a, phi_b = fa - lift, fb - lift
+            terms = (
+                fa * xa / g - (xa - 1.0) / t,
+                fb * xb / g - (xb - 1.0) / t,
+                (s + ra / t) * xa / g + np.abs(xa - 1.0) / t,
+                (s + rb / t) * xb / g + np.abs(xb - 1.0) / t,
+                np.where(phi_a > 0, xb, xa) * phi_a / g2,
+                np.where(phi_b > 0, xa, xb) * phi_b / g2,
+                (s + rb / t + lift) * xb / g2,
+            )
+            # each cell's sums over its own run of clients; an empty run sums to 0
+            sums = np.zeros((len(terms), len(cell) + 1))
+            sums[:, :-1] = terms
+            sums = np.add.reduceat(sums, np.cumsum(width) - width, axis=1)
+            sums[:, width == 0] = 0.0
+            s_a, s_b, size_a, size_b, up, down, size = sums
+            if self.clamp:
+                at, cum = pop * (n + 1), self.cum[0].ravel()
+                paid = ACCURACY_MAX * cum[at + first]
+                paid += ACCURACY_MIN * (cum[at + n] - cum[at + stop])
+                s_a, s_b, size_a, size_b = s_a - paid, s_b - paid, size_a + paid, size_b + paid
+            fuzz = _SLACK + self.fuzz
+            return s_a, s_b, fuzz * size_a, fuzz * size_b, up + fuzz * size, down - fuzz * size
 
 
-def _coarse(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """np.linspace(lo_p, hi_p, _CELLS + 1) as row p, for every p, rounded as linspace rounds."""
-    j = np.arange(_CELLS + 1)
-    width = (hi - lo)[:, None]
-    step = width / _CELLS
-    # linspace scales j/_CELLS by the width where the step underflows to 0
-    points = np.where(step == 0, j / _CELLS * width, j * step) + lo[:, None]
-    points[:, -1] = hi
+def _sections(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a + (b - a) j/m for j = 0..m, one row per cell [a, b], with b itself as the last.
+
+    For a power of two m this rounds as np.linspace(a, b, m + 1) does.
+    """
+    points = a[:, None] + (b - a)[:, None] * (np.arange(m + 1) / m)
+    points[:, -1] = b
     return points
 
 
-def _search(
-    slope,
-    curve,
-    value,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    kinks: np.ndarray,
-    kink_pop: np.ndarray,
-    cut: np.ndarray,
-    bound=None,
-) -> list:
-    """Global maximizer of a piecewise-smooth axis objective on [lo_p, hi_p], for each population p.
 
-    ``slope``, ``curve`` (`_refine`'s slope and curvature), ``value`` and
-    ``bound`` take their rates (or cells) with the population of each,
-    grouped; ``kinks`` are grouped by their populations
-    ``kink_pop``, and ``cut`` holds one cut per population.  The box is cut
-    into cells at _CELLS + 1 equally spaced points, up to the first one at
-    or past ``cut``, at ``hi`` and at the in-box ``kinks``, where the slope
-    jumps down (an upward jump is a convex corner).  A cell [a, b] with
-    a >= ``cut`` is dropped: the objective is known to fall strictly past
-    the cut.  With ``bound``, the objective is valued at every cell end,
-    ``bound(a, b, V(a), V(b), pop)[0]`` bounds it on each cell [a, b]
-    (`_R1Bound`), and a cell whose bound is below the best end value less
-    `_best`'s tie snap, 1e-10 max(1, |best|), is dropped too; an infinite
-    bound keeps its cell.  A dropped cell holds only candidates more than
-    the tie snap below the best end value, so it cannot hold the pick.
-    Without ``bound`` every cell below the cut is kept.
 
-    The slope is read in one call at the ends of equal sections of every
-    kept cell: _SECTIONS of a cell between neighbouring coarse points, and
-    ceil((b - a)/h) of any other, h = (hi - lo)/(_CELLS _SECTIONS), whose
-    rounding would read a whole coarse cell at 65 sections about half the
-    time.  A cell end at a kink is read max(_XTOL, ulp) inside the cell.  So
-    no bracket between neighbouring reads holds a kink or ends on one, and
-    a sign change across a kink, which has that kink as its root, is no
-    bracket: `_best` values the kink.  Reads at or past the cut take the
-    sign -1, their exact sign, and a non-finite read fails its population.
-    A sign change that leaves a negative slope rises: `_refine` would narrow
-    it to where the slope turns from - to 0 or +, a local minimum.  Every
-    other sign change is refined with `_refine`, from the slopes read at its
-    ends.  Its root is its bracket's midpoint, or a kink within the
-    bracket's width of it.  `_best` picks
-    among the roots, the edges and the kinks that end a kept cell.  A
-    degenerate box returns its edge.
+def _r1_cells(bound, cells: _R1Bound, value, lo, hi, cut, newton=None, target=None, star=None):
+    """Branch and bound of the r1 slice on [lo_p, hi_p], for every population p of a stack.
 
-    Returns (rate, source) for each population, or the NumericError of its
-    first non-finite read.
+    ``value`` and ``bound`` take rates or cells with the population of each
+    (`_r1_value`; `_R1Bound` or the certificate's bound), and ``cells`` is
+    the stack's `_R1Bound`.  The cells start between the _CELLS + 1 equally
+    spaced points of each box up to the first at or past ``cut``, past which
+    the slice falls, and ``star`` (a rate and its value, in a stack of one).
+    Each level values its new points in one ``value`` call, then takes all
+    open cells at once.  It closes a cell whose bound is below the incumbent,
+    the best value read, by more than `_best`'s tie snap (the solver, with
+    no ``target``), or at most its ``target`` (the certificate).  With
+    ``newton`` (the solver) it closes a cell with no kink strictly inside
+    that `_R1Bound.smooth` shows convex, whose maximum is an end, or
+    concave, whose maximum is an end unless its end slopes change sign: then
+    the cell is a bracket of `_refine`, narrowed after the last level
+    together with the rest.  Every other cell is split (`_R1Bound.split`),
+    or closed when no float lies inside.  A population whose next level
+    would pass _CELL_BUDGET cells stops with its cells open, and the solver
+    counts its incumbent as a root; the certificate also stops once a value
+    passes its target, since no cell holding that rate can close.  In the
+    solver a population whose value is not finite fails.
+
+    Returns the roots (rising within each population) and the valued
+    down-kinks with their populations, the failed populations'
+    NumericErrors, and for the certificate the largest bound of a closed
+    cell (at a stop, of every cell), a rate where it sits, and the number of
+    cells bounded.
     """
-    out: list = [(float(x), "edge") for x in lo]
-    live = hi > lo
-    if not live.any():
-        return out
-    inside = live[kink_pop] & (lo[kink_pop] < kinks) & (kinks < hi[kink_pop])
-    kinks, kink_pop = kinks[inside], kink_pop[inside]
-    coarse = _coarse(lo, hi)
-    below_cut = np.sum(coarse < cut[:, None], axis=1)
-    coarse_kept = live[:, None] & (np.arange(_CELLS + 1) <= below_cut[:, None])
-    points = np.concatenate([coarse[coarse_kept], kinks, hi[live]])
-    point_pop = np.concatenate([np.nonzero(coarse_kept)[0], kink_pop, np.flatnonzero(live)])
-    order = np.lexsort((points, point_pop))
-    points, point_pop = points[order], point_pop[order]
-    # not np.unique, whose first call imports numpy.ma
-    new = np.ones(len(points), dtype=bool)
-    new[1:] = (points[1:] > points[:-1]) | (point_pop[1:] != point_pop[:-1])
-    ends, pop = points[new], point_pop[new]
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
-    n_coarse = int(coarse_kept.sum())
-    at = rank[n_coarse : n_coarse + len(kinks)]  # the end at each kink
-    at_kink = np.zeros(len(ends), dtype=bool)
-    at_kink[at] = True
-    at_coarse = np.zeros(len(ends), dtype=bool)
-    at_coarse[rank[:n_coarse]] = True
-    left = np.flatnonzero(pop[:-1] == pop[1:])
-    a, b, cell_pop = ends[left], ends[left + 1], pop[left]
-    keep = a < cut[cell_pop]
-    if bound is not None:
-        v = value(ends, pop)
-        top = np.full(len(lo), np.nan)
-        starts = _starts(pop)
-        top[pop[starts]] = np.maximum.reduceat(v, starts)
-        floor = top - 1e-10 * np.maximum(1.0, np.abs(top))
-        keep &= ~(bound(a, b, v[left], v[left + 1], cell_pop)[0] < floor[cell_pop])
-    ends_kept = np.zeros(len(ends), dtype=bool)
-    ends_kept[left[keep]] = True
-    ends_kept[left[keep] + 1] = True
-    valued = ends_kept[at]
-    kink_a, kink_b = at_kink[left][keep], at_kink[left + 1][keep]
-    whole = (at_coarse[left] & at_coarse[left + 1])[keep]  # between neighbouring coarse points
-    a, b, cell_pop = a[keep], b[keep], cell_pop[keep]
-    # cell i is read at a_i + (b_i - a_i) j/m_i, j = 0..m_i, each end stepped off a kink
-    h = (hi - lo) / (_CELLS * _SECTIONS)
-    m = np.where(whole, _SECTIONS, np.maximum(np.ceil((b - a) / h[cell_pop]), 1.0))
-    cell = np.repeat(np.arange(len(a)), (m + 1).astype(int))
-    j = np.arange(len(cell)) - np.searchsorted(cell, cell)
-    xs = a[cell] + (b - a)[cell] * (j / m[cell])
-    first, last = j == 0, j == m[cell]
-    xs[last] = b[cell[last]]
-    step = (first & kink_a[cell]) | (last & kink_b[cell])
-    xs[step] += np.where(first[step], 1.0, -1.0) * np.maximum(_XTOL, np.spacing(xs[step]))
-    xs_pop = cell_pop[cell]
-    s = np.full(len(xs), -1.0)
-    below = xs < cut[xs_pop]
-    if below.any():
-        s[below] = slope(xs[below], xs_pop[below])
-    failed = np.zeros(len(lo), dtype=bool)
-    bad = np.flatnonzero(~np.isfinite(s))
-    for i in bad[_starts(xs_pop[bad])].tolist() if bad.size else ():
-        failed[xs_pop[i]] = True
-        out[xs_pop[i]] = NumericError(f"derivative not finite at rate {xs[i]}")
-    signs = np.sign(s)
-    i = np.flatnonzero(
-        (cell[:-1] == cell[1:])
-        & (xs[:-1] < xs[1:])
-        & (signs[:-1] != signs[1:])
-        & (signs[:-1] >= 0)
-        & ~failed[xs_pop[:-1]]
-    )
-    bracket_pop = xs_pop[i]
-    b_lo, b_hi = _refine(curve, xs[i], xs[i + 1], s[i], s[i + 1], bracket_pop)
-    roots = 0.5 * (b_lo + b_hi)
-    if kinks.size:
-        w = (b_hi - b_lo)[:, None]
-        held = (
-            (bracket_pop[:, None] == kink_pop)
-            & (b_lo[:, None] - w <= kinks)
-            & (kinks <= b_hi[:, None] + w)
-        )
-        roots = np.where(held.any(axis=1), kinks[held.argmax(axis=1)], roots)
-    pops = np.flatnonzero(live & ~failed)
-    if pops.size:
-        shown = valued & ~failed[kink_pop]
-        picks = _best(value, roots, bracket_pop, lo, hi, kinks[shown], kink_pop[shown], pops)
-        for p, pick in zip(pops.tolist(), picks):
-            out[p] = pick
-    return out
+    rows = _sections(lo, hi, _CELLS)
+    inner = np.arange(_CELLS + 1) <= np.sum(rows < cut[:, None], axis=1)[:, None]
+    if star is not None:
+        last = rows[inner][-1]
+        rows = np.sort(np.append(rows, star[0]))[None]
+        inner = (lo[0] <= rows) & (rows <= last)
+        inner[0, 1:] &= rows[0, 1:] > rows[0, :-1]
+    known = np.full(rows.shape, np.nan)
+    if star is not None:
+        known[rows == star[0]] = star[1]
+    fresh = inner & np.isnan(known)
+    pop = np.arange(len(lo))
+    best = np.full(len(lo), -math.inf)
+    spent = np.zeros(len(lo), dtype=np.intp)
+    stopped = np.zeros(len(lo), dtype=bool)
+    failed, valued, brackets, kinks = {}, [], [], [(np.empty(0), pop[:0])]
+    top, at, beaten = -math.inf, math.nan, False
+    while True:
+        q, q_pop = rows[fresh], pop[np.nonzero(fresh)[0]]
+        if q.size:
+            known[fresh] = v = value(q, q_pop)
+            if target is not None:
+                beaten = beaten or bool(np.any(v > target[q_pop]))
+            else:
+                valued.append((q, q_pop, v))
+                np.fmax.at(best, q_pop, v)
+                bad = np.flatnonzero(~np.isfinite(v))
+                for i in bad[_starts(q_pop[bad])].tolist() if bad.size else ():
+                    error = NumericError(f"r1 value not finite at rate {q[i]}")
+                    failed.setdefault(int(q_pop[i]), error)
+        # the cells between neighbouring points of each row
+        row = np.repeat(np.arange(len(rows)), inner.sum(axis=1))
+        ends, vals = rows[inner], known[inner]
+        left = np.flatnonzero(row[:-1] == row[1:])
+        a, b, va, vb, p = ends[left], ends[left + 1], vals[left], vals[left + 1], pop[row[left]]
+        if failed:
+            ok = ~np.isin(p, list(failed))
+            a, b, va, vb, p = a[ok], b[ok], va[ok], vb[ok], p[ok]
+        if not a.size:
+            break
+        spent += np.bincount(p, minlength=len(lo))
+        out, where = bound(a, b, va, vb, p)
+        if target is None:
+            close = out < (best - 1e-10 * np.maximum(1.0, np.abs(best)))[p]
+        else:
+            close = out <= target[p]
+        kink_a, kink_b = cells.inside(a, b, p)
+        plain = np.flatnonzero(~close & (kink_a == kink_b)) if newton is not None else []
+        if len(plain):
+            s_a, s_b, _, _, up, down = cells.smooth(a[plain], b[plain], p[plain], kink_a[plain])
+            close[plain[(up <= 0) | (down >= 0)]] = True
+            rise = (up <= 0) & (s_a > 0) & (s_b < 0)
+            i = plain[rise]
+            brackets.append((a[i], b[i], s_a[rise], s_b[rise], p[i]))
+        split = np.flatnonzero(~close)
+        points, new, down = cells.split(a[split], b[split], p[split], kink_a[split], kink_b[split])
+        count = new.sum(axis=1)
+        over = spent + np.bincount(p[split], count + 1, minlength=len(lo)) > _CELL_BUDGET
+        if target is not None:
+            # the closed cells, those too narrow to split and, at a stop, every cell
+            stop = beaten or bool(over.any())
+            done = np.ones(len(a), dtype=bool) if stop else close
+            done[split[count == 0]] = True
+            if done.any():
+                k = np.flatnonzero(done)[np.argmax(out[done])]
+                if out[k] > top:
+                    top, at = float(out[k]), float(where[k])
+            if stop:
+                break
+        stopped |= over
+        keep = (count > 0) & ~over[p[split]]
+        split, points, new, down = split[keep], points[keep], new[keep], down[keep]
+        pop = p[split]
+        kinks.append((points[down], pop[np.nonzero(down)[0]]))
+        rows = np.concatenate([a[split, None], points, b[split, None]], axis=1)
+        edge = np.zeros((len(split), 1), dtype=bool)
+        fresh = np.concatenate([edge, new, edge], axis=1)
+        inner = np.concatenate([~edge, new, ~edge], axis=1)
+        known = np.full(rows.shape, np.nan)
+        known[:, 0], known[:, -1] = va[split], vb[split]
+    roots = [(np.empty(0), pop[:0])]
+    if brackets:
+        a, b, s_a, s_b, p = (np.concatenate(x) for x in zip(*brackets))
+        if a.size:
+            r_lo, r_hi = _refine(newton, a, b, s_a, s_b, p)
+            roots.append((0.5 * (r_lo + r_hi), p))
+    if stopped.any() and target is None:
+        q, q_pop, v = (np.concatenate(x) for x in zip(*valued))
+        for k in np.flatnonzero(stopped).tolist():
+            mine = np.flatnonzero(q_pop == k)
+            roots.append((q[mine[[np.argmax(v[mine])]]], np.array([k])))
+    roots, root_pop = (np.concatenate(x) for x in zip(*roots))
+    order = np.lexsort((roots, root_pop))
+    kinks, kink_pop = (np.concatenate(x) for x in zip(*kinks))
+    return roots[order], root_pop[order], kinks, kink_pop, failed, top, at, int(spent.sum())
 
 
 def _argmax_r1(
@@ -887,44 +957,75 @@ def _argmax_r1(
 ) -> list:
     """Global maximizer of the r1 slice on each box, and its source, for a stack of populations.
 
-    Client k's realized term (alpha/n - r/t_k) A_k(r) has right slope
-    -A_k/t_k + (alpha/n - r/t_k) A_k'(r), with A_k' >= 0 and
-    A_k >= ACCURACY_MIN > 0.  So past c = (alpha/n) max t, rounded up
-    (`_r1_cut`), every term, and the slice, strictly falls: at c <= r1_lo
-    the maximum is r1_lo, and otherwise `_search` computes no slope past c
-    and prunes the cells below it by `_R1Bound`.  The surrogate's unclamped
-    A_k may be negative, so it keeps c = inf and no bound.  gamma and t
-    hold one population per row, with its box in ``boxes``.
+    Past c = (alpha/n) max t, rounded up (`_r1_cut`), client k's realized
+    term (alpha/n - r/t_k) A_k(r) has right slope at most -A_k/t_k < 0, as
+    A_k >= ACCURACY_MIN: at c <= r1_lo the maximum is r1_lo, found with
+    nothing built or valued.  Otherwise `_r1_cells` keeps the roots and
+    down-kinks that can win, and `_best` picks among them and the edges:
+    "root", "kink" or "edge".  The surrogate's A_k may be negative, so it
+    keeps c = inf, and its cells hold no kinks.  gamma and t hold one
+    population per row, with its box in ``boxes``; returns (rate, source)
+    for each, or the NumericError of a value that is not finite.
     """
     lo = np.array([box.r1_lo for box in boxes], dtype=float)
     hi = np.array([box.r1_hi for box in boxes], dtype=float)
     out: list = [(float(x), "edge") for x in lo]
-    todo = np.arange(len(lo))
-    cut = np.full(len(lo), math.inf)
-    kinks, kink_pop, bound = np.empty(0), np.empty(0, dtype=np.intp), None
-    share = params.alpha / params.n
-    if clamp:
-        cut = _r1_cut(params, t)
-        todo = np.flatnonzero(~(cut <= lo))
-        if not todo.size:
-            return out
+    cut = _r1_cut(params, t) if clamp else np.full(len(lo), math.inf)
+    todo = np.flatnonzero(~(cut <= lo) & (hi > lo))
+    if not todo.size:
+        return out
+    if len(todo) < len(lo):
         gamma, t, lo, hi, cut = gamma[todo], t[todo], lo[todo], hi[todo], cut[todo]
-        bound = _R1Bound(gamma, t, share)
-        kinks, kink_pop = bound.down, bound.down_pop
-    found = _search(
-        lambda r, pop: _r1_slope(r, gamma, t, params, clamp, pop, bound),
-        _r1_newton(gamma, t, share, clamp),
-        lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop, bound),
-        lo,
-        hi,
-        kinks,
-        kink_pop,
-        cut,
-        bound,
+    share = params.alpha / params.n
+    cells = _R1Bound(gamma, t, share, clamp)
+    value = lambda r, pop: _r1_value(r, gamma, t, params, clamp, pop, cells)  # noqa: E731
+    roots, root_pop, kinks, kink_pop, failed, *_ = _r1_cells(
+        cells, cells, value, lo, hi, cut, _r1_newton(gamma, t, share, clamp)
     )
-    for p, result in zip(todo.tolist(), found):
-        out[p] = result
+    for p, error in failed.items():
+        out[todo[p]] = error
+    pops = np.array([p for p in range(len(todo)) if p not in failed], dtype=np.intp)
+    if pops.size:
+        root, kink = ~np.isin(root_pop, list(failed)), ~np.isin(kink_pop, list(failed))
+        roots, root_pop, kinks, kink_pop = roots[root], root_pop[root], kinks[kink], kink_pop[kink]
+        picks = _best(value, roots, root_pop, lo, hi, kinks, kink_pop, pops)
+        for p, pick in zip(pops.tolist(), picks):
+            out[todo[p]] = pick
     return out
+
+
+def _r2_segments(sums, params: SystemParams, lo, hi, clamp: bool, star=None):
+    """The r2 segments of each box between its in-box clamp kinks, with their sums and end reads.
+
+    ``sums`` are a stack's `_freshness_sums`, with boxes [lo_p, hi_p];
+    ``star`` (a stack of one) is one more end when it lies inside, and an
+    unclamped box is one segment.  Returns the sorted in-box kinks and
+    their populations, the segments [a, b] (grouped by population and
+    rising) and their populations, their live sums (`_live_sums` just right
+    of a), and the value and slope at a and at b from those sums.
+    """
+    live = np.flatnonzero(hi > lo)
+    kinks, kink_pop = np.empty(0), np.empty(0, dtype=np.intp)
+    if clamp:
+        both = np.concatenate(sums[:2], axis=1)
+        inside = (lo[:, None] < both) & (both < hi[:, None])
+        kinks, kink_pop = both[inside], np.repeat(np.arange(len(lo)), inside.sum(axis=1))
+        order = np.lexsort((kinks, kink_pop))
+        kinks, kink_pop = kinks[order], kink_pop[order]
+    extra = [star] if star is not None and lo[0] < star < hi[0] else []
+    ends = np.concatenate([lo[live], kinks, extra, hi[live]])
+    end_pop = np.concatenate([live, kink_pop, np.zeros(len(extra), dtype=np.intp), live])
+    order = np.lexsort((ends, end_pop))
+    ends, end_pop = ends[order], end_pop[order]
+    # not np.unique, whose first call imports numpy.ma
+    new = np.ones(len(ends), dtype=bool)
+    new[1:] = (ends[1:] > ends[:-1]) | (end_pop[1:] != end_pop[:-1])
+    ends, end_pop = ends[new], end_pop[new]
+    left = np.flatnonzero(end_pop[:-1] == end_pop[1:])
+    a, b, pop = ends[left], ends[left + 1], end_pop[left]
+    segment = _live_sums(a, sums, clamp, pop)
+    ends = _r2_parts(a, segment, params), _r2_parts(b, segment, params)
+    return kinks, kink_pop, a, b, pop, segment, *ends
 
 
 def _argmax_r2(
@@ -956,22 +1057,7 @@ def _argmax_r2(
     if not live.size:
         return out
     sums = _freshness_sums(delta)
-    kinks, kink_pop = np.empty(0), np.empty(0, dtype=np.intp)
-    if clamp:
-        both = np.concatenate(sums[:2], axis=1)
-        inside = (lo[:, None] < both) & (both < hi[:, None])
-        kinks, kink_pop = both[inside], np.repeat(np.arange(len(lo)), inside.sum(axis=1))
-        order = np.lexsort((kinks, kink_pop))
-        kinks, kink_pop = kinks[order], kink_pop[order]
-    # each population's segments run from lo through its sorted kinks to hi
-    end_pop = np.concatenate([live, kink_pop, live])
-    order = np.argsort(end_pop, kind="stable")
-    ends, end_pop = np.concatenate([lo[live], kinks, hi[live]])[order], end_pop[order]
-    left = np.flatnonzero(end_pop[:-1] == end_pop[1:])
-    a, b, pop = ends[left], ends[left + 1], end_pop[left]
-    segment = _live_sums(a, sums, clamp, pop)  # the segment's live set, read just right of a
-    _, s_a = _r2_parts(a, segment, params)
-    _, s_b = _r2_parts(b, segment, params)  # the left limit of the slope at b
+    kinks, kink_pop, a, b, pop, _, (_, s_a), (_, s_b) = _r2_segments(sums, params, lo, hi, clamp)
     failed = np.zeros(len(lo), dtype=bool)
     bad = np.flatnonzero(~(np.isfinite(s_a) & np.isfinite(s_b)))
     for i in bad[_starts(pop[bad])].tolist() if bad.size else ():
@@ -1279,33 +1365,12 @@ def _r1_cut(params: SystemParams, t: np.ndarray):
     return params.alpha / params.n * np.max(t, axis=-1) * (1.0 + _SLACK)
 
 
-def _r1_side_slopes(r: float, gamma: np.ndarray, t: np.ndarray, share: float):
-    """The realized r1 slice's left and right slopes at r, and their rounding pad.
-
-    With s = ``share`` and g_k = gamma_k t_k, client k's term
-    (s - r/t_k) A_k(r) has slope -A_k/t_k + (s - r/t_k) x_k/g_k where its
-    response moves, x_k = e^(r/g_k - 1), and -A_k/t_k where it is clamped.
-    It moves just right of r on [g_k _C_IN, g_k _C_OUT) and just left of r
-    on (g_k _C_IN, g_k _C_OUT], so at its kinks the two slopes differ.  The
-    pad is _SLACK times the sum of the terms' magnitudes.
-    """
-    g = gamma * t
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.exp(r / g - 1.0)
-        paid = np.sum(np.clip(raw - 1.0, ACCURACY_MIN, ACCURACY_MAX) / t)
-        term = (share - r / t) * np.clip(raw, 1.0 + ACCURACY_MIN, 1.0 + ACCURACY_MAX) / g
-    enter, leave = g * _C_IN, g * _C_OUT
-    right, left = (enter <= r) & (r < leave), (enter < r) & (r <= leave)
-    pad = _SLACK * (paid + np.sum(np.abs(term), where=right | left))
-    return -paid + np.sum(term, where=left), -paid + np.sum(term, where=right), pad
-
-
 def _r2_certificate(delta: np.ndarray, params: SystemParams, lo: float, hi: float, star: float):
     """Upper bound on the realized r2 slice over [lo, hi], where it sits, V(star) and the segments.
 
     The in-box clamp kinks delta_k and delta_k e^(FRESHNESS_MAX delta_k),
     and ``star`` when it lies inside, cut [lo, hi] into segments on which
-    the live set and the capped count are fixed, so
+    the live set and the capped count are fixed (`_r2_segments`), so
     f(r) = (beta/n - r)(S1 ln r - S2 + FRESHNESS_MAX m) has
     f'' = -S1 (1/r + (beta/n)/r^2) <= 0 there (Boyd & Vandenberghe 2004,
     §3.1.3): the tangents at a segment's ends bound it from above.  Their
@@ -1315,30 +1380,20 @@ def _r2_certificate(delta: np.ndarray, params: SystemParams, lo: float, hi: floa
     m (r - end)^2/2 bounds the segment, and the least of the three bounds
     counts; at a root r2*, where the tangent is flat only to within
     rounding, the parabola keeps the bound from growing with the segment's
-    width.  Each slope is read from the segment's own sums (`_live_sums`
-    just right of a), so the slope at b is the left limit, and it is padded
-    outward by _SLACK plus n eps, the rounding of the prefix sums, times
-    the sum of its terms' magnitudes.  O(log n) per point after the
-    O(n log n) sort.
+    width.  Each slope is read from the segment's own sums, so the slope at
+    b is the left limit, and it is padded outward by _SLACK plus n eps, the
+    rounding of the prefix sums, times the sum of its terms' magnitudes.
+    O(log n) per point after the O(n log n) sort.
     """
-    sums = _freshness_sums(delta)
-    d, cap, p1, _ = sums
-    kinks = [e[np.searchsorted(e, lo, side="right") : np.searchsorted(e, hi)] for e in (d, cap)]
-    inside = [star] if lo < star < hi else []
-    points = np.sort(np.concatenate([[lo], *kinks, inside, [hi]]))
-    points = points[np.concatenate([[True], points[1:] > points[:-1]])]
-    rates = np.append(points, star)
-    live = _live_sums(rates, sums, True)
-    values, slopes = _r2_parts(rates, live, params)
-    u_star = float(values[-1])
-    values[:-1][points == star] = u_star
-    if len(points) == 1:
-        return float(values[0]), lo, u_star, 0
-    a, b = points[:-1], points[1:]
-    segment = tuple(x[: len(a)] for x in live)
-    v_b, s_b = _r2_parts(b, segment, params)
+    sums = _freshness_sums(delta[None])
+    u_star = float(_r2_parts(star, _live_sums(star, [x[0] for x in sums], True), params)[0])
+    box = np.array([lo]), np.array([hi])
+    _, _, a, b, _, segment, (v_a, s_a), (v_b, s_b) = _r2_segments(sums, params, *box, True, star)
+    if not a.size:
+        return u_star if lo == star else float(_r2_value(lo, delta, params, True)), lo, u_star, 0
+    v_a[a == star] = u_star
     v_b[b == star] = u_star  # f is continuous; compare one computed value of f(star)
-    v_a, s_a = values[: len(a)], slopes[: len(a)]
+    d, p1 = sums[0][0], sums[2][0]
     share = params.beta / params.n
     fuzz = _SLACK + d.shape[-1] * np.finfo(float).eps
     ln_d = max(abs(math.log(d[0])), abs(math.log(d[-1])))
@@ -1365,16 +1420,7 @@ def _r2_certificate(delta: np.ndarray, params: SystemParams, lo: float, hi: floa
     return float(bound[k]), float(at[k]), u_star, len(a)
 
 
-def _r1_certificate(
-    gamma: np.ndarray,
-    t: np.ndarray,
-    params: SystemParams,
-    lo: float,
-    hi: float,
-    star: float,
-    cells: int,
-    room: float,
-):
+def _r1_certificate(gamma, t, params: SystemParams, lo: float, hi: float, star: float, room: float):
     """Upper bound on the realized r1 slice V over [lo, hi], where it sits, V(star) and the cells.
 
     Past the cut.  With s = alpha/n, let c = s max t rounded up
@@ -1383,92 +1429,50 @@ def _r1_certificate(
     A_k(r) >= ACCURACY_MIN > 0, which rises.  For c <= r < r',
     (s - r'/t)A(r') <= (s - r/t)A(r') since A(r') > 0, and
     (s - r/t)A(r') <= (s - r/t)A(r) since s - r/t <= 0 and A(r') >= A(r).
-    So every term, and V, is nonincreasing there: V <= V(e) on [e, hi] for
-    e = max(c, lo), one value.
+    So V is nonincreasing there: V <= V(e) on [e, hi] for e = max(c, lo).
 
-    Below the cut, [lo, e] starts as ``cells`` equal cells, with ``star``
-    as one more cell end when it lies inside.  Each cell takes the lesser
-    of `_R1Bound`'s padded cone and chord bounds, and, for a cell ending at
-    ``star`` with no up-kink inside, Taylor's bound from star when that is
-    less: V(star + y) <= V(star) + V'(star+) y + K y^2/2 for y >= 0, and
-    leftward with V'(star-), where K >= V'' sums each live client's largest
-    curvature over the cell (down-kinks only lower V).  It is tight where
-    K < 0 and the one-sided slopes point away from star.
-
-    A cell whose bound exceeds V(star) + ``room`` is halved, and the halves
-    are bounded again; every halving values one rate.  It stops when every
-    cell has closed, when the next level would pass _CELL_BUDGET cells, or
-    when a valued rate already exceeds V(star) + ``room``, so that no cell
-    holding it could close; the open cells then keep the bounds they have.
-    A cell too narrow to halve keeps its bound, and a bound that is not a
-    number is infinite.  The side slopes and K are padded for rounding as
-    in `_deviation_bounds`; V itself is compared as computed.
+    Below the cut the solver's branch and bound (`_r1_cells`) runs with
+    the fixed target V(star) + ``room`` and ``star`` as one more cell end.
+    A kink-free cell ending at ``star`` also takes Taylor's bound from
+    star, V(star + y) <= V(star) + V'(star+) y + K y^2/2 for y >= 0 and
+    leftward with V'(star-), with K >= V'' and the one-sided slopes from the
+    cell's own live clients (`_R1Bound.smooth`), tight where K < 0.  The
+    bound is the largest of V(e) and the bounds of the closed cells, and of
+    the open ones where the loop stopped.
     """
     share = params.alpha / params.n
-    end = min(max(float(_r1_cut(params, t)), lo), hi)
-    cone_chord = _R1Bound(gamma[None], t[None], share) if end > lo else None
-    value = lambda r: _r1_value(r, gamma, t, params, True, None, cone_chord)  # noqa: E731
-    ends = np.linspace(lo, end, cells + 1) if end > lo else np.array([lo])
-    if lo < star < end and not np.any(ends == star):
-        ends = np.insert(ends, np.searchsorted(ends, star), star)
-    v = value(np.append(ends, star))
-    v_star, v = float(v[-1]), v[:-1]
-    v[ends == star] = v_star
-    top, at, examined = float(v[-1]), end, int(end < hi)
+    cut = _r1_cut(params, t[None])
+    end = min(max(float(cut[0]), lo), hi)
     if end == lo:
-        return top, at, v_star, examined
+        v = _r1_value(np.array([lo, star]), gamma, t, params, True)
+        return float(v[1] if lo == star else v[0]), lo, float(v[1]), int(lo < hi)
+    gamma, t = gamma[None], t[None]
+    cells = _R1Bound(gamma, t, share)
+    value = lambda r, pop: _r1_value(r, gamma, t, params, True, pop, cells)  # noqa: E731
+    v = value(np.array([star, end]), np.zeros(2, dtype=np.intp))
+    v_star = float(v[0])
+    top, at = (v_star if end == star else float(v[1])), end
 
-    sides = []  # (direction, padded slope away from star) of the cells that end at star
-    if lo <= star <= end:
-        left, right, pad = _r1_side_slopes(star, gamma, t, share)
-        sides = [(1.0, right + pad), (-1.0, pad - left)]
-    gs, ts, kinks = cone_chord.g[0], cone_chord.t[0], cone_chord.kinks[0]
-    ups = np.concatenate([[0], np.cumsum(cone_chord.jump[0] > 0)])
-
-    def upper_curve(a, b):
-        first, stop = cone_chord.window(a, b, 0)
-        gw, tw = gs[first:stop], ts[first:stop]
-        phi = share - (a + 2.0 * gw) / tw
-        whole = (gw * _C_IN <= a) & (b <= gw * _C_OUT)
-        with np.errstate(over="ignore", invalid="ignore"):
-            low = np.where(whole, (1.0 + ACCURACY_MIN) * phi, 0.0)
-            k = np.where(phi > 0, (1.0 + ACCURACY_MAX) * phi, low) / (gw * gw)
-            return float(np.sum(k) + _SLACK * np.sum(np.abs(k)))
-
-    def bound(a, b, va, vb):
-        out, where = cone_chord(a, b, va, vb, np.zeros(len(a), dtype=np.intp))
-        no_up = ups[np.searchsorted(kinks, b)] == ups[np.searchsorted(kinks, a, side="right")]
-        for side, slope in sides:
-            for k in np.flatnonzero(((a if side > 0 else b) == star) & no_up).tolist():
-                gain, y = _peak(slope, upper_curve(a[k], b[k]), b[k] - a[k])
-                if v_star + gain < out[k]:
-                    out[k], where[k] = v_star + gain, star + side * y
+    def bound(a, b, va, vb, pop):
+        out, where = cells(a, b, va, vb, pop)
+        i = np.flatnonzero((a == star) | (b == star))
+        kink_a, kink_b = cells.inside(a[i], b[i], pop[i])
+        i, kink_a = i[kink_a == kink_b], kink_a[kink_a == kink_b]
+        if i.size:
+            s_a, s_b, pad_a, pad_b, up, _ = cells.smooth(a[i], b[i], pop[i], kink_a)
+            right = a[i] == star
+            gain, y = _peak(np.where(right, s_a + pad_a, pad_b - s_b), up, b[i] - a[i])
+            lower = v_star + gain < out[i]
+            out[i[lower]] = v_star + gain[lower]
+            where[i[lower]] = np.where(right, star + y, star - y)[lower]
         return out, where
 
-    target = v_star + max(room, 0.0)
-    a, b, va, vb = ends[:-1], ends[1:], v[:-1], v[1:]
-    examined += len(a)
-    beaten = bool(np.max(v) > target)
-    while True:
-        out, where = bound(a, b, va, vb)
-        mid = 0.5 * (a + b)
-        split = ~(out <= target) & (a < mid) & (mid < b)
-        if beaten or examined + 2 * int(split.sum()) > _CELL_BUDGET:
-            split[:] = False
-        done = np.flatnonzero(~split)
-        if done.size:
-            k = done[np.argmax(out[done])]
-            if out[k] > top:
-                top, at = float(out[k]), float(where[k])
-        if not split.any():
-            break
-        a, b, va, vb, mid = a[split], b[split], va[split], vb[split], mid[split]
-        vm = value(mid)
-        beaten = bool(np.max(vm) > target)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        examined += len(a)
-    return top, at, v_star, examined
+    target = np.array([v_star + max(room, 0.0)])
+    box = np.array([lo]), np.array([hi])
+    *_, top1, at1, bounded = _r1_cells(bound, cells, value, *box, cut, None, target, (star, v_star))
+    if top1 > top:
+        top, at = top1, at1
+    return top, at, v_star, bounded + int(end < hi)
 
 
 @dataclass(frozen=True)
@@ -1492,7 +1496,6 @@ def verify_server_equilibrium(
     params: SystemParams,
     rates_star: RewardRates,
     box: RateBox,
-    grid_n: int = 50,
 ) -> ServerEquilibriumReport:
     """Certify that no in-box rate pair beats the audited rates by more than VERIFY_TOL.
 
@@ -1503,25 +1506,20 @@ def verify_server_equilibrium(
     utility separates, so no pair is worth more than the r1 slice's upper
     bound plus the r2 slice's.  `_r2_certificate` bounds each concave r2
     segment between kinks by its end tangents and curvature, with no
-    iteration.
-    `_r1_certificate` bounds r1 past c = (alpha/n) max t by its value at c,
-    and below c by cell bounds, starting from ``grid_n`` cells (an integer
-    of at least 1) and halving the cells that do not close to within
-    VERIFY_TOL of u1*, less what the r2 bound already uses.  The rates pass
-    when the bounds exceed u1* + u2* by at most VERIFY_TOL.  No rate grid is
+    iteration.  `_r1_certificate` bounds r1 past c = (alpha/n) max t by its
+    value at c, and below c runs the solver's branch and bound
+    (`_r1_cells`) from the same cells, with the fixed target u1* plus what
+    VERIFY_TOL leaves after the r2 bound: the cells that do not close are
+    split until they do, the cell budget runs out or a valued rate passes
+    the target, and the open cells keep their bounds.  The rates pass when
+    the bounds exceed u1* + u2* by at most VERIFY_TOL.  No rate grid is
     read, so a rise narrower than any grid cell is still bounded.
     """
-    try:
-        grid_n = operator.index(grid_n)
-    except TypeError:
-        raise DomainError(f"grid_n must be an integer, got {grid_n!r}") from None
-    if grid_n < 1:
-        raise DomainError(f"grid_n must be at least 1, got {grid_n}")
     gamma, delta, t = _population_arrays(profiles)
     top2, at2, u2, segments = _r2_certificate(delta, params, box.r2_lo, box.r2_hi, rates_star.r2)
     room = VERIFY_TOL - (top2 - u2)
     top1, at1, u1, cells = _r1_certificate(
-        gamma, t, params, box.r1_lo, box.r1_hi, rates_star.r1, grid_n, room
+        gamma, t, params, box.r1_lo, box.r1_hi, rates_star.r1, room
     )
     worst = (top1 + top2) - (u1 + u2)
     return ServerEquilibriumReport(

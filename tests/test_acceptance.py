@@ -209,7 +209,7 @@ def test_criterion_4_nash_equilibrium_certification():
         params = config.system_params
         box = feasible_rate_box(pop, config.r2_cap)
         eq = compute_equilibrium(pop, params, box)
-        server = verify_server_equilibrium(pop, params, eq.rates, box, grid_n=50)
+        server = verify_server_equilibrium(pop, params, eq.rates, box)
         worst_server = max(worst_server, server.worst_violation)
         assert server.passed, f"server violation {server.worst_violation}"
         for p in pop:

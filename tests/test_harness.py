@@ -748,26 +748,25 @@ def test_a_run_with_an_empty_box_fails_alone():
 
 
 def test_a_run_whose_solve_fails_fails_alone(monkeypatch):
-    # a subnormal gamma*t makes run 4's r1 slope overflow; that run fails with
-    # the error of its own solve, after the mechanism played before it, and
-    # every other run keeps the outcomes of the cell without it
+    # run 4's r1 slice reads as not a number, as an overflow would make it;
+    # that run fails with the error of its own solve, after the mechanism
+    # played before it, and every other run keeps the outcomes of the cell
+    # without it
     config = ScenarioConfig()
     mechanisms = [MechanismKind.RANDOM, MechanismKind.IFEDCROWD, MechanismKind.MAX]
     clean, _ = evaluate_cell(config, mechanisms)
-    sample = harness.sample_population
+    run_4 = harness.sample_population(config, 4).gamma
+    value = equilibrium._r1_value
 
-    def tiny_gamma_in_run_4(config, run):
-        pop = sample(config, run)
-        if run != 4:
-            return pop
-        gamma = pop.gamma.copy()
-        gamma[0] = 1e-310
-        return Population(pop.ids, gamma, pop.delta, pop.t_min)
+    def not_finite_in_run_4(r, gamma, t, params, clamp, pop, ranked):
+        v = value(r, gamma, t, params, clamp, pop, ranked)
+        v[np.all(gamma[pop] == run_4, axis=1)] = np.nan
+        return v
 
-    pop = tiny_gamma_in_run_4(config, 4)
-    with pytest.raises(NumericError, match="derivative not finite") as alone:
+    monkeypatch.setattr(equilibrium, "_r1_value", not_finite_in_run_4)
+    pop = harness.sample_population(config, 4)
+    with pytest.raises(NumericError, match="r1 value not finite") as alone:
         compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
-    monkeypatch.setattr(harness, "sample_population", tiny_gamma_in_run_4)
     outcomes, failures = evaluate_cell(config, mechanisms)
     assert failures == [f"run 4: {alone.value}"]
     assert [(o.run_index, o.mechanism) for o in outcomes if o.run_index == 4] == [
@@ -777,9 +776,9 @@ def test_a_run_whose_solve_fails_fails_alone(monkeypatch):
 
 
 def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
-    # the default workers=10 cell: its ten solves one by one make 10 r1 slope
-    # calls, 20 r1 value calls and 12 refine passes, the costliest run 1, 2
-    # and 2; solved together, the cell makes no more calls than that run
+    # the default workers=10 cell: its ten solves one by one make no r1 slope
+    # call, 29 r1 value calls and 18 refine passes, the costliest run 0, 3
+    # and 3; solved together, the cell makes no more calls than that run
     from ifedcrowd import equilibrium
 
     config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
@@ -802,11 +801,11 @@ def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
         compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
         per_run.append((calls["slope"], calls["value"], calls["pass"]))
         calls.update({name: 0 for name in calls})
-    assert tuple(map(sum, zip(*per_run))) == (10, 20, 12)
-    assert max(per_run) == (1, 2, 2)
+    assert tuple(map(sum, zip(*per_run))) == (0, 29, 18)
+    assert max(per_run) == (0, 3, 3)
     outcomes, failures = evaluate_cell(config, list(MechanismKind))
     assert len(outcomes) == 30 and not failures
-    assert calls["slope"] <= 1 and calls["value"] <= 2 and calls["pass"] <= 2
+    assert calls["slope"] == 0 and calls["value"] <= 3 and calls["pass"] <= 3
 
 
 def test_pinned_fuzz_config_verifies():
@@ -902,6 +901,23 @@ def test_every_command_succeeds_or_raises_a_typed_error(config):
             command()
         except IFedCrowdError:
             pass
+
+
+@settings(max_examples=200)
+@given(config=fuzz_configs())
+def test_the_server_certificate_flags_no_solver_miss(config):
+    # the solver and the certificate run one branch and bound, the solver
+    # to its pick and the certificate to the solver's value plus what
+    # VERIFY_TOL leaves: wherever the solve succeeds, its rates pass
+    population = sample_population(config, 0)
+    params = config.system_params
+    try:
+        box = feasible_rate_box(population, config.r2_cap)
+        eq = compute_equilibrium(population, params, box)
+    except IFedCrowdError:
+        return
+    report = verify_server_equilibrium(population, params, eq.rates, box)
+    assert report.passed, (config, report)
 
 
 def test_verify_scenario_with_large_delta_emits_no_overflow():
