@@ -39,8 +39,8 @@ every sum over clients taken over its own rows (or one cell's or one
 rate's own clients).  The stack shares only elementwise work and
 bookkeeping, never a sum.
 
-An r1 value or slope call larger than _BLOCK rates x clients entries for
-one population takes exponentials over the live clients only: with the
+An r1 value call larger than _BLOCK rates x clients entries for one
+population takes exponentials over the live clients only: with the
 clients sorted by g_k = gamma_k t_k, client k is live on
 [g_k (1 + ln 1.001), g_k (1 + ln 1.999)), so the live clients at a rate
 are one window of that order, and the clamped ones outside it add prefix
@@ -87,7 +87,7 @@ _SLACK = 16 * np.finfo(float).eps
 _CELLS = 64          # cells an r1 box starts from
 _SPLIT = 16          # cells a split r1 cell is cut into
 _XTOL = 1e-12        # bracket width at which refinement stops
-_BLOCK = 1 << 16     # rates x clients entries per block of an r1 value or slope call
+_BLOCK = 1 << 16     # rates x clients entries per block of an r1 value call
 _PAD = 1e-9          # relative margin of an r1 live window
 _CELL_BUDGET = 4096  # r1 cells a population may bound, solving or certifying
 # r1/(gamma t) at which an accuracy response enters and leaves the clamp rectangle
@@ -123,28 +123,26 @@ def _starts(pop: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two float buffers and a bool buffer of ``entries`` each, for `_r1_terms`.
+def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float buffers of ``entries`` each, for `_r1_terms`.
 
     They share one allocation, so the allocator gets back one block it can
     hand out whole to the next call.
     """
-    buf = np.empty(2 * entries + -(-entries // 8))
-    return buf[:entries], buf[entries : 2 * entries], buf[2 * entries :].view(bool)[:entries]
+    buf = np.empty(2 * entries)
+    return buf[:entries], buf[entries:]
 
 
-def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch, rows=None):
+def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, scratch, rows=None):
     """x = exp(r/g_k - 1) and the accuracy responses x - 1, one row per rate of r.
 
     ``g`` holds g_k = gamma_k t_k, one row of clients for every rate, or
     with ``rows`` a stack of rows, row rows[i] for rate i, gathered straight
-    into x.  The responses are clamped with ``clamp``, and then for a
-    ``slope`` x is zeroed wherever its response is clamped, since a clamped
-    response has zero slope.  Both are views of the `_scratch` buffers,
-    which hold at least len(r) * n entries each.
+    into x.  The responses are clamped with ``clamp``.  Both are views of
+    the `_scratch` buffers, which hold at least len(r) * n entries each.
     """
     shape = (len(r), g.shape[-1])
-    x, a, dead = (buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
+    x, a = (buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
     if rows is not None:
         g = np.take(g, rows, axis=0, out=x, mode="clip")  # "raise" would buffer the gather
     np.divide(r[:, None], g, out=x)
@@ -152,42 +150,21 @@ def _r1_terms(r: np.ndarray, g: np.ndarray, clamp: bool, slope: bool, scratch, r
     np.exp(x, out=x)
     np.subtract(x, 1.0, out=a)
     if clamp:
-        if slope:
-            np.less(a, ACCURACY_MIN, out=dead)
-            np.copyto(x, 0.0, where=dead)
-            np.greater_equal(a, ACCURACY_MAX, out=dead)
-            np.copyto(x, 0.0, where=dead)
         np.clip(a, ACCURACY_MIN, ACCURACY_MAX, out=a)
     return x, a
 
 
-def _r1_weights(g: np.ndarray, t: np.ndarray, share: float, slope: bool) -> np.ndarray:
-    """The clients' weights in `_r1_rows`, stacked on the first axis.
+def _r1_rows(r: np.ndarray, x: np.ndarray, a: np.ndarray, inv_t: np.ndarray, share: float):
+    """The r1 slice at rates r from their `_r1_terms`, each rate's row summed along itself.
 
-    They are alpha/(n g_k), 1/(t_k g_k) and 1/t_k for a slope, and 1/t_k
-    alone for a value.
+    ``inv_t`` holds 1/t_k, a row of its own for each rate or one row for
+    all; x is overwritten.
     """
-    if slope:
-        return np.stack([share / g, 1.0 / (t * g), 1.0 / t])
-    return (1.0 / t)[None]
+    return share * a.sum(axis=1) - r * np.multiply(a, inv_t, out=x).sum(axis=1)
 
 
-def _r1_rows(r: np.ndarray, x: np.ndarray, a: np.ndarray, w: np.ndarray, share: float, slope):
-    """The r1 slice (or its slope) at rates r from their `_r1_terms` and `_r1_weights`.
-
-    Each rate's terms are summed along its own row, with a row of weights
-    of its own or one row for all; x and a are overwritten.
-    """
-    if slope:
-        paid = np.multiply(a, w[2], out=a).sum(axis=1)
-        rise = np.multiply(x, w[0], out=a).sum(axis=1)
-        return rise - r * np.multiply(x, w[1], out=x).sum(axis=1) - paid
-    total = a.sum(axis=1)
-    return share * total - r * np.multiply(a, w[0], out=x).sum(axis=1)
-
-
-def _r1_windowed(r: np.ndarray, g, t, cum, share: float, slope: bool, scratch):
-    """The realized r1 slice (or its slope) at rates r, over each rate's live clients only.
+def _r1_windowed(r: np.ndarray, g, t, cum, share: float, scratch):
+    """The realized r1 slice at rates r, over each rate's live clients only.
 
     ``g`` and ``t`` hold one population's clients.  Given ``cum``, the
     prefix sums of 1/t_k, they are sorted by g_k = gamma_k t_k; otherwise
@@ -221,34 +198,35 @@ def _r1_windowed(r: np.ndarray, g, t, cum, share: float, slope: bool, scratch):
         j = i + max(int(rows), 1)
         lo, hi = first[i], stop[j - 1]
         rb = rs[i:j]
-        x, a = _r1_terms(rb, g[lo:hi], True, slope, scratch)
-        part = _r1_rows(rb, x, a, _r1_weights(g[lo:hi], t[lo:hi], share, slope), share, slope)
-        # the clamped clients outside the window add sum a_k/t_k to the
-        # payment rate and, to the value only, sum a_k to the benefit
+        x, a = _r1_terms(rb, g[lo:hi], True, scratch)
+        part = _r1_rows(rb, x, a, 1.0 / t[lo:hi], share)
+        # the clamped clients outside the window add sum a_k to the benefit
+        # and sum a_k/t_k to the payment rate
         paid = ACCURACY_MAX * cum[lo] + ACCURACY_MIN * (cum[n] - cum[hi])
-        if slope:
-            part -= paid
-        else:
-            part += share * (ACCURACY_MAX * lo + ACCURACY_MIN * (n - hi)) - rb * paid
+        part += share * (ACCURACY_MAX * lo + ACCURACY_MIN * (n - hi)) - rb * paid
         out[rank[i:j]] = part
         i = j
     return out
 
 
-def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=None, ranked=None):
-    """`_r1_value` (or, with ``slope``, `_r1_slope`) at every rate of r1, in its order.
+def _r1_value(r1, gamma, t, params: SystemParams, clamp: bool, pop=None, ranked=None):
+    """r1-dependent slice of the server utility: sum_k (alpha/n - r1/t_k) A_k(r1).
 
-    Each population's rates are computed as in a call of their own.  At
-    most _BLOCK rates x clients entries are one block over every client.  A
-    larger clamped call goes through `_r1_windowed`, which sorts the
-    population's clients by g unless ``ranked``, the stack's `_R1Bound`,
-    holds them sorted; a larger unclamped one, where every client is live,
-    is split into blocks of rates over every client.  Populations of at
-    most _BLOCK entries share a block with their neighbours while the block
-    stays within _BLOCK entries; its exponentials are taken once, and
-    `_r1_rows` sums each rate's own row.  The blocks share one
-    `_scratch`, allocated here: no block holds more than max(_BLOCK, n)
-    entries.
+    A_k is the accuracy response exp(r1/(gamma_k t_k) - 1) - 1, clamped into
+    [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
+    1-D array of rates and returns the same shape.  With ``pop``, gamma and
+    t hold a stack of populations, one per row, and rate i is taken in
+    population pop[i], pop nondecreasing.  Each population's rates are
+    computed as in a call of their own.  At most _BLOCK rates x clients
+    entries are one block over every client.  A larger clamped call goes
+    through `_r1_windowed`, which sorts the population's clients by g unless
+    ``ranked``, the stack's `_R1Bound`, holds them sorted; a larger
+    unclamped one, where every client is live, is split into blocks of
+    rates over every client.  Populations of at most _BLOCK entries share a
+    block with their neighbours while the block stays within _BLOCK
+    entries; its exponentials are taken once, and `_r1_rows` sums each
+    rate's own row.  The blocks share one `_scratch`, allocated here: no
+    block holds more than max(_BLOCK, n) entries.
     """
     r = np.atleast_1d(np.asarray(r1, dtype=float))
     if pop is None:
@@ -271,14 +249,13 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
                     clients = (g[p], t[p], None)
                     if ranked is not None:
                         clients = ranked.g[p], ranked.t[p], ranked.cum[0, p]
-                    out[s:e] = _r1_windowed(r[s:e], *clients, share, slope, scratch)
+                    out[s:e] = _r1_windowed(r[s:e], *clients, share, scratch)
                 else:
-                    w = _r1_weights(g[p], t[p], share, slope)
                     step = max(_BLOCK // n, 1)
                     for i in range(s, e, step):
                         rb = r[i : min(i + step, e)]
-                        x, a = _r1_terms(rb, g[p], False, slope, scratch)
-                        out[i : i + len(rb)] = _r1_rows(rb, x, a, w, share, slope)
+                        x, a = _r1_terms(rb, g[p], False, scratch)
+                        out[i : i + len(rb)] = _r1_rows(rb, x, a, 1.0 / t[p], share)
                 p += 1
                 continue
             q = p + 1
@@ -286,34 +263,12 @@ def _r1_parts(r1, gamma, t, params: SystemParams, clamp: bool, slope: bool, pop=
                 q += 1
             rb = r[s : bounds[q]]
             rows = None if q == p + 1 else pop[s : bounds[q]]
-            x, a = _r1_terms(rb, g[p] if rows is None else g, clamp, slope, scratch, rows)
-            w = _r1_weights(g[p], t[p], share, slope)
-            if rows is not None:  # each rate's own population's weights
-                w = _r1_weights(g, t, share, slope)[:, rows]
-            out[s : bounds[q]] = _r1_rows(rb, x, a, w, share, slope)
+            x, a = _r1_terms(rb, g[p] if rows is None else g, clamp, scratch, rows)
+            # each rate's own population's payments per unit of accuracy
+            inv_t = 1.0 / (t[p] if rows is None else t[rows])
+            out[s : bounds[q]] = _r1_rows(rb, x, a, inv_t, share)
             p = q
     return out if np.ndim(r1) else float(out[0])
-
-
-def _r1_value(r1, gamma, t, params: SystemParams, clamp: bool, pop=None, ranked=None):
-    """r1-dependent slice of the server utility: sum_k (alpha/n - r1/t_k) A_k(r1).
-
-    A_k is the accuracy response exp(r1/(gamma_k t_k) - 1) - 1, clamped into
-    [ACCURACY_MIN, ACCURACY_MAX] when ``clamp`` is set.  Takes a rate or a
-    1-D array of rates and returns the same shape.  With ``pop``, gamma and
-    t hold a stack of populations, one per row, and rate i is taken in
-    population pop[i], pop nondecreasing; ``ranked`` as in `_r1_parts`.
-    """
-    return _r1_parts(r1, gamma, t, params, clamp, False, pop, ranked)
-
-
-def _r1_slope(r1, gamma, t, params: SystemParams, clamp: bool, pop=None, ranked=None):
-    """Right derivative of `_r1_value` in r1, with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1)/(gamma_k t_k).
-
-    A clamped response has zero slope.  A client counts as unclamped on
-    [ACCURACY_MIN, ACCURACY_MAX), where its response rises just right of r1.
-    """
-    return _r1_parts(r1, gamma, t, params, clamp, True, pop, ranked)
 
 
 def _r1_newton(gamma: np.ndarray, t: np.ndarray, share: float, clamp: bool):
@@ -453,7 +408,10 @@ def du_dr1(profiles: Sequence[ClientProfile], params: SystemParams, r1: float) -
     with dA_k/dr1 = exp(r1/(gamma_k t_k) - 1) / (gamma_k t_k).
     """
     gamma, _, t = _population_arrays(profiles)
-    return _r1_slope(r1, gamma, t, params, clamp=False)
+    g = gamma * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(r1 / g - 1.0)
+        return float(np.sum((params.alpha / params.n - r1 / t) * x / g - (x - 1.0) / t))
 
 
 def du_dr2(profiles: Sequence[ClientProfile], params: SystemParams, r2: float) -> float:
@@ -649,13 +607,13 @@ class _R1Bound:
         rows, order = np.arange(len(g))[:, None], np.argsort(g, axis=1, kind="stable")
         self.g, self.t, self.share, self.clamp = g[rows, order], t[rows, order], share, clamp
         self.fuzz = n * np.finfo(float).eps
+        self.keys = [None, None]
         # sums of 1/t from the start, and of 1/g, 1/(g t) and 1/(g^2 t) to the end
         self.cum = np.zeros((4, len(g), n + 1))
         with np.errstate(over="ignore"):  # a non-finite value fails the population
             np.cumsum(1.0 / self.t, axis=1, out=self.cum[0, :, 1:])
         if not clamp:
             self.kinks = self.jump = np.empty((len(g), 0))
-            self.keys = [None, None]
             return
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             enter = (share - _C_IN * gamma) * (1.0 + ACCURACY_MIN) / g
@@ -677,7 +635,6 @@ class _R1Bound:
         self.drops = np.zeros((len(g), 2 * n + 1))  # the down-jumps from each kink on
         drop = np.where(self.jump < 0, -self.jump, 0.0)
         np.cumsum(drop[:, ::-1], axis=1, out=self.drops[:, -2::-1])
-        self.keys = [None, None]
         if len(g) > 1:
             self.keys = [_keys(self.g), _keys(self.kinks)]
 
@@ -822,8 +779,6 @@ def _sections(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     points = a[:, None] + (b - a)[:, None] * (np.arange(m + 1) / m)
     points[:, -1] = b
     return points
-
-
 
 
 def _r1_cells(bound, cells: _R1Bound, value, lo, hi, cut, newton=None, target=None, star=None):

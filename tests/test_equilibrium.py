@@ -351,7 +351,7 @@ def test_compute_equilibrium_source_names_the_winner():
                 box.r1_lo,
                 box.r1_hi,
                 np.concatenate([gt * c_in, gt * c_out]),
-                lambda r: equilibrium._r1_slope(r, gamma, t, params, True),
+                lambda r: r1_slope(r, gamma, t, params, True),
             ),
             (
                 eq.rates.r2,
@@ -690,7 +690,7 @@ def oracle_r1(search, gamma, t, params, box, clamp):
         bound = lambda *ends: cells(*ends, np.zeros(len(ends[0]), dtype=np.intp))  # noqa: E731
         kinks = down_kinks(gamma, t, params)
     return search(
-        lambda r: equilibrium._r1_slope(r, gamma, t, params, clamp),
+        lambda r: r1_slope(r, gamma, t, params, clamp),
         r1_curve(gamma, t, params, clamp),
         lambda r: equilibrium._r1_value(r, gamma, t, params, clamp),
         box.r1_lo,
@@ -779,7 +779,7 @@ def test_search_reaches_scalar_bisection_oracle(scenario):
         axes = (
             (
                 lambda: argmax_r1(gamma, t, params, box, clamp),
-                lambda r: equilibrium._r1_slope(r, gamma, t, params, clamp),
+                lambda r: r1_slope(r, gamma, t, params, clamp),
                 lambda r: equilibrium._r1_value(r, gamma, t, params, clamp),
                 box.r1_lo,
                 box.r1_hi,
@@ -955,7 +955,7 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
         [gt * (1.0 + math.log1p(ACCURACY_MIN)), gt * (1.0 + math.log1p(ACCURACY_MAX))]
     )
     full, _ = search1(
-        lambda r: equilibrium._r1_slope(r, gamma, t, params, True),
+        lambda r: r1_slope(r, gamma, t, params, True),
         lambda r: equilibrium._r1_value(r, gamma, t, params, True),
         box.r1_lo,
         box.r1_hi,
@@ -966,12 +966,12 @@ def test_r1_values_only_the_kinks_where_the_slope_jumps_down(monkeypatch, n):
 
 
 def test_refinement_slope_call_budget(monkeypatch):
-    # the default workers=10 cell, run 2: the r1 branch and bound reads no
-    # slope helper, values rates in three calls (its starting points, one
-    # split level and `_best`), and narrows its one concave sign change in
-    # three Newton passes, not dozens of calls per sign change; r2 is
-    # solved from prefix sums and never calls the slope helper
-    calls = {"r1": 0, "r2": 0, "pass": 0, "value": 0}
+    # the default workers=10 cell, run 2: the r1 branch and bound values
+    # rates in three calls (its starting points, one split level and
+    # `_best`) and narrows its one concave sign change in three Newton
+    # passes, not dozens of calls per sign change; r2 is solved from prefix
+    # sums and never calls the slope helper
+    calls = {"r2": 0, "pass": 0, "value": 0}
 
     def counted(name, slope):
         def wrapper(*args, **kwargs):
@@ -981,14 +981,13 @@ def test_refinement_slope_call_budget(monkeypatch):
         return wrapper
 
     newton = equilibrium._r1_newton
-    monkeypatch.setattr(equilibrium, "_r1_slope", counted("r1", equilibrium._r1_slope))
     monkeypatch.setattr(equilibrium, "_r1_value", counted("value", equilibrium._r1_value))
     monkeypatch.setattr(equilibrium, "_r2_slope", counted("r2", equilibrium._r2_slope))
     monkeypatch.setattr(equilibrium, "_r1_newton", lambda *args: counted("pass", newton(*args)))
     config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
     pop = sample_population(config, 2)
     compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
-    assert calls == {"r1": 0, "r2": 0, "pass": 3, "value": 3}
+    assert calls == {"r2": 0, "pass": 3, "value": 3}
 
 
 def r1_curvature_cases():
@@ -1024,7 +1023,7 @@ def test_r1_curvature_matches_d2u_dr1_on_the_unclamped_slice():
 def test_r1_curvature_matches_a_centred_slope_difference_on_the_clamped_slice():
     # away from the clamp kinks the clamped slope is smooth, and its centred
     # difference over +-h is within O(h^2) of the pass's curvature; the
-    # pass's slope is `_r1_slope`'s to 1e-12 of its terms' size
+    # pass's slope is the dense oracle's to 1e-12 of its terms' size
     checked = 0
     for gamma, t, params, rates in r1_curvature_cases():
         h = 1e-5 * rates
@@ -1033,7 +1032,7 @@ def test_r1_curvature_matches_a_centred_slope_difference_on_the_clamped_slice():
         clear = np.min(np.abs(rates[:, None] - kinks), axis=1) > 4.0 * h
         rates, h = rates[clear], h[clear]
         slope, curve = r1_curve(gamma, t, params, True)(rates)
-        up, down = (equilibrium._r1_slope(rates + d, gamma, t, params, True) for d in (h, -h))
+        up, down = (r1_slope(rates + d, gamma, t, params, True) for d in (h, -h))
         want = (up - down) / (2.0 * h)
         # the curvature's own size: every live client's term taken positive
         x = np.exp(rates[:, None] / gt - 1.0)
@@ -1044,7 +1043,7 @@ def test_r1_curvature_matches_a_centred_slope_difference_on_the_clamped_slice():
         assert np.all(np.abs(curve - want) <= 1e-6 * size + 1e-12), (rates, curve, want)
         a = np.clip(x - 1.0, ACCURACY_MIN, ACCURACY_MAX)
         slope_size = np.sum(live * x * (share + rates[:, None] / t) / gt + a / t, axis=1)
-        scan = equilibrium._r1_slope(rates, gamma, t, params, True)
+        scan = r1_slope(rates, gamma, t, params, True)
         assert np.all(np.abs(slope - scan) <= 1e-12 * slope_size), (rates, slope, scan)
         checked += int(live.any(axis=1).sum())
     assert checked > 300
@@ -1108,7 +1107,7 @@ def test_a_bracket_holding_an_up_kink_closes_on_a_sign_change_of_the_slope():
     # default-sweep populations: from the last read at or left of the kink
     # with a slope >= 0 to the first read right of it with a negative slope.
     # Newton steps from one smooth piece may leave the bracket across the
-    # kink, and the safeguard keeps the refine on a sign change of `_r1_slope`
+    # kink, and the safeguard keeps the refine on a sign change of the slope
     closed = 0
     for pop, params, box in default_cell_runs():
         gamma, t = pop.gamma, pop.t_min
@@ -1118,7 +1117,7 @@ def test_a_bracket_holding_an_up_kink_closes_on_a_sign_change_of_the_slope():
         down = down_kinks(gamma, t, params)
         for kink in up:
             xs = kink + np.linspace(-0.2, 0.2, 401)
-            s = equilibrium._r1_slope(xs, gamma, t, params, True)
+            s = r1_slope(xs, gamma, t, params, True)
             left = np.flatnonzero((xs < kink) & (s >= 0.0))
             right = np.flatnonzero((xs > kink) & (s < 0.0))
             if not (left.size and right.size):
@@ -1131,7 +1130,7 @@ def test_a_bracket_holding_an_up_kink_closes_on_a_sign_change_of_the_slope():
             assert xs[i] <= b_lo[0] < b_hi[0] <= xs[j]
             assert b_hi[0] - b_lo[0] <= equilibrium._XTOL
             ends = np.concatenate([b_lo, b_hi])
-            ends = np.sign(equilibrium._r1_slope(ends, gamma, t, params, True))
+            ends = np.sign(r1_slope(ends, gamma, t, params, True))
             assert ends[0] == np.sign(s[i]) != ends[1], (kink, xs[i], xs[j], b_lo, b_hi)
             closed += 1
     assert closed >= 12
@@ -1142,7 +1141,7 @@ def test_roots_above_8192_end_on_adjacent_floats(monkeypatch):
     # ulp of its larger starting end: adjacent floats, or two ulps apart
     # where the bracket, a whole concave cell, starts in the next binade up.
     # Its ends straddle a sign change of the refine's own slope (there
-    # `_r1_slope` rounds differently by about the slope an ulp away)
+    # another slope sum rounds differently, by about the slope an ulp away)
     refine = equilibrium._refine
     closed = []
 
@@ -1200,23 +1199,18 @@ def test_every_default_sweep_cell_refines_in_few_passes(monkeypatch):
 
 def test_a_whole_coarse_cell_is_read_at_its_sections(monkeypatch):
     # the surrogate starts from np.linspace(r1_lo, r1_hi, 65), bit for bit,
-    # valued in its first call, and reads no slope helper: a whole coarse
-    # cell is bounded and closed from its own curvature sums, not read at
-    # sections
-    valued, slopes = [], []
-    value, slope = equilibrium._r1_value, equilibrium._r1_slope
+    # valued in its first call: a whole coarse cell is bounded and closed
+    # from its own curvature sums, not read at sections
+    valued = []
+    value = equilibrium._r1_value
     monkeypatch.setattr(
         equilibrium, "_r1_value", lambda r, *args: valued.append(np.copy(r)) or value(r, *args)
-    )
-    monkeypatch.setattr(
-        equilibrium, "_r1_slope", lambda r, *args: slopes.append(np.size(r)) or slope(r, *args)
     )
     for pop, params, box in default_cell_runs():
         valued.clear()
         solve_r1(pop, params, box)
         coarse = np.linspace(box.r1_lo, box.r1_hi, equilibrium._CELLS + 1)
         assert same_bits(valued[0], coarse)
-    assert slopes == []
 
 
 def test_r1_search_and_verification_memory_stay_within_absolute_budgets():
@@ -1270,7 +1264,7 @@ def test_the_refine_pass_holds_no_rates_by_clients_array():
 def dense_r1(r1, gamma, t, params, clamp, slope):
     """Oracle: the r1 slice or its right slope over the full rates x clients array.
 
-    This is how `_r1_value` and `_r1_slope` computed them before the live
+    This is how `_r1_value` and the r1 slope were computed before the live
     windows, in the clients' own order.  Also returns the rounding scale:
     the summed magnitudes of each rate's terms.
     """
@@ -1292,6 +1286,15 @@ def dense_r1(r1, gamma, t, params, clamp, slope):
     return out, size
 
 
+def r1_slope(r1, gamma, t, params, clamp):
+    """Oracle: the r1 slice's right slope by `dense_r1`, in blocks of rates, shaped as r1."""
+    r = np.atleast_1d(np.asarray(r1, dtype=float))
+    step = max((1 << 18) // len(gamma), 1)
+    parts = [dense_r1(r[i : i + step], gamma, t, params, clamp, True)[0] for i in range(0, len(r), step)]
+    out = np.concatenate([np.empty(0), *parts])
+    return out if np.ndim(r1) else float(out[0])
+
+
 def r1_test_rates(rng, gamma, t, spread):
     """Every client's entry and cap kink, one ulp either side of each, and
     ``spread`` rates across and beyond the kinks, shuffled."""
@@ -1310,17 +1313,16 @@ def r1_test_rates(rng, gamma, t, spread):
 
 def assert_r1_helpers_match_dense_oracle(rates, gamma, t, params):
     for clamp in (True, False):
-        for helper, slope in ((equilibrium._r1_value, False), (equilibrium._r1_slope, True)):
-            want, size = dense_r1(rates, gamma, t, params, clamp, slope)
-            got = helper(rates, gamma, t, params, clamp)
-            assert got.shape == rates.shape
-            # a client misclassified at a window edge moves a slope by a whole
-            # client term, far more than this
-            bad = ~(np.abs(got - want) <= 1e-12 * size)
-            assert not bad.any(), (clamp, slope, rates[bad][:3], got[bad][:3], want[bad][:3])
-            scalar = helper(float(rates[0]), gamma, t, params, clamp)
-            assert isinstance(scalar, float)
-            assert abs(scalar - want[0]) <= 1e-12 * size[0]
+        want, size = dense_r1(rates, gamma, t, params, clamp, False)
+        got = equilibrium._r1_value(rates, gamma, t, params, clamp)
+        assert got.shape == rates.shape
+        # a client misclassified at a window edge moves a value by a whole
+        # client term, far more than this
+        bad = ~(np.abs(got - want) <= 1e-12 * size)
+        assert not bad.any(), (clamp, rates[bad][:3], got[bad][:3], want[bad][:3])
+        scalar = equilibrium._r1_value(float(rates[0]), gamma, t, params, clamp)
+        assert isinstance(scalar, float)
+        assert abs(scalar - want[0]) <= 1e-12 * size[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1441,7 +1443,7 @@ def assert_r1_cut_is_exact(gamma, t, params, box):
     xs = np.linspace(box.r1_lo, box.r1_hi, SCAN)
     past = xs[xs >= cut]
     if past.size:
-        assert np.all(equilibrium._r1_slope(past, gamma, t, params, True) < 0)
+        assert np.all(r1_slope(past, gamma, t, params, True) < 0)
     # and the realized slice strictly falls there, in or beyond the box
     rs = np.linspace(cut, max(cut, box.r1_hi) + (box.r1_hi - box.r1_lo), 4001)
     values, _ = dense_r1(rs, gamma, t, params, True, slope=False)
@@ -1475,23 +1477,20 @@ def test_r1_search_past_the_cut_is_exact_at_scale_size(where):
 
 
 def r1_search_work(monkeypatch, pop, params, box):
-    """The rates of each `_r1_slope` call, and the rates valued, in one `compute_equilibrium`."""
-    slopes, valued = [], []
-    slope, value = equilibrium._r1_slope, equilibrium._r1_value
-    monkeypatch.setattr(
-        equilibrium, "_r1_slope", lambda r, *args: slopes.append(np.size(r)) or slope(r, *args)
-    )
+    """The rates valued in one `compute_equilibrium`."""
+    valued = []
+    value = equilibrium._r1_value
     monkeypatch.setattr(
         equilibrium, "_r1_value", lambda r, *args: valued.append(np.size(r)) or value(r, *args)
     )
     compute_equilibrium(pop, params, box)
     monkeypatch.undo()
-    return slopes, sum(valued)
+    return sum(valued)
 
 
 def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
     # (alpha/n) max t lies below r1_lo on these populations, so the slice
-    # falls across the whole box: r1_lo is returned with no slope or value call
+    # falls across the whole box: r1_lo is returned with no value read
     big = ScenarioConfig(n=10**4)
     big_pop = sample_population(big, 0)
     cases = [
@@ -1499,17 +1498,16 @@ def test_the_input_decides_whether_the_r1_scan_runs(monkeypatch):
         (big_pop, big.system_params, feasible_rate_box(big_pop, big.r2_cap)),
     ]
     for pop, params, box in cases:
-        assert r1_search_work(monkeypatch, pop, params, box) == ([], 0)
+        assert r1_search_work(monkeypatch, pop, params, box) == 0
     # at n=2000 with alpha=40000 the cut, about 60, lies past r1_hi, about 24.7,
     # so no cell is ruled out by it; the cell bounds close all but a few
     # cells, and the search values 157 rates (the grid search valued 2,071:
-    # its cell ends included every in-box down-kink) and reads no slope
+    # its cell ends included every in-box down-kink)
     config = ScenarioConfig(n=2000, alpha=40000.0)
     pop = sample_population(config, 0)
     box = feasible_rate_box(pop, config.r2_cap)
     assert config.alpha / config.n * pop.t_min.max() > box.r1_hi
-    slopes, valued = r1_search_work(monkeypatch, pop, config.system_params, box)
-    assert slopes == [] and valued <= 157
+    assert r1_search_work(monkeypatch, pop, config.system_params, box) <= 157
 
 
 @pytest.mark.parametrize("n", [10, 2000])
@@ -1528,7 +1526,7 @@ def test_r1_cut_hides_no_error_of_the_full_scan(n):
         box = feasible_rate_box(pop, config.r2_cap)
         params = config.system_params
         full = lambda: full_r1_search(  # noqa: E731
-            gamma, base.t_min, params, box, equilibrium._r1_slope, equilibrium._r1_value
+            gamma, base.t_min, params, box, r1_slope, equilibrium._r1_value
         )
         eq = compute_equilibrium(pop, params, box)
         if tiny == 1e-310:
@@ -1694,7 +1692,7 @@ def test_refining_only_what_can_win_differs_only_by_a_tied_local_minimum(scenari
         cells, xs = cell_reads(box.r1_lo, box.r1_hi, kinks)
         j = np.nonzero((cells[:-1] == cells[1:]) & (xs[:-1] <= want[0]) & (want[0] <= xs[1:]))[0]
         ends = np.concatenate([xs[j], xs[j + 1]])
-        left, right = np.sign(equilibrium._r1_slope(ends, gamma, t, params, clamp)).reshape(2, -1)
+        left, right = np.sign(r1_slope(ends, gamma, t, params, clamp)).reshape(2, -1)
         assert want[1] == "root" and np.any((left < 0) & (0 <= right))
         v_got, v_want = equilibrium._r1_value(np.array([got[0], want[0]]), gamma, t, params, clamp)
         assert v_got >= v_want - 1e-10 * max(1.0, abs(v_want))
@@ -1944,7 +1942,7 @@ def test_no_bracket_is_empty_where_kinks_crowd_a_coarse_point_or_each_other(monk
 def r1_reading_every_cell(gamma, t, params, box):
     """Oracle: the realized r1 search with no cell bound and no cut, which
     reads every cell."""
-    return full_r1_search(gamma, t, params, box, equilibrium._r1_slope, equilibrium._r1_value)
+    return full_r1_search(gamma, t, params, box, r1_slope, equilibrium._r1_value)
 
 
 def assert_cells_keep_r1(gamma, t, params, box):
@@ -2132,16 +2130,16 @@ def test_the_r1_cell_bound_holds_and_sees_each_population_alone(stack):
 
 
 def test_r1_searches_of_the_default_sweep_read_few_rates():
-    # over the 180 default-sweep populations the branch and bound reads no
-    # slope helper, values 10,137 rates in 525 calls (the starting points,
-    # the split levels and `_best`), and narrows its sign changes in 240
-    # Newton passes of 780 rates.  The grid search read 20,707 slopes and
-    # valued 11,426 rates; reading every cell below the cut took 580,491
-    # slope rates.  The ceilings are those counts, so a looser cell bound, a
-    # return to section reads or a refine through the slope helper fails here
-    rates = {"slope": 0, "value": 0, "refine": 0}
-    calls = {"slope": 0, "value": 0, "refine": 0}
-    slope, value, newton = equilibrium._r1_slope, equilibrium._r1_value, equilibrium._r1_newton
+    # over the 180 default-sweep populations the branch and bound values
+    # 10,137 rates in 525 calls (the starting points, the split levels and
+    # `_best`), and narrows its sign changes in 240 Newton passes of 780
+    # rates.  The grid search read 20,707 slopes and valued 11,426 rates;
+    # reading every cell below the cut took 580,491 slope rates.  The
+    # ceilings are those counts, so a looser cell bound, a return to
+    # section reads or a refine by value reads fails here
+    rates = {"value": 0, "refine": 0}
+    calls = {"value": 0, "refine": 0}
+    value, newton = equilibrium._r1_value, equilibrium._r1_newton
 
     def counted(name, helper):
         def wrapper(r, *args):
@@ -2151,12 +2149,11 @@ def test_r1_searches_of_the_default_sweep_read_few_rates():
 
         return wrapper
 
-    with patch.object(equilibrium, "_r1_slope", counted("slope", slope)), patch.object(
-        equilibrium, "_r1_value", counted("value", value)
-    ), patch.object(equilibrium, "_r1_newton", lambda *args: counted("refine", newton(*args))):
+    with patch.object(equilibrium, "_r1_value", counted("value", value)), patch.object(
+        equilibrium, "_r1_newton", lambda *args: counted("refine", newton(*args))
+    ):
         for pop, params, box in default_cell_runs():
             compute_equilibrium(pop, params, box)
-    assert rates["slope"] == calls["slope"] == 0
     assert rates["value"] <= 10_137 and calls["value"] <= 525
     assert calls["refine"] <= 240 and rates["refine"] <= 780
 

@@ -776,13 +776,13 @@ def test_a_run_whose_solve_fails_fails_alone(monkeypatch):
 
 
 def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
-    # the default workers=10 cell: its ten solves one by one make no r1 slope
-    # call, 29 r1 value calls and 18 refine passes, the costliest run 0, 3
-    # and 3; solved together, the cell makes no more calls than that run
+    # the default workers=10 cell: its ten solves one by one make 29 r1 value
+    # calls and 18 refine passes, the costliest run 3 and 3; solved
+    # together, the cell makes no more calls than that run
     from ifedcrowd import equilibrium
 
     config = SweepSpec.for_axis("workers", ScenarioConfig()).cell_config(10)
-    calls = {"slope": 0, "value": 0, "pass": 0}
+    calls = {"value": 0, "pass": 0}
 
     def counted(name, helper):
         def wrapper(*args):
@@ -792,20 +792,19 @@ def test_a_cell_solves_its_runs_in_one_pass(monkeypatch):
         return wrapper
 
     newton = equilibrium._r1_newton
-    monkeypatch.setattr(equilibrium, "_r1_slope", counted("slope", equilibrium._r1_slope))
     monkeypatch.setattr(equilibrium, "_r1_value", counted("value", equilibrium._r1_value))
     monkeypatch.setattr(equilibrium, "_r1_newton", lambda *args: counted("pass", newton(*args)))
     per_run = []
     for run in range(config.runs):
         pop = sample_population(config, run)
         compute_equilibrium(pop, config.system_params, feasible_rate_box(pop, config.r2_cap))
-        per_run.append((calls["slope"], calls["value"], calls["pass"]))
+        per_run.append((calls["value"], calls["pass"]))
         calls.update({name: 0 for name in calls})
-    assert tuple(map(sum, zip(*per_run))) == (0, 29, 18)
-    assert max(per_run) == (0, 3, 3)
+    assert tuple(map(sum, zip(*per_run))) == (29, 18)
+    assert max(per_run) == (3, 3)
     outcomes, failures = evaluate_cell(config, list(MechanismKind))
     assert len(outcomes) == 30 and not failures
-    assert calls["slope"] == 0 and calls["value"] <= 3 and calls["pass"] <= 3
+    assert calls["value"] <= 3 and calls["pass"] <= 3
 
 
 def test_pinned_fuzz_config_verifies():
@@ -934,7 +933,7 @@ def test_verify_scenario_with_huge_delta_emits_no_overflow():
 
 
 def test_verify_scenario_at_n_2000_takes_few_page_faults():
-    # every r1 value or slope call writes its blocks into one scratch
+    # every r1 value call writes its blocks into one scratch
     # allocation, which the allocator hands out whole to the next call;
     # block temporaries of their own came back as fresh zeroed pages.  The
     # first two calls grow the heap once.
